@@ -95,10 +95,17 @@ def _parse_vertex(args, parser) -> Vertex4:
             return vertex_from_dict(json.load(fh))
     if not getattr(args, "alphas", None):
         parser.error("a vertex is required: --alphas a1,a2,a3,a4 or --vertex-json path")
-    parts = [float(x) for x in args.alphas.split(",")]
+    parts = _floats(args.alphas, "--alphas", parser)
     if args.degrees:
         parts = [math.radians(x) for x in parts]
     return Vertex4(parts)
+
+
+def _floats(text: str, option: str, parser) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        parser.error(f"{option} takes comma-separated numbers, got {text!r}")
 
 
 def _angle(args, value: float) -> float:
@@ -146,9 +153,11 @@ def _cmd_dual(args, parser):
 
 def _cmd_modes(args, parser):
     v = _parse_vertex(args, parser)
+    n = args.samples
+    if n < 2:
+        parser.error("--samples must be at least 2")
     tol = _tol(args)
     k = mode_constants(v.alphas[0], v.alphas[1], tol)
-    n = args.samples
     curves = {}
     for mode in (MODE_1, MODE_2):
         rows = []
@@ -171,7 +180,7 @@ def _cmd_solve(args, parser):
 
 def _cmd_oracle(args, parser):
     v = _parse_vertex(args, parser)
-    guess = FoldState([_angle(args, float(x)) for x in args.guess.split(",")])
+    guess = FoldState([_angle(args, x) for x in _floats(args.guess, "--guess", parser)])
     rep = oracle_solve(v, args.driver_index, _angle(args, args.driver), guess, _tol(args))
     _emit_json(
         {
@@ -251,38 +260,41 @@ def _cmd_split(args, parser):
     _emit_json({"v1": vertex_to_dict(v1), "v2": vertex_to_dict(v2)}, args)
 
 
-def _frame_paths(base: str, n: int) -> list[str]:
-    stem, dot, ext = base.rpartition(".")
+def _frames(args, parser) -> list[tuple[str, float]]:
+    """(output path, driver angle) of each OBJ a sheet or stack command
+    writes: one file at --rho, or a numbered sweep with --frames."""
+    if not args.output:
+        parser.error(f"{args.command} writes OBJ files: --output is required")
+    if args.frames is None:
+        return [(args.output, _angle_or(args, args.rho, math.pi / 3))]
+    if args.frames < 1:
+        parser.error("--frames must be at least 1")
+    lo = _angle_or(args, args.rho_min, 0.05 * math.pi)
+    hi = _angle_or(args, args.rho_max, 0.95 * math.pi)
+    stem, dot, ext = args.output.rpartition(".")
     if not dot:
-        stem, ext = base, "obj"
-    return [f"{stem}_{k:03d}.{ext}" for k in range(n)]
+        stem, ext = args.output, "obj"
+    return [
+        (f"{stem}_{k:03d}.{ext}", lo + (hi - lo) * k / max(args.frames - 1, 1))
+        for k in range(args.frames)
+    ]
 
 
 def _cmd_sheet(args, parser):
     v = _parse_vertex(args, parser)
+    frames = _frames(args, parser)
     tol = _tol(args)
     sheet = build_square_twist_sheet(v, args.rows, args.cols, args.pleat_length, tol)
-    if not args.output:
-        parser.error("sheet writes OBJ files: --output is required")
-    if args.frames:
-        lo = _angle_or(args, args.rho_min, 0.05 * math.pi)
-        hi = _angle_or(args, args.rho_max, 0.95 * math.pi)
-        for path, k in zip(_frame_paths(args.output, args.frames), range(args.frames)):
-            rho = lo + (hi - lo) * k / max(args.frames - 1, 1)
-            write_obj(fold_sheet(sheet, rho, tol), path, args)
-    else:
-        rho = _angle_or(args, args.rho, math.pi / 3)
-        write_obj(fold_sheet(sheet, rho, tol), args.output, args)
+    for path, rho in frames:
+        write_obj(fold_sheet(sheet, rho, tol), path, args)
 
 
 def _cmd_stack(args, parser):
     v = _parse_vertex(args, parser)
+    frames = _frames(args, parser)
     tol = _tol(args)
     sheet = build_square_twist_sheet(v, args.rows, args.cols, args.pleat_length, tol)
-    if not args.output:
-        parser.error("stack writes OBJ files: --output is required")
-
-    def write_at(rho, path):
+    for path, rho in frames:
         cx = stack_complex(sheet, args.layers, rho, args.variant, tol)
         offset = 0
         verts = []
@@ -292,15 +304,6 @@ def _cmd_stack(args, parser):
             faces.extend(tuple(i + offset for i in f) for f in m.faces)
             offset += len(m.vertices)
         write_obj(FoldedMesh(tuple(verts), tuple(faces)), path, args)
-
-    if args.frames:
-        lo = _angle_or(args, args.rho_min, 0.05 * math.pi)
-        hi = _angle_or(args, args.rho_max, 0.95 * math.pi)
-        for path, k in zip(_frame_paths(args.output, args.frames), range(args.frames)):
-            rho = lo + (hi - lo) * k / max(args.frames - 1, 1)
-            write_at(rho, path)
-    else:
-        write_at(_angle_or(args, args.rho, math.pi / 3), args.output)
 
 
 def _cmd_auxetic(args, parser):

@@ -59,6 +59,21 @@ class LoopEvaluator:
     def residual(self, rhos) -> float:
         return float(np.linalg.norm(self.matrix(rhos) - np.eye(3)))
 
+    def residuals(self, rhos) -> np.ndarray:
+        """``residual`` of each row of an (n, 4) array of fold angles, in
+        one batched product."""
+        rhos = np.asarray(rhos, dtype=float)
+        c, s = np.cos(rhos), np.sin(rhos)
+        rx = np.zeros((*rhos.shape, 3, 3))
+        rx[..., 0, 0] = 1.0
+        rx[..., 1, 1] = rx[..., 2, 2] = c
+        rx[..., 1, 2] = -s
+        rx[..., 2, 1] = s
+        T = rx[:, 0] @ self._rz[0]
+        for k in range(1, 4):
+            T = T @ rx[:, k] @ self._rz[k]
+        return np.linalg.norm(T - np.eye(3), axis=(1, 2))
+
     def residual_vector(self, rhos) -> np.ndarray:
         """Three independent components: the axis-angle vector of the loop."""
         return axis_angle_vector(self.matrix(rhos))

@@ -65,11 +65,20 @@ class FoldedMesh:
 
     def __post_init__(self):
         n = len(self.vertices)
+        by_len: dict[int, list[tuple[int, ...]]] = {}
         for f in self.faces:
-            if len(f) < 3 or any(not 0 <= i < n for i in f):
-                raise InputError("face indices out of range")
-        for f in self.faces:
-            if _face_planarity(self.vertices, f) > 1e-9:
+            by_len.setdefault(len(f), []).append(f)
+        faces = {m: np.asarray(fs) for m, fs in by_len.items()}
+        if any(
+            m < 3 or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n
+            for m, idx in faces.items()
+        ):
+            raise InputError("face indices out of range")
+        pts = self.points()
+        if not np.isfinite(pts).all():
+            raise MeshConsistencyError("vertex coordinates are not finite")
+        for m, idx in faces.items():
+            if m > 3 and _max_planarity(pts[idx]) > 1e-9:
                 raise MeshConsistencyError("face deviates from planarity beyond 1e-9")
 
     def points(self) -> np.ndarray:
@@ -77,24 +86,15 @@ class FoldedMesh:
 
     def transformed(self, rotation: np.ndarray, translation=np.zeros(3)) -> "FoldedMesh":
         pts = self.points() @ np.asarray(rotation, dtype=float).T + translation
-        return FoldedMesh(tuple(map(tuple, pts)), self.faces)
-
-    def bounding_box(self, axes: np.ndarray | None = None) -> tuple[float, float, float]:
-        """Extents along the given orthonormal axes (columns), default xyz."""
-        pts = self.points()
-        if axes is not None:
-            pts = pts @ np.asarray(axes, dtype=float)
-        return tuple(float(x) for x in pts.max(axis=0) - pts.min(axis=0))
+        return FoldedMesh(tuple(map(tuple, pts.tolist())), self.faces)
 
 
-def _face_planarity(vertices, face) -> float:
-    pts = np.array([vertices[i] for i in face], dtype=float)
-    if len(pts) == 3:
-        return 0.0
-    centroid = pts.mean(axis=0)
-    q = pts - centroid
-    # smallest singular value = max deviation scale from the best plane
-    return float(np.linalg.svd(q, compute_uv=False)[-1])
+def _max_planarity(pts: np.ndarray) -> float:
+    """Largest deviation scale from its best-fit plane over a stack of
+    faces of equal length, shape (faces, corners, 3): the smallest
+    singular value of each face's centered corners."""
+    q = pts - pts.mean(axis=1, keepdims=True)
+    return float(np.linalg.svd(q, compute_uv=False)[:, -1].max())
 
 
 def mesh_from_polygons(polygons, weld_tol: float = 1e-8) -> FoldedMesh:

@@ -90,11 +90,3 @@ def fold_mode(
         return FoldState((coupled, driver, -coupled, driver))
     raise InputError("mode must be 1 or 2")
 
-
-def mode_driver_index(mode: int) -> int:
-    """Crease index (1-based) that drives the given mode."""
-    if mode == MODE_1:
-        return 1
-    if mode == MODE_2:
-        return 2
-    raise InputError("mode must be 1 or 2")

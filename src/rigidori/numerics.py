@@ -97,13 +97,19 @@ class Rotation3:
         return f"Rotation3({self.matrix.tolist()!r})"
 
 
-def rotation_matrix_about_axis(axis, angle: float) -> np.ndarray:
-    """Raw Rodrigues rotation matrix; axis must already be unit length."""
+def rotation_matrix_about_axis(axis, angle) -> np.ndarray:
+    """Raw Rodrigues rotation matrix; axis must already be unit length.
+
+    Batched: axes of shape (..., 3) and angles of shape (...) give
+    matrices of shape (..., 3, 3).
+    """
     ax = np.asarray(axis, dtype=float)
-    c, s = math.cos(angle), math.sin(angle)
-    kx, ky, kz = ax
-    K = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    return np.eye(3) + s * K + (1.0 - c) * (K @ K)
+    ang = np.asarray(angle, dtype=float)[..., None, None]
+    kx, ky, kz = np.moveaxis(ax, -1, 0)
+    zero = np.zeros_like(kx)
+    K = np.stack([zero, -kz, ky, kz, zero, -kx, -ky, kx, zero], axis=-1)
+    K = K.reshape(*ax.shape[:-1], 3, 3)
+    return np.eye(3) + np.sin(ang) * K + (1.0 - np.cos(ang)) * (K @ K)
 
 
 def rotation_about_axis(axis, angle: float) -> Rotation3:

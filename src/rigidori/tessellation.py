@@ -18,6 +18,16 @@ mode assignment that propagates a single degree of freedom consistently
 through the whole sheet (all crease half-tangents are +-s or +-k1*s for
 s = tan(major_rho / 2)).
 
+Because every half-tangent is linear in s, the mode relations are walked
+once, at build time, from s = 1; that reference propagation freezes each
+crease's coefficient and certifies the layout. The sheet also stores its
+fold plan: the coefficient array, each interior vertex's crease indices,
+a spanning tree of the face adjacency with the hinge axis of every tree
+edge, and each face's corner indices. Folding then scales the frozen
+coefficients (rho = 2 atan(coef * s)), composes the hinge rotations down
+the tree, places every corner in one array pass, and certifies every
+interior vertex's loop closure in one batch.
+
 Stacking glues the mountain crease row of each layer to the valley
 crease row of the next (the rows are the zigzag paths of major creases
 through P3/P4 and P1/P2 corners respectively); each glued vertex pair
@@ -28,12 +38,14 @@ interpenetrate by design.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closure import LoopEvaluator
+from .embedding import PARALLEL, ROTATED, FoldedMesh
 from .errors import (
     GluingError,
     InfeasibleDriverError,
@@ -44,9 +56,6 @@ from .errors import (
 from .flatfold import mode_constants
 from .numerics import DEFAULT_TOL, Tolerances, rotation_matrix_about_axis
 from .vertex import Curvature, Vertex4, classify, dual
-
-PARALLEL = "parallel"
-ROTATED = "rotated"
 
 Name = tuple[str, int, int]  # corner label P1..P4 with cell indices
 
@@ -64,6 +73,30 @@ class SheetVertex:
     creases: tuple[frozenset, frozenset, frozenset, frozenset]
 
 
+@dataclass(frozen=True, eq=False)
+class FoldPlan:
+    """Everything a fold needs that does not depend on the driver angle.
+
+    Arrays are read-only. Corners are indexed in ``sheet.corners`` order
+    (first seen over the faces), creases in ``sheet.creases`` order and
+    interior vertices in ``sheet.vertices`` order. The face tree is listed
+    in traversal order, so every parent precedes its children; the root
+    is face 0 and carries the identity.
+    """
+
+    coef: np.ndarray  # (C,) crease half-tangent per unit driver half-tangent
+    vertex_creases: np.ndarray  # (V, 4) crease indices in package order c1..c4
+    tree_face: np.ndarray  # (F-1,) child face of each tree edge
+    tree_parent: np.ndarray  # (F-1,) its parent face
+    tree_hinge: np.ndarray  # (F-1,) the crease they share
+    axis_point: np.ndarray  # (F-1, 3) a flat point on the hinge
+    axis: np.ndarray  # (F-1, 3) unit hinge direction; the child turns by +rho
+    flat: np.ndarray  # (N, 3) flat corner positions
+    face_corners: np.ndarray  # (F, 4) corner indices per face
+    first_slot: np.ndarray  # (N,) flat index into (F, 4) of each corner's first face
+    mesh_faces: tuple[tuple[int, ...], ...]  # face_corners as FoldedMesh faces
+
+
 @dataclass(frozen=True)
 class SquareTwistSheet:
     generator: Vertex4
@@ -78,6 +111,7 @@ class SquareTwistSheet:
     vertices: dict[Name, SheetVertex]
     driver_crease: frozenset
     mv_coefficients: dict[frozenset, float]
+    fold_plan: FoldPlan | None = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def mv_assignment(self) -> dict[frozenset, str]:
@@ -129,7 +163,8 @@ def build_square_twist_sheet(
 
     Every interior vertex (the central-square corners) realizes the
     generator's sector angles; the mountain/valley assignment is frozen
-    from a reference propagation at construction time.
+    from a reference propagation at construction time, together with the
+    fold plan that every later fold reuses.
     """
     if rows < 1 or cols < 1:
         raise InputError("rows and cols must be at least 1")
@@ -253,78 +288,55 @@ def build_square_twist_sheet(
     # freeze the MV assignment from a reference propagation; this also
     # certifies rigid-foldability of the layout once at build time
     coefs = _propagate(sheet, 1.0)
-    object.__setattr__(sheet, "mv_coefficients", {k: t for k, t in coefs.items()})
-    return sheet
+    return dataclasses.replace(
+        sheet, mv_coefficients=coefs, fold_plan=_fold_plan(sheet, coefs)
+    )
 
 
 # ---------------------------------------------------------------------------
-# fold-angle propagation
+# fold-angle propagation (build time)
 
 
 def _mode_state_from_crease(mode: int, k1: float, k2: float, local: int, t: float):
     """Full half-tangent 4-tuple of a vertex given one crease value.
 
-    mode 1: (x, -k1 x, x, k1 x); mode 2: (k2 y, y, -k2 y, y). Returns None
-    when the known crease cannot determine the state (zero mode constant
-    with zero value).
+    mode 1: (x, -k1 x, x, k1 x); mode 2: (k2 y, y, -k2 y, y). A crease
+    whose mode coefficient vanishes cannot determine the state, which
+    raises RigidFoldabilityError.
     """
-    if mode == 1:
-        if local == 0:
-            x = t
-        elif local == 2:
-            x = t
-        elif local == 1:
-            if k1 == 0.0:
-                return None if t == 0.0 else False
-            x = -t / k1
-        else:
-            if k1 == 0.0:
-                return None if t == 0.0 else False
-            x = t / k1
-        return (x, -k1 * x, x, k1 * x)
-    if local == 1:
-        y = t
-    elif local == 3:
-        y = t
-    elif local == 0:
-        if k2 == 0.0:
-            return None if t == 0.0 else False
-        y = t / k2
-    else:
-        if k2 == 0.0:
-            return None if t == 0.0 else False
-        y = -t / k2
-    return (k2 * y, y, -k2 * y, y)
+    pattern = (1.0, -k1, 1.0, k1) if mode == 1 else (k2, 1.0, -k2, 1.0)
+    c = pattern[local]
+    if c == 0.0:
+        raise RigidFoldabilityError(
+            f"mode {mode} relations cannot be solved from crease c{local + 1} "
+            f"(zero mode constant)"
+        )
+    x = t / c
+    return tuple(p * x for p in pattern)
 
 
 def _propagate(sheet: SquareTwistSheet, s: float) -> dict[frozenset, float]:
     """Half-tangent of every crease from the driver value s, by walking
-    the mode relations vertex to vertex. Conflicting assignments raise
-    RigidFoldabilityError naming the crease."""
+    the mode relations vertex to vertex, in time linear in the sheet
+    size. Conflicting assignments raise RigidFoldabilityError naming the
+    crease."""
     k = mode_constants(sheet.generator.alphas[0], sheet.generator.alphas[1])
+    at_crease: dict[frozenset, list[Name]] = {}
+    for name, rec in sheet.vertices.items():
+        for key in rec.creases:
+            at_crease.setdefault(key, []).append(name)
     t_of: dict[frozenset, float] = {sheet.driver_crease: s}
-    solved: dict[Name, tuple] = {}
-    queue = [name for name, rec in sheet.vertices.items() if sheet.driver_crease in rec.creases]
+    solved: set[Name] = set()
+    queue = list(at_crease.get(sheet.driver_crease, ()))
     while queue:
         name = queue.pop()
         if name in solved:
             continue
+        solved.add(name)
         rec = sheet.vertices[name]
-        known = None
-        for local, key in enumerate(rec.creases):
-            if key in t_of:
-                known = (local, t_of[key])
-                break
-        if known is None:
-            continue
-        state = _mode_state_from_crease(rec.mode, k.k1, k.k2, known[0], known[1])
-        if state is False:
-            raise RigidFoldabilityError(f"mode relations unsatisfiable at vertex {name}")
-        if state is None:
-            continue  # undetermined here; another crease will decide
-        solved[name] = state
-        for local, key in enumerate(rec.creases):
-            val = state[local]
+        local, key = next((i, c) for i, c in enumerate(rec.creases) if c in t_of)
+        state = _mode_state_from_crease(rec.mode, k.k1, k.k2, local, t_of[key])
+        for key, val in zip(rec.creases, state):
             if key in t_of:
                 old = t_of[key]
                 if abs(2.0 * math.atan(val) - 2.0 * math.atan(old)) > 1e-9:
@@ -334,14 +346,76 @@ def _propagate(sheet: SquareTwistSheet, s: float) -> dict[frozenset, float]:
                     )
             else:
                 t_of[key] = val
-                for other in sheet.vertices.values():
-                    if key in other.creases and other.name not in solved:
-                        queue.append(other.name)
+                queue.extend(other for other in at_crease[key] if other not in solved)
     # creases not reached by any interior vertex never fold
-    missing = [key for key in sheet.creases if key not in t_of]
-    for key in missing:
-        raise RigidFoldabilityError(f"crease {sorted(key)} not reached by propagation")
+    for key in sheet.creases:
+        if key not in t_of:
+            raise RigidFoldabilityError(f"crease {sorted(key)} not reached by propagation")
     return t_of
+
+
+def _fold_plan(sheet: SquareTwistSheet, coefs: dict[frozenset, float]) -> FoldPlan:
+    """Driver-independent fold data: coefficient array, per-vertex crease
+    indices, a spanning tree of the face adjacency with its hinge axes,
+    and the corner indices of every face."""
+    crease_index = {key: c for c, key in enumerate(sheet.creases)}
+    corner_index = {name: n for n, name in enumerate(sheet.corners)}
+    flat = np.array([(*xy, 0.0) for xy in sheet.corners.values()])
+    face_corners = np.array([[corner_index[n] for n in f] for f in sheet.faces])
+
+    # face adjacency over shared creases; depth-first from face 0. The
+    # child sits right of the parent's directed edge a -> b, so it turns
+    # by +rho about the axis from b toward a
+    edge_faces: dict[frozenset, list[int]] = {}
+    for fi, f in enumerate(sheet.faces):
+        for a_, b_ in zip(f, f[1:] + f[:1]):
+            key = frozenset((a_, b_))
+            if key in crease_index:
+                edge_faces.setdefault(key, []).append(fi)
+    reached = [False] * len(sheet.faces)
+    reached[0] = True
+    tree: list[tuple[int, int, int, int, int]] = []  # child, parent, hinge, a, b
+    stack = [0]
+    while stack:
+        fi = stack.pop()
+        f = sheet.faces[fi]
+        for a_, b_ in zip(f, f[1:] + f[:1]):
+            key = frozenset((a_, b_))
+            for fj in edge_faces.get(key, ()):
+                if not reached[fj]:
+                    reached[fj] = True
+                    tree.append((fj, fi, crease_index[key], corner_index[a_], corner_index[b_]))
+                    stack.append(fj)
+    if not all(reached):
+        raise MeshConsistencyError("face adjacency graph is not connected")
+    child, parent, hinge, a_idx, b_idx = (np.array(col, dtype=np.intp) for col in zip(*tree))
+    axis = flat[a_idx] - flat[b_idx]
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+
+    # a corner takes its position from the first face that lists it
+    first_slot: dict[int, int] = {}
+    for slot, n in enumerate(face_corners.ravel().tolist()):
+        first_slot.setdefault(n, slot)
+
+    plan = FoldPlan(
+        coef=np.array([coefs[key] for key in sheet.creases]),
+        vertex_creases=np.array(
+            [[crease_index[key] for key in rec.creases] for rec in sheet.vertices.values()]
+        ),
+        tree_face=child,
+        tree_parent=parent,
+        tree_hinge=hinge,
+        axis_point=flat[b_idx],
+        axis=axis,
+        flat=flat,
+        face_corners=face_corners,
+        first_slot=np.array([first_slot[n] for n in range(len(flat))]),
+        mesh_faces=tuple(map(tuple, face_corners.tolist())),
+    )
+    for value in vars(plan).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -355,112 +429,70 @@ class FoldedSheet:
     positions: dict[Name, np.ndarray]
     crease_angles: dict[frozenset, float]
     vertex_residuals: dict[Name, float]
-    mesh: "FoldedMesh"
-
-
-def _rot_about_line(point: np.ndarray, direction: np.ndarray, angle: float):
-    R = rotation_matrix_about_axis(direction, angle)
-    t = point - R @ point
-    return R, t
+    mesh: FoldedMesh
 
 
 def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedSheet:
-    from .embedding import FoldedMesh  # local import to avoid cycle at module load
-
     if not -math.pi <= major_rho <= math.pi:
         raise InfeasibleDriverError("major_rho must lie in [-pi, pi]")
+    plan = sheet.fold_plan
     if abs(abs(major_rho) - math.pi) < 1e-15:
-        s = math.copysign(math.inf, major_rho)
+        # s = +-inf: every crease is flat-folded by the sign of its coefficient
+        rho = math.copysign(math.pi, major_rho) * np.sign(plan.coef)
     else:
-        s = math.tan(0.5 * major_rho)
-    t_of = _propagate(sheet, s)
-    rho_of = {key: 2.0 * math.atan(t) for key, t in t_of.items()}
+        rho = 2.0 * np.arctan(plan.coef * math.tan(0.5 * major_rho))
 
-    # face adjacency over shared creases, with the parent's traversal
-    # direction of the shared edge (child sits right of the parent edge)
-    flat = {name: np.array([*xy, 0.0]) for name, xy in sheet.corners.items()}
-    crease_keys = set(sheet.creases)
-    edge_faces: dict[frozenset, list[int]] = {}
-    for fi, f in enumerate(sheet.faces):
-        for a_, b_ in zip(f, f[1:] + f[:1]):
-            key = frozenset((a_, b_))
-            if key in crease_keys:
-                edge_faces.setdefault(key, []).append(fi)
+    # hinge rotations as maps x -> Rh x + th about lines through the flat
+    # axis points
+    Rh = rotation_matrix_about_axis(plan.axis, rho[plan.tree_hinge])
+    th = plan.axis_point - np.einsum("eij,ej->ei", Rh, plan.axis_point)
 
-    transforms: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(sheet.faces)
-    transforms[0] = (np.eye(3), np.zeros(3))
-    stack = [0]
-    while stack:
-        fi = stack.pop()
-        f = sheet.faces[fi]
-        Rp, tp = transforms[fi]
-        for a_, b_ in zip(f, f[1:] + f[:1]):
-            key = frozenset((a_, b_))
-            if key not in edge_faces:
-                continue  # sheet boundary edge
-            for fj in edge_faces[key]:
-                if fj == fi or transforms[fj] is not None:
-                    continue
-                # crossing from parent (left of a->b) to child (right of
-                # a->b): rotate +rho about the axis from b toward a
-                axis_dir = flat[a_] - flat[b_]
-                axis_dir = axis_dir / np.linalg.norm(axis_dir)
-                Rl, tl = _rot_about_line(flat[b_], axis_dir, rho_of[key])
-                transforms[fj] = (Rp @ Rl, Rp @ tl + tp)
-                stack.append(fj)
-    if any(T is None for T in transforms):
-        raise MeshConsistencyError("face adjacency graph is not connected")
+    # compose down the tree: a child face moves by its parent's map after
+    # its own hinge rotation
+    Rs = [np.eye(3)] * len(plan.face_corners)
+    ts = [np.zeros(3)] * len(plan.face_corners)
+    for f, p, R1, t1 in zip(plan.tree_face.tolist(), plan.tree_parent.tolist(), Rh, th):
+        Rs[f] = Rs[p] @ R1
+        ts[f] = Rs[p] @ t1 + ts[p]
+    R, t = np.array(Rs), np.array(ts)
 
-    # place corners; every incident face must agree (loop consistency)
-    positions: dict[Name, np.ndarray] = {}
-    worst_spread = 0.0
-    for fi, f in enumerate(sheet.faces):
-        R, t = transforms[fi]
-        for name in f:
-            p = R @ flat[name] + t
-            if name in positions:
-                worst_spread = max(worst_spread, float(np.max(np.abs(p - positions[name]))))
-            else:
-                positions[name] = p
-    if worst_spread > 1e-8:
+    # place every corner of every face; all faces sharing a corner must
+    # agree (loop consistency)
+    placed = (
+        np.einsum("fij,fkj->fki", R, plan.flat[plan.face_corners]) + t[:, None, :]
+    ).reshape(-1, 3)
+    pos = placed[plan.first_slot]
+    worst_spread = float(np.max(np.abs(placed - pos[plan.face_corners.ravel()])))
+    if not worst_spread <= 1e-8:
         raise MeshConsistencyError(
             f"internal face-cycle inconsistency: corner spread {worst_spread:.3e}"
         )
+    pos.flags.writeable = False
 
     # per-vertex loop closure certificates
-    residuals: dict[Name, float] = {}
-    loop = LoopEvaluator(sheet.generator)
-    for name, rec in sheet.vertices.items():
-        rhos = tuple(rho_of[key] for key in rec.creases)
-        res = loop.residual(rhos)
-        if res >= tol.residual_tol:
-            raise MeshConsistencyError(
-                f"vertex {name} fails closure: residual {res:.3e}"
-            )
-        residuals[name] = res
+    res = LoopEvaluator(sheet.generator).residuals(rho[plan.vertex_creases])
+    worst = int(np.argmax(res))
+    if not res[worst] < tol.residual_tol:
+        name = list(sheet.vertices)[worst]
+        raise MeshConsistencyError(f"vertex {name} fails closure: residual {res[worst]:.3e}")
 
-    names = list(positions)
-    index = {n: i for i, n in enumerate(names)}
-    mesh = FoldedMesh(
-        tuple(tuple(map(float, positions[n])) for n in names),
-        tuple(tuple(index[n] for n in f) for f in sheet.faces),
-    )
     return FoldedSheet(
         sheet=sheet,
         major_rho=major_rho,
-        positions=positions,
-        crease_angles=rho_of,
-        vertex_residuals=residuals,
-        mesh=mesh,
+        positions=dict(zip(sheet.corners, pos)),
+        crease_angles=dict(zip(sheet.creases, rho.tolist())),
+        vertex_residuals=dict(zip(sheet.vertices, res.tolist())),
+        mesh=FoldedMesh(tuple(map(tuple, pos.tolist())), plan.mesh_faces),
     )
 
 
 def fold_sheet(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances = DEFAULT_TOL):
     """Rigidly fold the sheet at the given major crease angle.
 
-    Fold angles propagate from the driver crease through the per-vertex
-    mode relations; plates are placed by traversal of the face adjacency,
-    and every interior vertex loop is certified against the closure
+    Fold angles scale the crease coefficients frozen at build time
+    (rho = 2 atan(coef * tan(major_rho / 2))); plates are placed by
+    composing the hinge rotations down the face tree of the sheet's fold
+    plan, and every interior vertex loop is certified against the closure
     oracle before the mesh is returned.
     """
     return _fold(sheet, major_rho, tol).mesh
@@ -577,10 +609,9 @@ def stack_complex(
         bv = sheet.valley_path(j)
         if variant == ROTATED:
             bv = list(reversed(bv))
-        dev = max(
-            float(np.linalg.norm((R @ fs.positions[nb] + t) - fs.positions[na]))
-            for na, nb in zip(av, bv)
-        )
+        Aj = np.array([fs.positions[n] for n in av])
+        Bj = np.array([fs.positions[n] for n in bv])
+        dev = float(np.max(np.linalg.norm(Bj @ R.T + t - Aj, axis=1)))
         if dev <= 1e-8:
             glued_rows.append((j, av, bv, dev))
     if not glued_rows:
@@ -608,13 +639,6 @@ def stack_complex(
         lattice_axes=axes,
         bbox=bbox,
     )
-
-
-def _layer_point(fs: FoldedSheet, name: Name, R: np.ndarray, t: np.ndarray, layer: int):
-    p = fs.positions[name]
-    for _ in range(layer):
-        p = R @ p + t
-    return p
 
 
 def _lattice_bbox(fs: FoldedSheet, axes: np.ndarray, layers: int):

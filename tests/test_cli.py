@@ -237,3 +237,29 @@ def test_conflicting_vertex_sources_rejected():
     with pytest.raises(SystemExit) as exc:
         run(["classify", "--alphas", "1,1,1,1", "--vertex-json", "x.json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["sheet", "stack"])
+@pytest.mark.parametrize("frames", ["0", "-1"])
+def test_frames_below_one_is_usage_error(tmp_path, command, frames):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--alphas", "45,90,135,90", "--degrees",
+             "--frames", frames, "--output", str(tmp_path / "anim.obj")])
+    assert exc.value.code == 2
+    assert os.listdir(tmp_path) == []
+
+
+def test_non_numeric_angles_are_usage_errors():
+    with pytest.raises(SystemExit) as exc:
+        run(["classify", "--alphas", "a,b,c,d"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["oracle", "--alphas", "45,90,135,90", "--degrees",
+             "--driver", "60", "--guess", "60,x,60,20"])
+    assert exc.value.code == 2
+
+
+def test_modes_single_sample_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        run(["modes", "--alphas", "45,90,135,90", "--degrees", "--samples", "1"])
+    assert exc.value.code == 2

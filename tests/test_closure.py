@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidori.closure import closure_residual, fold_map, oracle_solve
+from rigidori.closure import LoopEvaluator, closure_residual, fold_map, oracle_solve
 from rigidori.flatfold import MODE_1, MODE_2, fold_mode
 from rigidori.numerics import rotation_residual
 from rigidori.vertex import FoldState, Vertex4, ZERO_STATE
@@ -130,3 +130,15 @@ def test_oracle_agreement_with_analytic_modes(seed):
     rep = oracle_solve(v, 1, drv, nudged)
     assert rep.converged
     assert max(abs(x - y) for x, y in zip(rep.state.rhos, s.rhos)) < 1e-6
+
+
+def test_batched_residuals_match_single_state_residual():
+    rng = np.random.default_rng(11)
+    for v in (SQ_TWIST, ELLIPTIC, Vertex4(rng.uniform(0.3, PI - 0.3, size=4))):
+        loop = LoopEvaluator(v)
+        rhos = rng.uniform(-PI, PI, size=(64, 4))
+        rhos[:4] = [fold_mode(SQ_TWIST, MODE_1, d).rhos for d in (0.0, 0.4, -2.0, PI)]
+        batch = loop.residuals(rhos)
+        assert batch.shape == (64,)
+        for row, res in zip(rhos, batch):
+            assert abs(res - loop.residual(row)) < 1e-15

@@ -19,6 +19,8 @@ from rigidori.embedding import (
 )
 from rigidori.errors import (
     InfeasibleDriverError,
+    InputError,
+    MeshConsistencyError,
     NonClosingStateError,
     UnsupportedVariantError,
 )
@@ -204,3 +206,45 @@ def test_mesh_from_polygons_welds_shared_points():
     mesh = mesh_from_polygons([tri1, tri2])
     assert len(mesh.vertices) == 4
     assert len(mesh.faces) == 2
+
+
+def _tilted_grid(nx: int, ny: int):
+    """Planar quad grid (nx * ny faces) in a generic plane through space."""
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    xy = np.array([(x, y, 0.0) for y in range(ny + 1) for x in range(nx + 1)], dtype=float)
+    pts = xy @ q.T + rng.normal(size=3)
+    faces = [
+        (y * (nx + 1) + x, y * (nx + 1) + x + 1, (y + 1) * (nx + 1) + x + 1, (y + 1) * (nx + 1) + x)
+        for y in range(ny)
+        for x in range(nx)
+    ]
+    return pts, faces, q[:, 2]
+
+
+def test_mesh_rejects_one_nonplanar_quad_among_many():
+    pts, faces, normal = _tilted_grid(20, 30)
+    FoldedMesh(tuple(map(tuple, pts)), tuple(faces))
+    bent = pts.copy()
+    bent[-1] += 1e-6 * normal  # a grid corner: only the last quad bends
+    with pytest.raises(MeshConsistencyError):
+        FoldedMesh(tuple(map(tuple, bent)), tuple(faces))
+
+
+def test_mesh_validates_mixed_face_lengths():
+    pts, faces, normal = _tilted_grid(4, 3)
+    # split two quads into triangles and widen one into a pentagon through
+    # the midpoint of its bottom edge
+    mid = len(pts)
+    pts = np.vstack([pts, 0.5 * (pts[faces[5][0]] + pts[faces[5][1]])])
+    a, b, c, d = faces[5]
+    mixed = [faces[0][:3], faces[0][::2] + (faces[0][3],), (a, mid, b, c, d)] + faces[6:]
+    FoldedMesh(tuple(map(tuple, pts)), tuple(mixed))
+    for k in (mid, c):  # the pentagon alone, then a vertex it shares with quads
+        bent = pts.copy()
+        bent[k] += 1e-6 * normal
+        with pytest.raises(MeshConsistencyError):
+            FoldedMesh(tuple(map(tuple, bent)), tuple(mixed))
+    for bad in ((0, 1, -1), (0, 1, len(pts)), (0, 1), (0, 1, 2.5)):
+        with pytest.raises(InputError):
+            FoldedMesh(tuple(map(tuple, pts)), tuple(mixed) + (bad,))

@@ -121,6 +121,10 @@ def test_propagation_conflict_detected(sheet22):
     broken = dataclasses.replace(sheet22, vertices=broken_vertices)
     with pytest.raises(RigidFoldabilityError):
         _propagate(broken, 1.0)
+    # a = pi/2 zeroes k2 exactly: a crease with a zero mode coefficient
+    # cannot carry the driver on to its vertex
+    with pytest.raises(RigidFoldabilityError):
+        build_square_twist_sheet(Vertex4((PI / 2,) * 4), 1, 1)
 
 
 def test_single_layer_stack_is_the_sheet(sheet22):
@@ -178,3 +182,39 @@ def test_general_alpha_generator_folds():
     assert max(fs.vertex_residuals.values()) < 1e-9
     cx = stack_complex(sheet, 2, 0.7)
     assert cx.glue_residual < 1e-8
+
+
+PLAN_DRIVERS = (0.0, 1e-9, -1e-9, 0.4, -1.3, 2.8, -3.1, PI, -PI)
+
+
+@pytest.fixture(scope="module", params=["12x12", "3x5"])
+def planned_sheet(request):
+    if request.param == "12x12":
+        return build_square_twist_sheet(GEN, 12, 12)
+    gen = Vertex4((0.6, PI / 2, PI - 0.6, PI / 2))
+    return build_square_twist_sheet(gen, 3, 5, pleat_length=0.8)
+
+
+def test_fold_scales_frozen_coefficients(planned_sheet):
+    # the fold plan's closed form agrees with walking the mode relations
+    for rho in PLAN_DRIVERS:
+        s = math.copysign(math.inf, rho) if abs(rho) == PI else math.tan(0.5 * rho)
+        walked = _propagate(planned_sheet, s)
+        fs = _fold(planned_sheet, rho, DEFAULT_TOL)
+        assert fs.crease_angles.keys() == walked.keys()
+        for key, t in walked.items():
+            assert abs(fs.crease_angles[key] - 2.0 * math.atan(t)) < 1e-12
+
+
+def test_placed_faces_keep_flat_lengths(planned_sheet):
+    for rho in PLAN_DRIVERS:
+        fs = _fold(planned_sheet, rho, DEFAULT_TOL)
+        pts = fs.mesh.points()
+        for names, idx in zip(planned_sheet.faces, fs.mesh.faces):
+            flat = np.array([planned_sheet.corners[n] for n in names])
+            folded = pts[list(idx)]
+            # every edge and both diagonals: the plate moved rigidly
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    d0 = np.linalg.norm(flat[i] - flat[j])
+                    assert abs(np.linalg.norm(folded[i] - folded[j]) - d0) < 1e-12
