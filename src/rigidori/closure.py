@@ -62,13 +62,7 @@ class LoopEvaluator:
     def residuals(self, rhos) -> np.ndarray:
         """``residual`` of each row of an (n, 4) array of fold angles, in
         one batched product."""
-        rhos = np.asarray(rhos, dtype=float)
-        c, s = np.cos(rhos), np.sin(rhos)
-        rx = np.zeros((*rhos.shape, 3, 3))
-        rx[..., 0, 0] = 1.0
-        rx[..., 1, 1] = rx[..., 2, 2] = c
-        rx[..., 1, 2] = -s
-        rx[..., 2, 1] = s
+        rx = rot_x(np.asarray(rhos, dtype=float))
         T = rx[:, 0] @ self._rz[0]
         for k in range(1, 4):
             T = T @ rx[:, k] @ self._rz[k]

@@ -167,9 +167,24 @@ def wrap_angle(a: float) -> float:
     return w
 
 
-def rot_x(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+def rot_x(angle) -> np.ndarray:
+    """Rotation about the x axis.
+
+    Batched: angles of shape (...) give matrices of shape (..., 3, 3). A
+    plain number takes the scalar path, which the single-state loop
+    residual calls in its inner loop.
+    """
+    if isinstance(angle, (int, float)):
+        c, s = math.cos(angle), math.sin(angle)
+        return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    ang = np.asarray(angle, dtype=float)
+    c, s = np.cos(ang), np.sin(ang)
+    R = np.zeros((*ang.shape, 3, 3))
+    R[..., 0, 0] = 1.0
+    R[..., 1, 1] = R[..., 2, 2] = c
+    R[..., 1, 2] = -s
+    R[..., 2, 1] = s
+    return R
 
 
 def rot_z(angle: float) -> np.ndarray:

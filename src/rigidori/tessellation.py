@@ -39,6 +39,7 @@ interpenetrate by design.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,7 +95,6 @@ class FoldPlan:
     flat: np.ndarray  # (N, 3) flat corner positions
     face_corners: np.ndarray  # (F, 4) corner indices per face
     first_slot: np.ndarray  # (N,) flat index into (F, 4) of each corner's first face
-    mesh_faces: tuple[tuple[int, ...], ...]  # face_corners as FoldedMesh faces
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,13 @@ class SquareTwistSheet:
     vertices: dict[Name, SheetVertex]
     driver_crease: frozenset
     mv_coefficients: dict[frozenset, float]
-    fold_plan: FoldPlan | None = dataclasses.field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def fold_plan(self) -> FoldPlan:
+        """Driver-independent fold data, built on first use from this
+        sheet's own fields, so a copy made with ``dataclasses.replace``
+        gets a plan of its own."""
+        return _fold_plan(self)
 
     @property
     def mv_assignment(self) -> dict[frozenset, str]:
@@ -287,10 +293,9 @@ def build_square_twist_sheet(
     )
     # freeze the MV assignment from a reference propagation; this also
     # certifies rigid-foldability of the layout once at build time
-    coefs = _propagate(sheet, 1.0)
-    return dataclasses.replace(
-        sheet, mv_coefficients=coefs, fold_plan=_fold_plan(sheet, coefs)
-    )
+    sheet = dataclasses.replace(sheet, mv_coefficients=_propagate(sheet, 1.0))
+    sheet.fold_plan  # built now, so the first fold does not pay for it
+    return sheet
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +359,7 @@ def _propagate(sheet: SquareTwistSheet, s: float) -> dict[frozenset, float]:
     return t_of
 
 
-def _fold_plan(sheet: SquareTwistSheet, coefs: dict[frozenset, float]) -> FoldPlan:
+def _fold_plan(sheet: SquareTwistSheet) -> FoldPlan:
     """Driver-independent fold data: coefficient array, per-vertex crease
     indices, a spanning tree of the face adjacency with its hinge axes,
     and the corner indices of every face."""
@@ -398,7 +403,7 @@ def _fold_plan(sheet: SquareTwistSheet, coefs: dict[frozenset, float]) -> FoldPl
         first_slot.setdefault(n, slot)
 
     plan = FoldPlan(
-        coef=np.array([coefs[key] for key in sheet.creases]),
+        coef=np.array([sheet.mv_coefficients[key] for key in sheet.creases]),
         vertex_creases=np.array(
             [[crease_index[key] for key in rec.creases] for rec in sheet.vertices.values()]
         ),
@@ -410,7 +415,6 @@ def _fold_plan(sheet: SquareTwistSheet, coefs: dict[frozenset, float]) -> FoldPl
         flat=flat,
         face_corners=face_corners,
         first_slot=np.array([first_slot[n] for n in range(len(flat))]),
-        mesh_faces=tuple(map(tuple, face_corners.tolist())),
     )
     for value in vars(plan).values():
         if isinstance(value, np.ndarray):
@@ -482,7 +486,9 @@ def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedS
         positions=dict(zip(sheet.corners, pos)),
         crease_angles=dict(zip(sheet.creases, rho.tolist())),
         vertex_residuals=dict(zip(sheet.vertices, res.tolist())),
-        mesh=FoldedMesh(tuple(map(tuple, pos.tolist())), plan.mesh_faces),
+        mesh=FoldedMesh(
+            tuple(map(tuple, pos.tolist())), tuple(map(tuple, plan.face_corners.tolist()))
+        ),
     )
 
 

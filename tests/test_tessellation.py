@@ -218,3 +218,20 @@ def test_placed_faces_keep_flat_lengths(planned_sheet):
                 for j in range(i + 1, 4):
                     d0 = np.linalg.norm(flat[i] - flat[j])
                     assert abs(np.linalg.norm(folded[i] - folded[j]) - d0) < 1e-12
+
+
+def test_fold_plan_belongs_to_its_sheet(sheet22):
+    # a sheet built field by field folds like the built one, and a copy
+    # made with dataclasses.replace builds its own plan
+    import dataclasses
+
+    fields = {f.name: getattr(sheet22, f.name) for f in dataclasses.fields(sheet22)}
+    direct = SquareTwistSheet(**fields)
+    assert fold_sheet(direct, 0.7) == fold_sheet(sheet22, 0.7)
+    shifted = {n: (x + 1.0, y) for n, (x, y) in sheet22.corners.items()}
+    moved = dataclasses.replace(sheet22, corners=shifted)
+    assert moved.fold_plan is not sheet22.fold_plan
+    a, b = fold_sheet(moved, 0.7).points(), fold_sheet(sheet22, 0.7).points()
+    # folding commutes with translating the flat layout; a stale plan
+    # would fold the old corners and leave the mesh where it was
+    assert np.max(np.abs(a - b - [1.0, 0.0, 0.0])) < 1e-12
