@@ -280,20 +280,30 @@ def _frames(args, parser) -> list[tuple[str, float]]:
     ]
 
 
-def _cmd_sheet(args, parser):
+def _sheet(args, parser, tol: Tolerances):
+    """The square-twist sheet of --rows, --cols and --pleat-length."""
     v = _parse_vertex(args, parser)
+    if args.rows < 1 or args.cols < 1:
+        parser.error("--rows and --cols must be at least 1")
+    if not args.pleat_length > 0:
+        parser.error("--pleat-length must be positive")
+    return build_square_twist_sheet(v, args.rows, args.cols, args.pleat_length, tol)
+
+
+def _cmd_sheet(args, parser):
     frames = _frames(args, parser)
     tol = _tol(args)
-    sheet = build_square_twist_sheet(v, args.rows, args.cols, args.pleat_length, tol)
+    sheet = _sheet(args, parser, tol)
     for path, rho in frames:
         write_obj(fold_sheet(sheet, rho, tol), path, args)
 
 
 def _cmd_stack(args, parser):
-    v = _parse_vertex(args, parser)
     frames = _frames(args, parser)
+    if args.layers < 1:
+        parser.error("--layers must be at least 1")
     tol = _tol(args)
-    sheet = build_square_twist_sheet(v, args.rows, args.cols, args.pleat_length, tol)
+    sheet = _sheet(args, parser, tol)
     for path, rho in frames:
         cx = stack_complex(sheet, args.layers, rho, args.variant, tol)
         offset = 0
@@ -307,11 +317,13 @@ def _cmd_stack(args, parser):
 
 
 def _cmd_auxetic(args, parser):
-    v = _parse_vertex(args, parser)
+    if args.layers < 1:
+        parser.error("--layers must be at least 1")
+    if args.samples < 3:
+        parser.error("--samples must be at least 3")
     tol = _tol(args)
-    sheet = build_square_twist_sheet(v, args.rows, args.cols, args.pleat_length, tol)
     rep = auxetic_sweep(
-        sheet,
+        _sheet(args, parser, tol),
         args.layers,
         _angle_or(args, args.rho_min, 0.05 * math.pi),
         _angle_or(args, args.rho_max, 0.95 * math.pi),

@@ -29,7 +29,7 @@ kinematic results are unaffected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -246,15 +246,16 @@ def achievable_theta_interval(
 ) -> tuple[float, float]:
     """Numerically found [min, max] of the crease-pair angle over one
     branch (no completeness claim)."""
-    scan_tol = tol if tol.trace_step_max >= 0.05 else Tolerances(
-        angle_eps=tol.angle_eps,
-        residual_tol=tol.residual_tol,
-        solver_tol=tol.solver_tol,
-        trace_step_max=0.05,
-    )
-    curve = VertexKinematics(v, scan_tol).trace_curve(driver_index, branch, n_scan)
-    thetas = [crease_pair_angle(v, s, pair) for s in curve.samples]
+    _, thetas = _theta_scan(v, pair, driver_index, branch, tol, n_scan)
     return min(thetas), max(thetas)
+
+
+def _theta_scan(v, pair, driver_index, branch, tol, n_scan):
+    """Coarse trace of one branch, at the largest step Tolerances allows,
+    and the crease-pair angle at each of its samples."""
+    scan_tol = replace(tol, trace_step_max=0.05)
+    curve = VertexKinematics(v, scan_tol).trace_curve(driver_index, branch, n_scan)
+    return curve, [crease_pair_angle(v, s, pair) for s in curve.samples]
 
 
 def synchronize(
@@ -286,20 +287,12 @@ def synchronize(
         branches = [branch] if branch is not None else list(ALL_BRANCHES)
         choices = [(d, b) for d in drivers for b in branches]
 
-    scan_tol = tol if tol.trace_step_max >= 0.05 else Tolerances(
-        angle_eps=tol.angle_eps,
-        residual_tol=tol.residual_tol,
-        solver_tol=tol.solver_tol,
-        trace_step_max=0.05,
-    )
     intervals = []
     for d, b in choices:
-        kin = VertexKinematics(base, scan_tol)
         try:
-            curve = kin.trace_curve(d, b, max(n_scan, 9))
+            curve, thetas = _theta_scan(base, merge_pair, d, b, tol, max(n_scan, 9))
         except RigidOriError:
             continue
-        thetas = [crease_pair_angle(base, s, merge_pair) for s in curve.samples]
         intervals.append((min(thetas), max(thetas)))
         # exact sample hit (e.g. the unfolded state of a Euclidean base,
         # where theta is extremal and bracketing degenerates)
@@ -317,7 +310,7 @@ def synchronize(
         if bracket is None:
             continue
         base_state = _bisect_theta(
-            kin, d, b, merge_pair,
+            VertexKinematics(base, curve.tol), d, b, merge_pair,
             curve.drivers[bracket], curve.samples[bracket],
             curve.drivers[bracket + 1], theta, tol,
         )
@@ -341,7 +334,7 @@ def _bisect_theta(kin, driver_index, branch, pair, d_lo, s_lo, d_hi, theta, tol)
         if hi - lo <= tol.solver_tol:
             break
         mid = 0.5 * (lo + hi)
-        s_mid = kin._solve_near(driver_index, mid, state, branch)
+        s_mid = kin.solve_near(driver_index, mid, state, branch)
         if s_mid is None:
             hi = mid  # shrink toward the known-good side
             continue

@@ -25,8 +25,9 @@ The "corrected slot" term is quadratic in t_i; written with t_{i+1}^2
 there instead, the relation contradicts both the closed-form flat-foldable
 modes and the closure oracle (see adjacent_origin_slopes and the tests).
 The uncorrected variant stays available behind ``corrected=False`` for
-comparison. Every solved state is certified against the closure oracle;
-the analytic relations alone admit spurious sign combinations.
+comparison. The analytic relations alone admit spurious sign
+combinations, so every candidate state is certified against the closure
+loop, which is the only gate (see VertexKinematics.certified_candidates).
 
 Both relations are invariant under a_i -> pi - a_i up to sign flips of one
 opposite crease pair, which is the elliptic-hyperbolic duality; see
@@ -96,11 +97,7 @@ MODE2_BRANCH = BRANCH_MP
 def _pair_sign(ta: float, tb: float, eps: float = _SIGN_EPS) -> int:
     if abs(ta) <= eps or abs(tb) <= eps:
         return 0
-    if math.isinf(ta) or math.isinf(tb):
-        sa = math.copysign(1.0, ta)
-        sb = math.copysign(1.0, tb)
-        return int(sa * sb)
-    return 1 if ta * tb > 0 else -1
+    return 1 if ta * tb > 0 else -1  # also right for infinite tangents
 
 
 def branch_of(state: FoldState) -> BranchLabel | None:
@@ -117,21 +114,20 @@ def branch_of(state: FoldState) -> BranchLabel | None:
 # the two analytic relations
 
 
-def opposite_t_squared(
-    v: Vertex4, i: int, t_opp: float, tol: Tolerances = DEFAULT_TOL
-) -> float:
-    """t_i^2 from the opposite-crease relation, given t_{i+2} = t_opp.
-
-    Infinite t_opp (a flat-folded opposite crease) is handled by the
-    coefficient-ratio limit, never by evaluating tan at pi/2. Raises
-    NoRealFoldError when the ratio is negative (no real fold at this
-    driver) and DegenerateConfigurationError on 0/0.
-    """
+def _opposite_coefs(v: Vertex4, i: int) -> tuple[float, float, float, float]:
+    """Cosines of the opposite relation that gives t_i from t_{i+2}."""
     a = v.alpha
-    c_sum_in = math.cos(a(i - 1) + a(i))
-    c_dif_in = math.cos(a(i - 1) - a(i))
-    c_dif_op = math.cos(a(i + 1) - a(i + 2))
-    c_sum_op = math.cos(a(i + 1) + a(i + 2))
+    return (
+        math.cos(a(i - 1) + a(i)),
+        math.cos(a(i - 1) - a(i)),
+        math.cos(a(i + 1) - a(i + 2)),
+        math.cos(a(i + 1) + a(i + 2)),
+    )
+
+
+def _opposite_from(coefs: tuple[float, float, float, float], i: int, t_opp: float) -> float:
+    """opposite_t_squared from precomputed ``_opposite_coefs(v, i)``."""
+    c_sum_in, c_dif_in, c_dif_op, c_sum_op = coefs
     if math.isinf(t_opp):
         num = -c_sum_in + c_dif_op
         den = c_dif_in - c_dif_op
@@ -159,7 +155,19 @@ def opposite_t_squared(
     return ratio
 
 
+def opposite_t_squared(v: Vertex4, i: int, t_opp: float) -> float:
+    """t_i^2 from the opposite-crease relation, given t_{i+2} = t_opp.
+
+    Infinite t_opp (a flat-folded opposite crease) is handled by the
+    coefficient-ratio limit, never by evaluating tan at pi/2. Raises
+    NoRealFoldError when the ratio is negative (no real fold at this
+    driver) and DegenerateConfigurationError on 0/0.
+    """
+    return _opposite_from(_opposite_coefs(v, i), i, t_opp)
+
+
 def _adjacent_coefs(v: Vertex4, i: int) -> tuple[float, float, float, float, float, float]:
+    """Coefficients (cA, c1..c5) of the adjacent relation for the pair (i, i+1)."""
     a = v.alpha
     return (
         math.cos(a(i + 2)),
@@ -172,12 +180,7 @@ def _adjacent_coefs(v: Vertex4, i: int) -> tuple[float, float, float, float, flo
 
 
 def adjacent_residual(
-    v: Vertex4,
-    i: int,
-    t_i: float,
-    t_next: float,
-    corrected: bool = True,
-    tol: Tolerances = DEFAULT_TOL,
+    v: Vertex4, i: int, t_i: float, t_next: float, corrected: bool = True
 ) -> float:
     """LHS - RHS of the adjacent-crease relation for the pair (i, i+1).
 
@@ -261,31 +264,25 @@ def _solve_quadratic_candidates(qa: float, qb: float, qc: float) -> list[float] 
     return out
 
 
-def _adjacent_roots_for_next(v: Vertex4, i: int, t_i: float) -> list[float] | None:
-    """Candidate values of t_{i+1} from the corrected adjacent relation
-    given t_i (infinite t_i via the leading-coefficient limit)."""
-    cA, c1, c2, c3, c4, c5 = _adjacent_coefs(v, i)
-    if math.isinf(t_i):
+def _adjacent_roots(
+    coefs: tuple[float, float, float, float, float, float],
+    t_known: float,
+    known_is_next: bool = False,
+) -> list[float] | None:
+    """Candidates for t_{i+1} given t_i = t_known (or for t_i given
+    t_{i+1} = t_known when ``known_is_next``: the relation is symmetric
+    under t_i <-> t_{i+1} with c1 <-> c2) from the corrected adjacent
+    relation; infinite t_known via the leading-coefficient limit."""
+    cA, c1, c2, c3, c4, c5 = coefs
+    if known_is_next:
+        c1, c2 = c2, c1
+    if math.isinf(t_known):
         qa, qb, qc = cA - c3, 0.0, cA - c2
     else:
-        s2 = t_i * t_i
+        s2 = t_known * t_known
         qa = cA * (1.0 + s2) - c1 - c3 * s2
-        qb = -c5 * t_i
+        qb = -c5 * t_known
         qc = cA * (1.0 + s2) - c2 * s2 - c4
-    return _solve_quadratic_candidates(qa, qb, qc)
-
-
-def _adjacent_roots_for_prev(v: Vertex4, i: int, t_next: float) -> list[float] | None:
-    """Candidate values of t_i from the corrected adjacent relation given
-    t_{i+1} = t_next."""
-    cA, c1, c2, c3, c4, c5 = _adjacent_coefs(v, i)
-    if math.isinf(t_next):
-        qa, qb, qc = cA - c3, 0.0, cA - c1
-    else:
-        u2 = t_next * t_next
-        qa = cA * (1.0 + u2) - c2 - c3 * u2
-        qb = -c5 * t_next
-        qc = cA * (1.0 + u2) - c1 * u2 - c4
     return _solve_quadratic_candidates(qa, qb, qc)
 
 
@@ -314,15 +311,28 @@ def _rho_to_t(rho: float) -> float:
     return math.tan(0.5 * rho)
 
 
+def _signed_sqrt(sq: float) -> list[float]:
+    """Both signed tangents of magnitude sqrt(sq) (one when it is zero)."""
+    m = math.sqrt(sq)
+    return [m] if m == 0.0 else [m, -m]
+
+
 class VertexKinematics:
-    """Per-vertex solver context: caches the loop evaluator and provides
-    candidate enumeration, branch-resolved solving, range detection, and
-    curve tracing. Stateless between calls; safe to share read-only."""
+    """Per-vertex solver context: the loop evaluator and the relation
+    coefficients, computed once, plus candidate enumeration,
+    branch-resolved solving, range detection, and curve tracing.
+    Stateless between calls; safe to share read-only."""
 
     def __init__(self, v: Vertex4, tol: Tolerances = DEFAULT_TOL):
         self.vertex = v
         self.tol = tol
         self.loop = LoopEvaluator(v)
+        self._opp = [_opposite_coefs(v, i) for i in (1, 2, 3, 4)]
+        self._adj = [_adjacent_coefs(v, i) for i in (1, 2, 3, 4)]
+
+    def _opposite(self, i: int, t_opp: float) -> float:
+        """opposite_t_squared(self.vertex, i, t_opp) from the table."""
+        return _opposite_from(self._opp[(i - 1) % 4], i, t_opp)
 
     # -- candidate enumeration ------------------------------------------
 
@@ -330,63 +340,38 @@ class VertexKinematics:
         """All closure-certified states with the given driver angle.
 
         Magnitudes come from the opposite relation, adjacent-pair values
-        from the corrected adjacent relation, remaining signs are
-        enumerated, the adjacent residuals act as a fast pre-filter, and
-        the closure oracle issues the final certificate.
+        from the corrected adjacent relation, and the remaining signs are
+        enumerated. The closure loop is the only gate: every candidate is
+        certified against residual_tol in one batched evaluation.
         """
-        v, tol = self.vertex, self.tol
         d = (driver_index - 1) % 4
         t_d = _rho_to_t(driver)
 
-        sq_opp = opposite_t_squared(v, d + 3, t_d, tol)  # crease opposite the driver
-        mag_opp = math.inf if math.isinf(sq_opp) else math.sqrt(sq_opp)
-        opp_options = [mag_opp] if mag_opp == 0.0 else [mag_opp, -mag_opp]
-
-        next_roots = _adjacent_roots_for_next(v, d + 1, t_d)
-        candidates: list[FoldState] = []
+        opp_options = _signed_sqrt(self._opposite(d + 3, t_d))  # crease opposite the driver
+        next_roots = _adjacent_roots(self._adj[d], t_d)
+        rows: list[tuple[float, ...]] = []
         for t_opp in opp_options:
             roots = next_roots
             if roots is None:
                 # pair (driver, next) unconstrained (degenerate vertex):
                 # fall back to the (next, opposite) adjacent relation
-                roots = _adjacent_roots_for_prev(v, d + 2, t_opp)
-                if roots is None:
-                    roots = []
-            for t_next in roots:
+                roots = _adjacent_roots(self._adj[(d + 1) % 4], t_opp, known_is_next=True)
+            for t_next in roots or ():
                 try:
-                    sq_far = opposite_t_squared(v, d + 4, t_next, tol)
-                except NoRealFoldError:
+                    sq_far = self._opposite(d + 4, t_next)
+                except (NoRealFoldError, DegenerateConfigurationError):
                     continue
-                except DegenerateConfigurationError:
-                    continue
-                mag_far = math.inf if math.isinf(sq_far) else math.sqrt(sq_far)
-                far_options = [mag_far] if mag_far == 0.0 else [mag_far, -mag_far]
-                for t_far in far_options:
+                for t_far in _signed_sqrt(sq_far):
                     t = [0.0] * 4
                     t[d] = t_d
                     t[(d + 1) % 4] = t_next
                     t[(d + 2) % 4] = t_opp
                     t[(d + 3) % 4] = t_far
-                    t = [0.0 if abs(x) < 1e-12 else x for x in t]
-                    if not self._adjacent_prefilter(t):
-                        continue
-                    state = FoldState(tuple(_t_to_rho(x) for x in t))
-                    if self.loop.residual(state.rhos) < tol.residual_tol:
-                        candidates.append(state)
-        return _dedupe_states(candidates)
-
-    def _adjacent_prefilter(self, t: list[float]) -> bool:
-        """Cheap scaled screen on all four adjacent relations; tolerant,
-        since the closure oracle is the real gate."""
-        for i in range(4):
-            ti, tj = t[i], t[(i + 1) % 4]
-            if math.isinf(ti) or math.isinf(tj):
-                continue
-            res = adjacent_residual(self.vertex, i + 1, ti, tj, tol=self.tol)
-            scale = (1.0 + ti * ti) * (1.0 + tj * tj)
-            if abs(res) > 1e-6 * scale:
-                return False
-        return True
+                    rows.append(tuple(_t_to_rho(0.0 if abs(x) < 1e-12 else x) for x in t))
+        if not rows:
+            return []
+        closes = self.loop.residuals(rows) < self.tol.residual_tol
+        return _dedupe_states([FoldState(r) for r, ok in zip(rows, closes) if ok])
 
     # -- solving ----------------------------------------------------------
 
@@ -489,16 +474,17 @@ class VertexKinematics:
     #: coordinate teleport of ~2*pi, which this rejects
     _JUMP_CAP = 1.5
 
-    def _solve_near(
+    def solve_near(
         self,
         driver_index: int,
         driver: float,
         prev: FoldState,
         branch: BranchLabel | None = None,
     ) -> FoldState | None:
-        """Continuation step: certified candidate nearest to prev, with a
-        tie-break preferring the previous sign vector. Candidates that
-        leave the branch or jump discontinuously are rejected."""
+        """One continuation step: the certified state at ``driver`` nearest
+        to ``prev``, ties broken toward the previous sign vector. States
+        off ``branch`` or more than _JUMP_CAP away are rejected; None when
+        nothing is left."""
         try:
             cands = self.certified_candidates(driver_index, driver)
         except (NoRealFoldError, DegenerateConfigurationError):
@@ -550,7 +536,7 @@ class VertexKinematics:
                 nxt = drv + direction * step
                 if (nxt - limit) * direction > 0:
                     nxt = limit
-                cand = self._solve_near(driver_index, nxt, state, branch)
+                cand = self.solve_near(driver_index, nxt, state, branch)
                 if cand is None:
                     break
                 drv, state = nxt, cand
@@ -570,7 +556,7 @@ class VertexKinematics:
         probe = drv + math.copysign(eps, drv if drv != 0 else 1.0)
         try:
             t_probe = _rho_to_t(max(-math.pi, min(math.pi, probe)))
-            opposite_t_squared(self.vertex, ((driver_index - 1) % 4) + 3, t_probe, self.tol)
+            self._opposite(driver_index + 2, t_probe)
         except NoRealFoldError:
             return "opposite_relation_negative"
         except DegenerateConfigurationError:
@@ -606,7 +592,7 @@ class VertexKinematics:
             prev_drv = drivers[start_idx]
             for idx in indices:
                 drv = drivers[idx]
-                nxt = self._solve_near(driver_index, drv, state, branch)
+                nxt = self.solve_near(driver_index, drv, state, branch)
                 if nxt is None:
                     nxt = self._refine_step(driver_index, branch, prev_drv, state, drv)
                 if nxt is None:
@@ -631,7 +617,7 @@ class VertexKinematics:
             ok = True
             for j in range(1, sub + 1):
                 mid = prev_drv + (drv - prev_drv) * j / sub
-                step_state = self._solve_near(driver_index, mid, approached, branch)
+                step_state = self.solve_near(driver_index, mid, approached, branch)
                 if step_state is None:
                     ok = False
                     break
@@ -765,16 +751,18 @@ class DualityBranchReport:
 
 @dataclass(frozen=True)
 class DualityReport:
+    """Per-branch duality checks; zero traced branches is a failure."""
+
     vertex: Vertex4
     branches: tuple[DualityBranchReport, ...]
 
     @property
     def max_abs_rho_mismatch(self) -> float:
-        return max((b.max_abs_rho_mismatch for b in self.branches), default=0.0)
+        return max((b.max_abs_rho_mismatch for b in self.branches), default=math.inf)
 
     @property
     def sign_pattern_ok(self) -> bool:
-        return all(b.sign_pattern_ok for b in self.branches)
+        return bool(self.branches) and all(b.sign_pattern_ok for b in self.branches)
 
     @property
     def n_branches(self) -> int:
@@ -790,11 +778,9 @@ def _sign_pattern_is_dual(s: FoldState, sd: FoldState, eps: float = 1e-7) -> boo
         if abs(a) < eps or abs(b) < eps:
             continue
         (flips if (a > 0) != (b > 0) else keeps).add(i % 2)
-    direct = not (flips & keeps)
-    # global flip of sd is the same geometric matching
-    flips2, keeps2 = keeps, flips
-    mirrored = not (flips2 & keeps2)
-    return direct or mirrored
+    # no pair both flips and keeps; a global flip of sd swaps the two sets
+    # and leaves that test unchanged
+    return not (flips & keeps)
 
 
 def verify_duality(

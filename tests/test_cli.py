@@ -224,13 +224,29 @@ def test_domain_error_exit_code(capsys):
     assert code == 1 and "error" in err
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["solve", "--alphas", "45,90,45,90"])  # missing --driver
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run(["classify"])  # no vertex given
     assert exc.value.code == 2
+    sheet = ["--alphas", "45,90,135,90", "--degrees"]
+    out = ["--output", str(tmp_path / "out.obj")]
+    for argv in (
+        ["auxetic", *sheet, "--samples", "2"],
+        ["auxetic", *sheet, "--layers", "0"],
+        ["auxetic", *sheet, "--rows", "0"],
+        ["stack", *sheet, *out, "--layers", "0"],
+        ["stack", *sheet, *out, "--cols", "0"],
+        ["sheet", *sheet, *out, "--rows", "0"],
+        ["sheet", *sheet, *out, "--pleat-length", "0"],
+        ["sheet", *sheet, *out, "--pleat-length", "nan"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+    assert os.listdir(tmp_path) == []
 
 
 def test_conflicting_vertex_sources_rejected():

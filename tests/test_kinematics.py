@@ -21,6 +21,7 @@ from rigidori.kinematics import (
     trace_curve,
     verify_duality,
 )
+from rigidori.kinematics import _adjacent_coefs, _adjacent_roots
 from rigidori.numerics import Tolerances
 from rigidori.vertex import FoldState, Vertex4, dual
 
@@ -77,6 +78,11 @@ def test_opposite_matches_oracle_states():
             for i in (1, 2, 3, 4):
                 got = opposite_t_squared(v, i, t[(i + 1) % 4])
                 assert got == pytest.approx(t[i - 1] ** 2, abs=1e-9, rel=1e-9)
+                # closure alone gates candidates; closing states also
+                # satisfy every scaled adjacent relation
+                ti, tj = t[i - 1], t[i % 4]
+                scale = (1.0 + ti * ti) * (1.0 + tj * tj)
+                assert abs(adjacent_residual(v, i, ti, tj)) <= 1e-6 * scale
             checked += 1
 
 
@@ -138,6 +144,23 @@ def test_adjacent_zero_on_mode_curves():
                 res = adjacent_residual(v, i, t[i - 1], t[i % 4])
                 scale = (1 + t[i - 1] ** 2) * (1 + t[i % 4] ** 2)
                 assert abs(res) < 1e-11 * scale
+
+
+def test_adjacent_roots_recover_either_tangent_of_the_pair():
+    # one root solver serves (i -> i+1) and, with c1 <-> c2, (i+1 -> i)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        a, b = rng.uniform(0.3, PI - 0.3, size=2)
+        v = Vertex4((a, b, PI - a, PI - b))
+        for mode in (MODE_1, MODE_2):
+            t = fold_mode(v, mode, rng.uniform(-2.5, 2.5)).half_tangents()
+            for i in (1, 2, 3, 4):
+                ti, tj = t[i - 1], t[i % 4]
+                coefs = _adjacent_coefs(v, i)
+                nxt = _adjacent_roots(coefs, ti)
+                prev = _adjacent_roots(coefs, tj, known_is_next=True)
+                assert min(abs(x - tj) for x in nxt) < 1e-9 * max(1.0, abs(tj))
+                assert min(abs(x - ti) for x in prev) < 1e-9 * max(1.0, abs(ti))
 
 
 def test_origin_slopes_match_closed_form_modes():
@@ -316,6 +339,13 @@ def test_verify_duality_elliptic_example():
     assert rep.n_branches >= 1
     assert rep.max_abs_rho_mismatch < 1e-6
     assert rep.sign_pattern_ok
+
+
+def test_zero_branch_duality_report_fails():
+    rep = verify_duality(ELLIPTIC, driver_index=3, n_samples=11, tol=FAST, branches=())
+    assert rep.n_branches == 0
+    assert rep.max_abs_rho_mismatch == math.inf
+    assert rep.sign_pattern_ok is False
 
 
 def test_verify_duality_ff_self_dual():
