@@ -220,6 +220,11 @@ def _cmd_trace(args, parser):
     _emit_text(lines, args)
 
 
+def _finite_or_none(x: float) -> float | None:
+    """Strict JSON has no Infinity or NaN; a non-finite value is null."""
+    return x if math.isfinite(x) else None
+
+
 def _cmd_verify_duality(args, parser):
     v = _parse_vertex(args, parser)
     rep = verify_duality(v, args.driver_index, args.samples, _tol(args))
@@ -230,16 +235,22 @@ def _cmd_verify_duality(args, parser):
                     "branch": f"{'p' if b.branch.opposite_sign_1 > 0 else 'm'}"
                     f"{'p' if b.branch.opposite_sign_2 > 0 else 'm'}",
                     "n_samples": b.n_samples,
-                    "max_abs_rho_mismatch": b.max_abs_rho_mismatch,
+                    "max_abs_rho_mismatch": _finite_or_none(b.max_abs_rho_mismatch),
                     "sign_pattern_ok": b.sign_pattern_ok,
                 }
                 for b in rep.branches
             ],
-            "max_abs_rho_mismatch": rep.max_abs_rho_mismatch,
+            "max_abs_rho_mismatch": _finite_or_none(rep.max_abs_rho_mismatch),
             "sign_pattern_ok": rep.sign_pattern_ok,
         },
         args,
     )
+    if not rep.branches:
+        raise RigidOriError("duality not verified: no branch of the vertex could be traced")
+    if not math.isfinite(rep.max_abs_rho_mismatch):
+        raise RigidOriError("duality not verified: a dual state failed closure certification")
+    if not rep.sign_pattern_ok:
+        raise RigidOriError("duality not verified: a dual state is not one-pair-flipped")
 
 
 def _cmd_combine(args, parser):

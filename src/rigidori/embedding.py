@@ -13,7 +13,11 @@ first.
 
 A combined vertex joins an elliptic vertex C with its hyperbolic dual C*
 along an identified opposite crease pair, synchronized so the angle theta
-between the identified creases agrees in both folded geometries. In the
+between the identified creases agrees in both folded geometries. The two
+sector paths joining the pair are spherical triangles sharing the diagonal
+theta, so the achievable theta range is given by their triangle
+inequalities, and spherical trigonometry turns theta into every fold angle
+of the base in closed form. In the
 parallel variant each sector alpha_i of C becomes coplanar with the dual
 sector pi - alpha_i, so the union is the intersection of two folded
 planes; the rotated variant identifies the pair crosswise and decomposes
@@ -28,21 +32,21 @@ kinematic results are unaffected.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import closure_residual, oracle_solve
+from .closure import LoopEvaluator, closure_residual, oracle_solve
 from .errors import (
     InfeasibleDriverError,
     InputError,
     MeshConsistencyError,
     NonClosingStateError,
-    RigidOriError,
     UnsupportedVariantError,
 )
-from .kinematics import ALL_BRANCHES, BranchLabel, VertexKinematics, dual_state
+from .kinematics import ALL_BRANCHES
 from .numerics import DEFAULT_TOL, Tolerances, rot_x, rot_z
 from .vertex import FoldState, Vertex4, dual
 
@@ -100,25 +104,25 @@ def _max_planarity(pts: np.ndarray) -> float:
 def mesh_from_polygons(polygons, weld_tol: float = 1e-8) -> FoldedMesh:
     """Weld a list of 3D polygons (arrays of points) into one indexed mesh.
 
-    Points closer than weld_tol are identified, so shared crease endpoints
-    appear once. Ordering is deterministic (construction order).
+    A point joins the first kept vertex within weld_tol (Chebyshev
+    distance), so shared crease endpoints appear once; a point near no
+    kept vertex is kept. Ordering is deterministic (construction order).
+    The distances are one (points, points) array, sized for the few dozen
+    points of a combined vertex.
     """
-    verts: list[np.ndarray] = []
-    faces = []
-    for poly in polygons:
-        idxs = []
-        for p in np.asarray(poly, dtype=float):
-            found = None
-            for j, q in enumerate(verts):
-                if np.max(np.abs(p - q)) < weld_tol:
-                    found = j
-                    break
-            if found is None:
-                verts.append(p)
-                found = len(verts) - 1
-            idxs.append(found)
-        faces.append(tuple(idxs))
-    return FoldedMesh(tuple(tuple(map(float, p)) for p in verts), tuple(faces))
+    polys = [np.asarray(poly, dtype=float).reshape(-1, 3) for poly in polygons]
+    pts = np.concatenate(polys) if polys else np.empty((0, 3))
+    near = (np.abs(pts[:, None] - pts[None]).max(axis=2) < weld_tol).tolist()
+    kept: list[int] = []  # point index of each mesh vertex
+    index = []
+    for row in near:
+        j = next((n for n, k in enumerate(kept) if row[k]), len(kept))
+        if j == len(kept):
+            kept.append(len(index))
+        index.append(j)
+    ends = np.cumsum([len(p) for p in polys]).tolist()
+    faces = tuple(tuple(index[e - len(p) : e]) for p, e in zip(polys, ends))
+    return FoldedMesh(tuple(map(tuple, pts[kept].tolist())), faces)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +137,13 @@ class FoldedVertexGeometry:
     source: tuple[Vertex4, FoldState]
 
     def crease_angle(self, i: int, j: int) -> float:
-        d = float(np.dot(self.crease_dirs[(i - 1) % 4], self.crease_dirs[(j - 1) % 4]))
-        return math.acos(max(-1.0, min(1.0, d)))
+        return _ray_angle(self.crease_dirs[(i - 1) % 4], self.crease_dirs[(j - 1) % 4])
+
+
+def _ray_angle(d1: np.ndarray, d2: np.ndarray) -> float:
+    """Angle in [0, pi] between two rays of any length; unlike acos of the
+    dot product, accurate near 0 and pi."""
+    return math.atan2(float(np.linalg.norm(np.cross(d1, d2))), float(np.dot(d1, d2)))
 
 
 def plate_orientations(v: Vertex4, s: FoldState) -> list[np.ndarray]:
@@ -153,8 +162,7 @@ def crease_directions(v: Vertex4, s: FoldState) -> list[np.ndarray]:
 def crease_pair_angle(v: Vertex4, s: FoldState, pair: tuple[int, int]) -> float:
     """Unsigned angle in [0, pi] between two crease rays of a folded state."""
     d = crease_directions(v, s)
-    dot = float(np.dot(d[(pair[0] - 1) % 4], d[(pair[1] - 1) % 4]))
-    return math.acos(max(-1.0, min(1.0, dot)))
+    return _ray_angle(d[(pair[0] - 1) % 4], d[(pair[1] - 1) % 4])
 
 
 def embed_vertex(
@@ -236,26 +244,43 @@ def _matched_dual_state(s: FoldState, merge_pair: tuple[int, int]) -> FoldState:
     )
 
 
-def achievable_theta_interval(
-    v: Vertex4,
-    pair: tuple[int, int],
-    driver_index: int,
-    branch: BranchLabel,
-    tol: Tolerances = DEFAULT_TOL,
-    n_scan: int = 41,
-) -> tuple[float, float]:
-    """Numerically found [min, max] of the crease-pair angle over one
-    branch (no completeness claim)."""
-    _, thetas = _theta_scan(v, pair, driver_index, branch, tol, n_scan)
-    return min(thetas), max(thetas)
+#: merge pair -> apex crease: the crease between the pair whose sectors
+#: (x, y) form a spherical triangle with the diagonal theta
+_APEX = {(2, 4): 1, (1, 3): 2}
 
 
-def _theta_scan(v, pair, driver_index, branch, tol, n_scan):
-    """Coarse trace of one branch, at the largest step Tolerances allows,
-    and the crease-pair angle at each of its samples."""
-    scan_tol = replace(tol, trace_step_max=0.05)
-    curve = VertexKinematics(v, scan_tol).trace_curve(driver_index, branch, n_scan)
-    return curve, [crease_pair_angle(v, s, pair) for s in curve.samples]
+def _apex_sectors(v: Vertex4, pair: tuple[int, int]) -> tuple[float, float, float, float]:
+    """Sectors (x, y) at the apex crease of ``pair``, then (z, w) on the
+    other path between the pair."""
+    if pair not in _APEX:
+        raise InputError("merge_pair must be (2, 4) or (1, 3)")
+    c = _APEX[pair]
+    return v.alpha(c - 1), v.alpha(c), v.alpha(c + 1), v.alpha(c + 2)
+
+
+def achievable_theta_interval(v: Vertex4, pair: tuple[int, int]) -> tuple[float, float]:
+    """Exact [lo, hi] of the angle theta between the creases of ``pair``
+    over the configuration space of v: the triangle inequalities of the
+    spherical triangles (x, y, theta) and (z, w, theta) that the two sector
+    paths joining the pair form. lo > hi means no theta is achievable."""
+    x, y, z, w = _apex_sectors(v, pair)
+    lo = max(abs(x - y), abs(z - w))
+    return lo, min(x + y, z + w, 2 * math.pi - x - y, 2 * math.pi - z - w)
+
+
+def _triangle_angles(p: float, q: float, theta: float) -> tuple[float, ...]:
+    """Angles opposite theta, p and q of the spherical triangle with sides
+    p, q and theta, by the half-angle formulas. Each sine factor is written
+    so that it vanishes exactly at its bound of achievable_theta_interval,
+    which makes a degenerate triangle's angles exactly 0 or pi."""
+    s0, st, sp, sq = (
+        math.sin(0.5 * u)
+        for u in (2 * math.pi - p - q - theta, p + q - theta, q - p + theta, p - q + theta)
+    )
+    return tuple(
+        2.0 * math.atan2(math.sqrt(max(num, 0.0)), math.sqrt(max(den, 0.0)))
+        for num, den in ((sp * sq, s0 * st), (st * sq, s0 * sp), (st * sp, s0 * sq))
+    )
 
 
 def synchronize(
@@ -263,111 +288,68 @@ def synchronize(
     variant: str,
     theta: float,
     merge_pair: tuple[int, int] = (2, 4),
-    driver_index: int | None = None,
-    branch: BranchLabel | None = None,
     tol: Tolerances = DEFAULT_TOL,
-    n_scan: int = 61,
 ) -> CombinedVertex:
     """Fold base and dual(base) so the angle between the identified crease
     pair equals theta in both, and pair the states per the duality sign
-    map. Solved by bisection of the base driver against the measured
-    crease angle; the dual state is certified by the closure oracle.
+    map.
+
+    theta must lie in ``achievable_theta_interval(base, merge_pair)``. It
+    fixes both triangles on the diagonal theta and so every fold angle up
+    to sign, in closed form: pi minus the triangle angle at the apex and at
+    the far crease, and at each merged crease pi minus the sum or the
+    difference of its two triangle angles (triangles on opposite sides of
+    the diagonal, or on one side). All sign assignments are certified in
+    one closure batch. The base state is the first certified one in
+    ALL_BRANCHES order (a state's branch is the first label it matches;
+    ties go to the lower apex driver). The dual state is re-solved and
+    certified by the closure oracle.
     """
     if variant not in (PARALLEL, ROTATED):
         raise InputError(f"variant must be '{PARALLEL}' or '{ROTATED}'")
-    if merge_pair not in ((2, 4), (1, 3)):
-        raise InputError("merge_pair must be (2, 4) or (1, 3)")
-    vd = dual(base)
-
-    choices: list[tuple[int, BranchLabel]] = []
-    if driver_index is not None and branch is not None:
-        choices = [(driver_index, branch)]
-    else:
-        drivers = [driver_index] if driver_index is not None else [1, 2, 3, 4]
-        branches = [branch] if branch is not None else list(ALL_BRANCHES)
-        choices = [(d, b) for d in drivers for b in branches]
-
-    intervals = []
-    for d, b in choices:
-        try:
-            curve, thetas = _theta_scan(base, merge_pair, d, b, tol, max(n_scan, 9))
-        except RigidOriError:
-            continue
-        intervals.append((min(thetas), max(thetas)))
-        # exact sample hit (e.g. the unfolded state of a Euclidean base,
-        # where theta is extremal and bracketing degenerates)
-        exact = min(range(len(thetas)), key=lambda k: abs(thetas[k] - theta))
-        if abs(thetas[exact] - theta) < 1e-12:
-            return _assemble_combined(
-                base, vd, variant, theta, merge_pair, curve.samples[exact], tol
-            )
-        bracket = None
-        for k in range(len(thetas) - 1):
-            lo, hi = sorted((thetas[k], thetas[k + 1]))
-            if lo - 1e-12 <= theta <= hi + 1e-12:
-                bracket = k
-                break
-        if bracket is None:
-            continue
-        base_state = _bisect_theta(
-            VertexKinematics(base, curve.tol), d, b, merge_pair,
-            curve.drivers[bracket], curve.samples[bracket],
-            curve.drivers[bracket + 1], theta, tol,
-        )
-        return _assemble_combined(base, vd, variant, theta, merge_pair, base_state, tol)
-
-    if intervals:
-        lo = min(iv[0] for iv in intervals)
-        hi = max(iv[1] for iv in intervals)
+    lo, hi = achievable_theta_interval(base, merge_pair)
+    if not lo <= theta <= hi:
         raise InfeasibleDriverError(
-            f"theta {theta:.6g} outside achievable range: base [{lo:.6g}, {hi:.6g}], "
-            f"dual [{lo:.6g}, {hi:.6g}] (duality-matched)"
+            f"theta {theta:.6g} outside achievable range [{lo:.6g}, {hi:.6g}] "
+            f"of crease pair {merge_pair}"
         )
-    raise InfeasibleDriverError("no realizable folding branch found for the base vertex")
+    c = _APEX[merge_pair] - 1  # 0-based: apex c, merged c - 1 and c + 1, far c + 2
+    x, y, z, w = _apex_sectors(base, merge_pair)
+    at_apex, b_next, b_prev = _triangle_angles(x, y, theta)
+    at_far, g_prev, g_next = _triangle_angles(z, w, theta)
+    rows = []
+    for m_next, m_prev in (
+        (abs(math.pi - b_next - g_next), abs(math.pi - b_prev - g_prev)),
+        (math.pi - abs(b_next - g_next), math.pi - abs(b_prev - g_prev)),
+    ):
+        mags = np.roll([math.pi - at_apex, m_next, math.pi - at_far, m_prev], c).tolist()
+        rows += itertools.product(*[(m, -m) if m else (m,) for m in mags])
+    closes = LoopEvaluator(base).residuals(rows) < tol.residual_tol
+    states = [FoldState(r) for r, ok in zip(rows, closes) if ok]
+    if not states:
+        raise NonClosingStateError(f"no closure-certified base state at theta {theta:.6g}")
+    rank = {s: next(k for k, b in enumerate(ALL_BRANCHES) if b.matches(s)) for s in states}
+    base_state = min(states, key=lambda s: (rank[s], s.rhos[c], s.rhos))
 
-
-def _bisect_theta(kin, driver_index, branch, pair, d_lo, s_lo, d_hi, theta, tol):
-    f_lo = crease_pair_angle(kin.vertex, s_lo, pair) - theta
-    state = s_lo
-    lo, hi = d_lo, d_hi
-    for _ in range(200):
-        if hi - lo <= tol.solver_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        s_mid = kin.solve_near(driver_index, mid, state, branch)
-        if s_mid is None:
-            hi = mid  # shrink toward the known-good side
-            continue
-        f_mid = crease_pair_angle(kin.vertex, s_mid, pair) - theta
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo, state = mid, f_mid, s_mid
-        else:
-            hi = mid
-    return state
-
-
-def _assemble_combined(base, vd, variant, theta, merge_pair, base_state, tol):
+    vd = dual(base)
     seed = _matched_dual_state(base_state, merge_pair)
-    drv_idx = merge_pair[0]
-    rep = oracle_solve(vd, drv_idx, seed.rhos[(drv_idx - 1) % 4], seed, tol)
-    if not rep.converged:
+    # the embedding measures theta through crease merge_pair[0] + 1 alone,
+    # so the oracle driven there keeps the seed's theta
+    drv = merge_pair[0] + 1
+    rep = oracle_solve(vd, drv, seed.rhos[drv - 1], seed, tol)
+    # the oracle clamps fold angles at +-pi, so beside a flat-folded corner
+    # its steps can lose a seed that already closed; keep the better state
+    dual_st = min((rep.state, seed), key=lambda s: closure_residual(vd, s))
+    if not closure_residual(vd, dual_st) < tol.residual_tol:
         raise MeshConsistencyError("matched dual state failed closure certification")
-    dual_st = rep.state
     th_base = crease_pair_angle(base, base_state, merge_pair)
     th_dual = crease_pair_angle(vd, dual_st, merge_pair)
-    if abs(th_base - th_dual) > 1e-9:
+    if max(abs(th_base - theta), abs(th_dual - theta), abs(th_base - th_dual)) > 1e-9:
         raise MeshConsistencyError(
-            f"synchronizing angle mismatch: base {th_base:.12g}, dual {th_dual:.12g}"
+            f"synchronizing angle mismatch: requested {theta:.12g}, "
+            f"base {th_base:.12g}, dual {th_dual:.12g}"
         )
-    return CombinedVertex(
-        base=base,
-        dual_vertex=vd,
-        variant=variant,
-        theta=th_base,
-        merge_pair=merge_pair,
-        base_state=base_state,
-        dual_state=dual_st,
-    )
+    return CombinedVertex(base, vd, variant, th_base, merge_pair, base_state, dual_st)
 
 
 def _orthonormal_frame(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -429,8 +411,7 @@ def junction_dihedrals(cv: CombinedVertex, tol: Tolerances = DEFAULT_TOL) -> lis
             axis = ge.crease_dirs[(m - 1) % 4]
             u_e = _plate_interior_dir(ge, plate, axis)
             u_h = R @ _plate_interior_dir(gh, plate, np.linalg.solve(R, axis))
-            cross = np.cross(u_e, u_h)
-            out.append(math.atan2(float(np.linalg.norm(cross)), float(np.dot(u_e, u_h))))
+            out.append(_ray_angle(u_e, u_h))
     return out
 
 

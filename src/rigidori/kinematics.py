@@ -771,16 +771,21 @@ class DualityReport:
 
 def _sign_pattern_is_dual(s: FoldState, sd: FoldState, eps: float = 1e-7) -> bool:
     """True when exactly one opposite crease pair keeps its signs and the
-    other flips, comparing s on C with sd on C* (up to a global flip)."""
-    flips, keeps = set(), set()
+    other flips, comparing s on C with sd on C* (up to a global flip).
+
+    Creases below eps in either state are skipped; a pair with no crease
+    left is a wildcard.
+    """
+    pairs: tuple[set, set] = (set(), set())  # per pair: the flip flags seen
     for i in range(4):
         a, b = s.rhos[i], sd.rhos[i]
         if abs(a) < eps or abs(b) < eps:
             continue
-        (flips if (a > 0) != (b > 0) else keeps).add(i % 2)
-    # no pair both flips and keeps; a global flip of sd swaps the two sets
-    # and leaves that test unchanged
-    return not (flips & keeps)
+        pairs[i % 2].add((a > 0) != (b > 0))
+    # no pair both flips and keeps, and two determinate pairs differ; a
+    # global flip of sd negates every flag and leaves both tests unchanged
+    p, q = pairs
+    return len(p) < 2 and len(q) < 2 and not (p and p == q)
 
 
 def verify_duality(

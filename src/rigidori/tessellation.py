@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closure import LoopEvaluator
-from .embedding import PARALLEL, ROTATED, FoldedMesh
+from .embedding import PARALLEL, ROTATED, FoldedMesh, _ray_angle
 from .errors import (
     GluingError,
     InfeasibleDriverError,
@@ -56,7 +56,7 @@ from .errors import (
 )
 from .flatfold import mode_constants
 from .numerics import DEFAULT_TOL, Tolerances, rotation_matrix_about_axis
-from .vertex import Curvature, Vertex4, classify, dual
+from .vertex import Curvature, Vertex4, classify
 
 Name = tuple[str, int, int]  # corner label P1..P4 with cell indices
 
@@ -671,14 +671,19 @@ def _lattice_bbox(fs: FoldedSheet, axes: np.ndarray, layers: int):
 
 
 def combined_vertex_multisets(cx: CwComplex) -> list[tuple[tuple, tuple]]:
-    """Sector-angle multisets of each glued vertex pair, for checking that
+    """Sorted sector angles of each glued vertex pair, measured between
+    the crease vectors of the folded layer meshes, for checking that
     glued neighborhoods realize the generator together with its dual."""
-    gen = sorted(cx.sheet.generator.alphas)
-    dual_gen = sorted(dual(cx.sheet.generator).alphas)
-    out = []
-    for (_, na), (_, nb) in cx.glue_map:
-        out.append((tuple(gen), tuple(dual_gen)))
-    return out
+    corner_index = {name: n for n, name in enumerate(cx.sheet.corners)}
+    points = [np.asarray(mesh.vertices) for mesh in cx.meshes]
+
+    def sectors(layer: int, name: Name) -> tuple[float, ...]:
+        pts = points[layer]
+        ends = [next(n for n in key if n != name) for key in cx.sheet.vertices[name].creases]
+        d = pts[[corner_index[n] for n in ends]] - pts[corner_index[name]]
+        return tuple(sorted(_ray_angle(d[k - 1], d[k]) for k in range(4)))
+
+    return [(sectors(la, na), sectors(lb, nb)) for (la, na), (lb, nb) in cx.glue_map]
 
 
 # ---------------------------------------------------------------------------

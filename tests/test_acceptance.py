@@ -121,7 +121,7 @@ def test_criterion_2_oracle_certification():
             for s in curve.samples:
                 check(v, s)
     # synchronized combined-vertex states
-    lo, hi = achievable_theta_interval(FIG6, (2, 4), 3, BRANCH_PP)
+    lo, hi = achievable_theta_interval(FIG6, (2, 4))
     for k in range(5):
         cv = synchronize(FIG6, "parallel", lo + (hi - lo) * (k + 0.5) / 6)
         check(cv.base, cv.base_state)
@@ -209,7 +209,7 @@ def test_criterion_6_self_duality():
 
 
 def test_criterion_7_half_plane_property():
-    lo, hi = achievable_theta_interval(FIG6, (2, 4), 3, BRANCH_PP)
+    lo, hi = achievable_theta_interval(FIG6, (2, 4))
     worst = 0.0
     for k in range(50):
         theta = lo + (hi - lo) * (k + 0.5) / 51
@@ -224,7 +224,7 @@ def test_criterion_7_half_plane_property():
 
 
 def test_criterion_8_v1_v2_split():
-    lo, hi = achievable_theta_interval(FIG6, (2, 4), 3, BRANCH_PP)
+    lo, hi = achievable_theta_interval(FIG6, (2, 4))
     cv = synchronize(FIG6, "rotated", 0.5 * (lo + hi))
     v1, v2 = split_combined(cv)
     expect = (PI / 4, PI / 2, 3 * PI / 4, PI / 2)

@@ -95,6 +95,47 @@ def test_verify_duality_cli(capsys):
     assert data["sign_pattern_ok"] is True
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_duality_failure_exits_1_with_strict_json(capsys):
+    # a vertex outside the realizable region: no branch traces
+    code = run(["verify-duality", "--alphas", "1.6032,2.8058,0.5952,2.8008",
+                "--samples", "9", "--step-max", "0.05"])
+    out = capsys.readouterr()
+    assert code == 1
+    data = _strict_json(out.out)
+    assert data["branches"] == []
+    assert data["max_abs_rho_mismatch"] is None and data["sign_pattern_ok"] is False
+    assert out.err.count("\n") == 1 and "no branch" in out.err
+
+
+@pytest.mark.parametrize(
+    "mismatch, signs_ok, reason",
+    [(math.inf, True, "closure"), (1e-12, False, "one-pair-flipped")],
+)
+def test_verify_duality_failed_branch_exits_1(capsys, monkeypatch, mismatch, signs_ok, reason):
+    from rigidori import cli
+    from rigidori.kinematics import BRANCH_PP, DualityBranchReport, DualityReport
+
+    def fake(v, *args):
+        return DualityReport(v, (DualityBranchReport(BRANCH_PP, 1, 9, mismatch, signs_ok),))
+
+    monkeypatch.setattr(cli, "verify_duality", fake)
+    code = run(["verify-duality", "--alphas", "45,90,45,90", "--degrees"])
+    out = capsys.readouterr()
+    assert code == 1
+    data = _strict_json(out.out)
+    expect = mismatch if math.isfinite(mismatch) else None
+    assert data["max_abs_rho_mismatch"] == expect
+    assert data["branches"][0]["max_abs_rho_mismatch"] == expect
+    assert out.err.count("\n") == 1 and reason in out.err
+
+
 def test_combine_and_split(tmp_path, capsys):
     out = tmp_path / "combined.obj"
     code = run(

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rigidori.embedding import (
     CombinedVertex,
@@ -17,15 +18,18 @@ from rigidori.embedding import (
     split_combined,
     synchronize,
 )
+from rigidori.closure import closure_residual
 from rigidori.errors import (
     InfeasibleDriverError,
     InputError,
     MeshConsistencyError,
     NonClosingStateError,
+    TraceAbortError,
     UnsupportedVariantError,
 )
 from rigidori.flatfold import MODE_1, fold_mode
-from rigidori.kinematics import BRANCH_PP
+from rigidori.kinematics import ALL_BRANCHES, BRANCH_PP, VertexKinematics
+from rigidori.numerics import Tolerances
 from rigidori.vertex import Curvature, FoldState, Vertex4, ZERO_STATE, classify, dual
 
 PI = math.pi
@@ -81,7 +85,7 @@ def test_plate_polygons_planar_and_through_origin():
 
 
 def theta_interval():
-    return achievable_theta_interval(ELLIPTIC, (2, 4), 3, BRANCH_PP)
+    return achievable_theta_interval(ELLIPTIC, (2, 4))
 
 
 def test_euclidean_base_at_flat_theta_gives_zero_states():
@@ -110,12 +114,94 @@ def test_synchronize_out_of_range_reports_interval():
     assert "achievable range" in str(err.value)
 
 
+SECTOR = st.floats(0.2, PI - 0.2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(SECTOR, SECTOR, SECTOR, SECTOR),
+    st.sampled_from([(2, 4), (1, 3)]),
+    st.sampled_from(["parallel", "rotated"]),
+    st.floats(0.0, 1.0),
+)
+# degenerate corners: both triangles collapse at theta = 0 (equal sector
+# pairs), or one collapses within 1e-12 of a bound next to flat-folded creases
+@example((1.0, 1.0, 1.0, 1.0), (2, 4), "parallel", 1e-12)
+@example((0.5, 0.5, 0.5, 0.5), (2, 4), "parallel", 1e-11)
+@example((0.75, 1.0, 1.0, 0.75), (2, 4), "parallel", 1e-12)
+@example((1.0, 1.0, 0.25, 1.0), (2, 4), "parallel", 1e-12)
+@example((2.0, 2.0, 2.0, 2.0), (2, 4), "rotated", 1.0)
+@example((1.263671875, 0.9921875, 2.390625, 2.1171875), (1, 3), "parallel", 0.0)
+def test_every_achievable_theta_synchronizes(alphas, pair, variant, f):
+    v = Vertex4(alphas)
+    lo, hi = achievable_theta_interval(v, pair)
+    if lo > hi:
+        with pytest.raises(InfeasibleDriverError, match="achievable range"):
+            synchronize(v, variant, 0.5 * (lo + hi), merge_pair=pair)
+        return
+    for theta in (lo, min(lo + f * (hi - lo), hi), hi):
+        cv = synchronize(v, variant, theta, merge_pair=pair)
+        assert closure_residual(v, cv.base_state) < 1e-9
+        assert closure_residual(cv.dual_vertex, cv.dual_state) < 1e-9
+        assert abs(crease_pair_angle(v, cv.base_state, pair) - theta) <= 1e-12
+        assert abs(crease_pair_angle(cv.dual_vertex, cv.dual_state, pair) - theta) <= 1e-12
+    with pytest.raises(InfeasibleDriverError, match="achievable range"):
+        synchronize(v, variant, hi + 1e-6, merge_pair=pair)
+
+
+def test_base_state_is_first_certified_candidate_in_branch_order():
+    # cross-check against the kinematics relations: the closed-form state
+    # is the first of the certified candidates at its apex driver +-rho,
+    # ordered by first matching branch, then driver, then fold angles
+    rng = np.random.default_rng(4)
+    checked = 0
+    while checked < 30:
+        v = Vertex4(tuple(rng.uniform(0.2, PI - 0.2, size=4)))
+        pair = ((2, 4), (1, 3))[checked % 2]
+        lo, hi = achievable_theta_interval(v, pair)
+        if lo >= hi:
+            continue
+        cv = synchronize(v, "parallel", lo + rng.uniform(0.05, 0.95) * (hi - lo), pair)
+        apex = 1 if pair == (2, 4) else 2
+        rho = abs(cv.base_state.rhos[apex - 1])
+        kin = VertexKinematics(v)
+        cands = [s for drv in (-rho, rho) for s in kin.certified_candidates(apex, drv)]
+        rank = [next(k for k, b in enumerate(ALL_BRANCHES) if b.matches(s)) for s in cands]
+        first = cands[rank.index(min(rank))]
+        assert max(abs(a - b) for a, b in zip(first.rhos, cv.base_state.rhos)) < 1e-9
+        checked += 1
+
+
+def test_traced_crease_pair_angles_lie_in_closed_form_interval():
+    bf = Vertex4((0.6, 0.6, 1.0, 1.0))
+    generic = Vertex4((0.9, 1.4, 1.1, 2.0))
+    coarse = Tolerances(trace_step_max=0.05)
+    checked = 0
+    for v in (ELLIPTIC, dual(ELLIPTIC), bf, generic, dual(generic), SQ_TWIST):
+        kin = VertexKinematics(v, coarse)
+        seen = {(2, 4): [], (1, 3): []}
+        for branch in ALL_BRANCHES:
+            try:
+                curve = kin.trace_curve(1, branch, 9)
+            except (InfeasibleDriverError, TraceAbortError):
+                continue
+            for pair, angles in seen.items():
+                angles += [crease_pair_angle(v, s, pair) for s in curve.samples]
+        for pair, angles in seen.items():
+            lo, hi = achievable_theta_interval(v, pair)
+            assert lo - 1e-12 <= min(angles) and max(angles) <= hi + 1e-12
+            # the traces reach both bounds, so the interval is tight
+            assert min(angles) < lo + 1e-3 and max(angles) > hi - 1e-3
+            checked += len(angles)
+    assert checked > 100
+
+
 def test_birds_foot_merged_crease_angles_equal():
     # the two identified creases bisect the equal sector pairs; merged
     # fold angles come out equal in magnitude, like two folded discs
     bf = Vertex4((0.6, 0.6, 1.0, 1.0))
     assert classify(bf).curvature is Curvature.ELLIPTIC
-    lo, hi = achievable_theta_interval(bf, (2, 4), 1, BRANCH_PP)
+    lo, hi = achievable_theta_interval(bf, (2, 4))
     cv = synchronize(bf, "parallel", 0.5 * (lo + hi), merge_pair=(2, 4))
     assert abs(abs(cv.base_state.rhos[1]) - abs(cv.dual_state.rhos[1])) < 1e-9
     assert abs(abs(cv.base_state.rhos[3]) - abs(cv.dual_state.rhos[3])) < 1e-9
@@ -206,6 +292,15 @@ def test_mesh_from_polygons_welds_shared_points():
     mesh = mesh_from_polygons([tri1, tri2])
     assert len(mesh.vertices) == 4
     assert len(mesh.faces) == 2
+
+
+def test_weld_joins_the_first_kept_vertex_only():
+    # b is within weld_tol of a, c of b but not of a: c joins no kept
+    # vertex, so it is kept even though its nearest point was welded
+    a, b, c = (0.0, 0.0, 0.0), (0.6e-8, 0.0, 0.0), (1.2e-8, 0.0, 0.0)
+    mesh = mesh_from_polygons([[a, b, c], [c, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]])
+    assert mesh.vertices == (a, c, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    assert mesh.faces == ((0, 0, 1), (1, 2, 3))
 
 
 def _tilted_grid(nx: int, ny: int):

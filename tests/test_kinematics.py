@@ -21,7 +21,7 @@ from rigidori.kinematics import (
     trace_curve,
     verify_duality,
 )
-from rigidori.kinematics import _adjacent_coefs, _adjacent_roots
+from rigidori.kinematics import _adjacent_coefs, _adjacent_roots, _sign_pattern_is_dual
 from rigidori.numerics import Tolerances
 from rigidori.vertex import FoldState, Vertex4, dual
 
@@ -332,6 +332,18 @@ def test_elliptic_and_dual_traces_match_in_magnitude():
 def test_dual_state_map():
     s = FoldState((0.3, -0.5, 0.7, 0.9))
     assert dual_state(s).rhos == (0.3, 0.5, 0.7, -0.9)
+
+
+def test_sign_pattern_needs_one_flipped_and_one_kept_pair():
+    s = FoldState((0.3, -0.5, 0.7, 0.9))
+    assert _sign_pattern_is_dual(s, s) is False  # no pair flipped
+    assert _sign_pattern_is_dual(s, FoldState(tuple(-r for r in s.rhos))) is False
+    assert _sign_pattern_is_dual(s, dual_state(s)) is True
+    assert _sign_pattern_is_dual(s, FoldState((-0.3, -0.5, -0.7, 0.9))) is True  # global flip
+    assert _sign_pattern_is_dual(s, FoldState((0.3, 0.5, 0.7, 0.9))) is False  # pair split
+    # a pair with no crease above eps is a wildcard
+    flat_pair = FoldState((0.0, -0.5, 0.0, 0.9))
+    assert _sign_pattern_is_dual(flat_pair, flat_pair) is True
 
 
 def test_verify_duality_elliptic_example():

@@ -144,11 +144,26 @@ def test_two_layer_glue_rows_coincide(sheet22):
 
 
 def test_glued_vertices_realize_combined_vertex(sheet22):
-    cx = stack_complex(sheet22, 2, 1.0)
+    # sector angles are measured in the folded, stacked layer meshes
     gen_ms = sorted(GEN.alphas)
     dual_ms = sorted(dual(GEN).alphas)
-    for ms_a, ms_b in combined_vertex_multisets(cx):
-        assert list(ms_a) == gen_ms and list(ms_b) == dual_ms
+    for variant in ("parallel", "rotated"):
+        cx = stack_complex(sheet22, 3, 1.0, variant=variant)
+        pairs = combined_vertex_multisets(cx)
+        assert len(pairs) == len(cx.glue_map) > 0
+        for ms_a, ms_b in pairs:
+            assert ms_a == pytest.approx(gen_ms, abs=1e-9)
+            assert ms_b == pytest.approx(dual_ms, abs=1e-9)
+    # the angles come from the meshes: an affine stretch of every layer
+    # (faces stay planar) changes them
+    import dataclasses
+
+    stretch = np.diag([1.0, 2.0, 1.0])
+    stretched = dataclasses.replace(cx, meshes=tuple(m.transformed(stretch) for m in cx.meshes))
+    assert any(
+        ms_a != pytest.approx(gen_ms, abs=1e-3)
+        for ms_a, _ in combined_vertex_multisets(stretched)
+    )
 
 
 def test_rotated_variant_builds_and_flexes():
