@@ -10,6 +10,7 @@ and the fully resolved configuration for reproducibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -366,6 +367,7 @@ def _add_tol_opts(p):
     p.add_argument("--step-max", type=float, default=DEFAULT_TOL.trace_step_max)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rigidori",

@@ -1,6 +1,6 @@
 """General degree-4 vertex kinematics: opposite/adjacent half-angle-tangent
-relations, state solving, folding ranges, configuration-curve tracing, and
-the duality verification machinery.
+relations, state solving, closed-form folding ranges, configuration-curve
+tracing, and the duality verification machinery.
 
 The two governing relations, in the package crease convention and with
 t_i = tan(rho_i / 2):
@@ -29,6 +29,13 @@ comparison. The analytic relations alone admit spurious sign
 combinations, so every candidate state is certified against the closure
 loop, which is the only gate (see VertexKinematics.certified_candidates).
 
+Folding ranges are closed form: the adjacent relation is quadratic in
+each tangent with coefficients affine in s = t_d^2, so every driver at
+which a fold state appears, merges or flat-folds is a real root of a
+polynomial of degree <= 2 in s (VertexKinematics._breakpoints). Between
+neighbouring roots the branch's states vary continuously without a sign
+change, so one certified check per cell decides the range.
+
 Both relations are invariant under a_i -> pi - a_i up to sign flips of one
 opposite crease pair, which is the elliptic-hyperbolic duality; see
 verify_duality and dual_state.
@@ -49,7 +56,7 @@ from .errors import (
     TraceAbortError,
 )
 from .numerics import DEFAULT_TOL, Tolerances
-from .vertex import Curvature, FoldState, Vertex4, classify, dual
+from .vertex import FoldState, Vertex4, dual
 
 _RATIO_ZERO_CLAMP = 1e-11
 _COEF_EPS = 1e-13
@@ -98,16 +105,6 @@ def _pair_sign(ta: float, tb: float, eps: float = _SIGN_EPS) -> int:
     if abs(ta) <= eps or abs(tb) <= eps:
         return 0
     return 1 if ta * tb > 0 else -1  # also right for infinite tangents
-
-
-def branch_of(state: FoldState) -> BranchLabel | None:
-    """Branch label of a state, or None when a pair is degenerate."""
-    t = state.half_tangents()
-    p1 = _pair_sign(t[0], t[2])
-    p2 = _pair_sign(t[1], t[3])
-    if p1 == 0 or p2 == 0:
-        return None
-    return BranchLabel(p1, p2)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +308,6 @@ def _rho_to_t(rho: float) -> float:
     return math.tan(0.5 * rho)
 
 
-def _signed_sqrt(sq: float) -> list[float]:
-    """Both signed tangents of magnitude sqrt(sq) (one when it is zero)."""
-    m = math.sqrt(sq)
-    return [m] if m == 0.0 else [m, -m]
-
-
 class VertexKinematics:
     """Per-vertex solver context: the loop evaluator and the relation
     coefficients, computed once, plus candidate enumeration,
@@ -339,29 +330,30 @@ class VertexKinematics:
     def certified_candidates(self, driver_index: int, driver: float) -> list[FoldState]:
         """All closure-certified states with the given driver angle.
 
-        Magnitudes come from the opposite relation, adjacent-pair values
-        from the corrected adjacent relation, and the remaining signs are
-        enumerated. The closure loop is the only gate: every candidate is
-        certified against residual_tol in one batched evaluation.
+        The opposite crease takes both signs of the opposite relation,
+        and each crease beside the driver takes the roots of its corrected
+        adjacent relation with the driver. The closure loop is the only
+        gate: every candidate is certified against residual_tol in one
+        batched evaluation.
         """
         d = (driver_index - 1) % 4
         t_d = _rho_to_t(driver)
 
-        opp_options = _signed_sqrt(self._opposite(d + 3, t_d))  # crease opposite the driver
+        m_opp = math.sqrt(self._opposite(d + 3, t_d))  # crease opposite the driver
         next_roots = _adjacent_roots(self._adj[d], t_d)
+        far_roots = _adjacent_roots(self._adj[(d + 3) % 4], t_d, known_is_next=True)
         rows: list[tuple[float, ...]] = []
-        for t_opp in opp_options:
-            roots = next_roots
-            if roots is None:
-                # pair (driver, next) unconstrained (degenerate vertex):
-                # fall back to the (next, opposite) adjacent relation
-                roots = _adjacent_roots(self._adj[(d + 1) % 4], t_opp, known_is_next=True)
-            for t_next in roots or ():
-                try:
-                    sq_far = self._opposite(d + 4, t_next)
-                except (NoRealFoldError, DegenerateConfigurationError):
-                    continue
-                for t_far in _signed_sqrt(sq_far):
+        for t_opp in [m_opp, -m_opp] if m_opp else [m_opp]:
+            # a pair unconstrained on a degenerate vertex falls back to its
+            # adjacent relation with the opposite crease
+            nexts = next_roots
+            if nexts is None:
+                nexts = _adjacent_roots(self._adj[(d + 1) % 4], t_opp, known_is_next=True)
+            fars = far_roots
+            if fars is None:
+                fars = _adjacent_roots(self._adj[(d + 2) % 4], t_opp)
+            for t_next in nexts or ():
+                for t_far in fars or ():
                     t = [0.0] * 4
                     t[d] = t_d
                     t[(d + 1) % 4] = t_next
@@ -395,79 +387,116 @@ class VertexKinematics:
 
     # -- folding range ----------------------------------------------------
 
-    def find_seeds(
-        self, driver_index: int, branch: BranchLabel, grid: int = 33
-    ) -> list[tuple[float, FoldState]]:
-        """Feasible (driver, state) seed points on the branch.
+    def _breakpoints(self, d: int) -> list[float]:
+        """Sorted drivers of crease d (0-based) at which a fold state can
+        appear, merge or flat-fold: 0, +-pi and +-2 atan(sqrt(s)) for the
+        real roots s >= 0 of polynomials in s = t_d^2 of degree <= 2.
 
-        Euclidean vertices are seeded at the unfolded state first; the
-        rest of the grid covers (-pi, pi). Seeds whose branch label is
-        definite (no degenerate crease pair) are preferred; wildcard
-        seeds are used only when no definite seed exists anywhere.
+        For each adjacent pair at the driver these are the coefficients
+        qa and qc (the neighbour's tangent at inf or 0) and the
+        discriminant c5^2 s - 4 qa qc (a double root). The opposite
+        crease reaches 0 or pi only at such a double root, where the
+        driver is at a limit position, so the zeros of the opposite
+        relation's numerator and denominator add nothing.
         """
-        definite: list[tuple[float, FoldState]] = []
-        wildcard: list[tuple[float, FoldState]] = []
-        drivers = [0.0] if classify(self.vertex, self.tol).curvature is Curvature.EUCLIDEAN else []
-        drivers += [(-1.0 + 2.0 * k / (grid - 1)) * (math.pi - 1e-9) for k in range(grid)]
-        for drv in drivers:
-            try:
-                cands = self.certified_candidates(driver_index, drv)
-            except (NoRealFoldError, DegenerateConfigurationError):
-                continue
-            for s in cands:
-                if branch_of(s) == branch:
-                    definite.append((drv, s))
-                    break
-                if branch.matches(s):
-                    wildcard.append((drv, s))
-                    break
-        return definite if definite else wildcard
+        polys = []
+        for coefs, driver_is_next in ((self._adj[d], False), (self._adj[(d + 3) % 4], True)):
+            cA, c1, c2, c3, c4, c5 = coefs
+            if driver_is_next:
+                c1, c2 = c2, c1
+            a0, a1 = cA - c1, cA - c3  # qa = a0 + a1 s
+            q0, q1 = cA - c4, cA - c2  # qc = q0 + q1 s
+            polys += [
+                (a0, a1, 0.0),
+                (q0, q1, 0.0),
+                (-4.0 * a0 * q0, c5 * c5 - 4.0 * (a0 * q1 + a1 * q0), -4.0 * a1 * q1),
+            ]
+        out = [0.0, math.pi, -math.pi]
+        for p0, p1, p2 in polys:
+            for s in _solve_quadratic_candidates(p2, p1, p0) or ():
+                if not math.isfinite(s) or s < -1e-12:
+                    continue
+                b = 2.0 * math.atan(math.sqrt(s)) if s >= 1e-12 else 0.0
+                for x in (b, -b):
+                    if all(abs(x - y) > 1e-9 for y in out):
+                        out.append(x)
+        return sorted(out)
 
-    def folding_range(
-        self, driver_index: int, branch: BranchLabel, grid: int = 33
-    ) -> "FoldingRange":
-        seeds = self.find_seeds(driver_index, branch, grid)
-        if not seeds:
-            return FoldingRange(
-                intervals=(),
-                endpoint_causes=(),
-                diagnostic="no feasible seed found on this branch",
-            )
+    def _branch_states(
+        self, driver_index: int, driver: float, branch: BranchLabel | None
+    ) -> list[FoldState]:
+        """Certified states at ``driver`` on ``branch`` (any branch when
+        None); empty where no real fold exists."""
+        try:
+            cands = self.certified_candidates(driver_index, driver)
+        except (NoRealFoldError, DegenerateConfigurationError):
+            return []
+        return [s for s in cands if branch is None or branch.matches(s)]
+
+    def folding_range(self, driver_index: int, branch: BranchLabel) -> "FoldingRange":
+        """Maximal driver intervals of the branch, from an exact cell
+        decomposition of [-pi, pi] at the relations' breakpoints.
+
+        A cell belongs to the branch when a certified branch state exists
+        at its midpoint. Neighbouring cells join when branch states just
+        either side of their shared breakpoint lie within _JUMP_CAP, the
+        continuity rule of solve_near; runs shorter than 1e-6 are isolated
+        degenerate points. Each endpoint is the breakpoint itself, or the
+        nearest point at most 1e-6 inside it, that has a certified state.
+        """
+        bps = self._breakpoints((driver_index - 1) % 4)
+        cells = list(zip(bps, bps[1:]))
+        runs: list[list[int]] = []  # [first, last] member cell per run
+        for k, (lo, hi) in enumerate(cells):
+            if not self._branch_states(driver_index, 0.5 * (lo + hi), branch):
+                continue
+            follows_run = runs and runs[-1][1] == k - 1
+            if follows_run and self._joins(driver_index, branch, cells[k - 1], cells[k]):
+                runs[-1][1] = k
+            else:
+                runs.append([k, k])
         intervals: list[tuple[float, float]] = []
         causes: list[tuple[str, str]] = []
-        for drv, state in seeds:
-            if any(lo - 1e-9 <= drv <= hi + 1e-9 for lo, hi in intervals):
-                continue
-            lo, cause_lo = self._expand(driver_index, branch, drv, state, -1.0)
-            hi, cause_hi = self._expand(driver_index, branch, drv, state, +1.0)
+        for first, last in runs:
+            lo, hi = cells[first][0], cells[last][1]
             if hi - lo < 1e-6:  # isolated degenerate point, not a branch arc
                 continue
+            lo, cause_lo = self._endpoint(driver_index, branch, cells[first], +1.0)
+            hi, cause_hi = self._endpoint(driver_index, branch, cells[last], -1.0)
             intervals.append((lo, hi))
             causes.append((cause_lo, cause_hi))
+        diagnostic = ""
         if not intervals:
-            return FoldingRange(
-                intervals=(),
-                endpoint_causes=(),
-                diagnostic="only isolated degenerate states found on this branch",
-            )
-        # merge overlapping expansions from distinct seeds
-        order = sorted(range(len(intervals)), key=lambda k: intervals[k])
-        merged: list[tuple[float, float]] = []
-        merged_causes: list[tuple[str, str]] = []
-        for k in order:
-            lo, hi = intervals[k]
-            if merged and lo <= merged[-1][1] + 1e-9:
-                if hi > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], hi)
-                    merged_causes[-1] = (merged_causes[-1][0], causes[k][1])
-            else:
-                merged.append((lo, hi))
-                merged_causes.append(causes[k])
-        return FoldingRange(
-            intervals=tuple(merged),
-            endpoint_causes=tuple(merged_causes),
-            diagnostic="",
+            what = "only isolated degenerate states" if runs else "no closure-certified state"
+            diagnostic = f"{what} on this branch at any driver"
+        return FoldingRange(tuple(intervals), tuple(causes), diagnostic)
+
+    def _joins(self, driver_index, branch, left, right) -> bool:
+        """Whether branch states continue across the breakpoint between
+        two neighbouring member cells."""
+        b = left[1]
+        eps = min(1e-6, 0.25 * (left[1] - left[0]), 0.25 * (right[1] - right[0]))
+        before = self._branch_states(driver_index, b - eps, branch)
+        after = self._branch_states(driver_index, b + eps, branch)
+        return any(
+            max(abs(x - y) for x, y in zip(s.rhos, t.rhos)) <= self._JUMP_CAP
+            for s in before
+            for t in after
         )
+
+    def _endpoint(self, driver_index, branch, cell, inward) -> tuple[float, str]:
+        """The first driver with a certified branch state among the end
+        cell's breakpoint and the points 1e-12, 1e-11, ..., 1e-6 inside
+        it, falling back to the cell midpoint, which has one; and its
+        endpoint cause."""
+        lo, hi = cell
+        root = lo if inward > 0 else hi
+        for off in (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 0.5 * (hi - lo)):
+            drv = root + inward * off
+            states = self._branch_states(driver_index, drv, branch)
+            if states:
+                break
+        return drv, self._endpoint_cause(driver_index, drv, states[0])
 
     #: per-step continuation jump cap (rad, max componentwise); a curve
     #: hitting a flat-folded corner of [-pi, pi]^4 only "continues" by a
@@ -485,15 +514,9 @@ class VertexKinematics:
         to ``prev``, ties broken toward the previous sign vector. States
         off ``branch`` or more than _JUMP_CAP away are rejected; None when
         nothing is left."""
-        try:
-            cands = self.certified_candidates(driver_index, driver)
-        except (NoRealFoldError, DegenerateConfigurationError):
-            return None
-        if branch is not None:
-            cands = [s for s in cands if branch.matches(s)]
         cands = [
             s
-            for s in cands
+            for s in self._branch_states(driver_index, driver, branch)
             if max(abs(a - b) for a, b in zip(s.rhos, prev.rhos)) <= self._JUMP_CAP
         ]
         if not cands:
@@ -509,44 +532,6 @@ class VertexKinematics:
             return (dist, sign_mismatch, s.rhos)
 
         return min(cands, key=key)
-
-    _EXPAND_STEP = 0.05  # internal probing stride; curve samples obey trace_step_max
-
-    def _expand(
-        self,
-        driver_index: int,
-        branch: BranchLabel,
-        start: float,
-        start_state: FoldState,
-        direction: float,
-    ) -> tuple[float, str]:
-        """March the driver from a seed until infeasibility.
-
-        On failure the stride shrinks geometrically, which both recovers
-        from spurious failures of a too-large continuation step and
-        locates a genuine endpoint to solver_tol.
-        """
-        tol = self.tol
-        step = self._EXPAND_STEP
-        drv, state = start, start_state
-        limit = math.pi if direction > 0 else -math.pi
-        while step > tol.solver_tol:
-            advanced = False
-            while (limit - drv) * direction > 1e-15:
-                nxt = drv + direction * step
-                if (nxt - limit) * direction > 0:
-                    nxt = limit
-                cand = self.solve_near(driver_index, nxt, state, branch)
-                if cand is None:
-                    break
-                drv, state = nxt, cand
-                advanced = True
-            if (limit - drv) * direction <= 1e-15:
-                return drv, self._endpoint_cause(driver_index, drv, state)
-            step *= 0.25
-            if not advanced and step <= tol.solver_tol:
-                break
-        return drv, self._endpoint_cause(driver_index, drv, state)
 
     def _endpoint_cause(self, driver_index: int, drv: float, state: FoldState) -> str:
         # sqrt-type corner approaches reach |rho| = pi - O(sqrt(solver_tol))
@@ -652,8 +637,8 @@ class VertexKinematics:
 
 @dataclass(frozen=True)
 class FoldingRange:
-    """Maximal feasible driver interval(s) around the found seeds, with
-    endpoint causes in {flat_folded_crease, opposite_relation_negative,
+    """Maximal feasible driver interval(s) of a branch, with endpoint
+    causes in {flat_folded_crease, opposite_relation_negative,
     closure_infeasible, degenerate_configuration}."""
 
     intervals: tuple[tuple[float, float], ...]
@@ -711,9 +696,8 @@ def folding_range(
     driver_index: int,
     branch: BranchLabel,
     tol: Tolerances = DEFAULT_TOL,
-    grid: int = 33,
 ) -> FoldingRange:
-    return VertexKinematics(v, tol).folding_range(driver_index, branch, grid)
+    return VertexKinematics(v, tol).folding_range(driver_index, branch)
 
 
 def trace_curve(

@@ -258,6 +258,26 @@ def test_vertex_json_input_round_trip(tmp_path, capsys):
     )
 
 
+def test_parser_is_built_once_and_runs_do_not_share_state(capsys):
+    calls = [
+        ["range", "--alphas", "45,90,135,90", "--degrees",
+         "--driver-index", "2", "--branch", "mp", "--step-max", "0.05"],
+        ["classify", "--alphas", "1,2,1,2"],
+        ["range", "--alphas", "45,90,135,90", "--degrees"],
+        ["modes", "--alphas", "45,90,135,90", "--degrees", "--samples", "3"],
+    ]
+
+    def alone(argv):
+        build_parser.cache_clear()  # as in a fresh process
+        return run(argv), capsys.readouterr()
+
+    expected = [alone(argv) for argv in calls]
+    parser = build_parser()
+    together = [(run(argv), capsys.readouterr()) for argv in calls]
+    assert build_parser() is parser
+    assert together == expected
+
+
 def test_domain_error_exit_code(capsys):
     # flat-foldable modes on a non-flat-foldable vertex is a domain error
     code = run(["modes", "--alphas", "45,90,45,90", "--degrees"])

@@ -1,13 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rigidori.closure import LoopEvaluator, closure_residual, oracle_solve
 from rigidori.errors import InfeasibleDriverError, NoRealFoldError
 from rigidori.flatfold import MODE_1, MODE_2, fold_mode, mode_constants
 from rigidori.kinematics import (
     ALL_BRANCHES,
+    BRANCH_MM,
     BRANCH_PP,
     MODE1_BRANCH,
     MODE2_BRANCH,
@@ -282,6 +285,98 @@ def test_empty_range_reports_diagnostic():
     v = Vertex4((0.3, 0.3, 0.3, 2.8))  # no closed states exist
     rng_ = folding_range(v, 1, BRANCH_PP, FAST)
     assert not rng_.intervals and rng_.diagnostic
+
+
+def _branch_states(kin, driver, branch):
+    try:
+        return [s for s in kin.certified_candidates(1, driver) if branch.matches(s)]
+    except NoRealFoldError:
+        return []
+
+
+def _criterion1_vertices(n):
+    rng = np.random.default_rng(2024)
+    return [Vertex4(tuple(map(float, a))) for a in rng.uniform(0.2, PI - 0.2, size=(n, 4))]
+
+
+# The last vertex has range endpoints 1e-12 to 1e-10 inside their breakpoints.
+RANGE_VERTICES = _criterion1_vertices(30) + [
+    Vertex4((1.761883337054723, 0.49547221833633137, 0.36631061004674687, 1.8907342540699135))
+]
+
+
+@pytest.mark.parametrize("v", RANGE_VERTICES, ids=lambda v: "%.4f,%.4f,%.4f,%.4f" % v.alphas)
+def test_range_endpoints_and_interior_carry_branch_states(v):
+    kin = VertexKinematics(v, FAST)
+    for branch in ALL_BRANCHES:
+        rng_ = kin.folding_range(1, branch)
+        for lo, hi in rng_.intervals:
+            assert -PI <= lo < hi <= PI
+            drivers = [lo + (hi - lo) * k / 42 for k in range(43)]
+            for drv in drivers:
+                assert _branch_states(kin, drv, branch), (branch, drv)
+            # maximal: no branch state 1e-6 outside an interior endpoint
+            # continues one 1e-6 inside it
+            for end, out in ((lo, -1e-6), (hi, 1e-6)):
+                if abs(end) < PI - 1e-6:
+                    inside = _branch_states(kin, end - out, branch)
+                    beyond = _branch_states(kin, end + out, branch)
+                    assert not any(
+                        max(abs(x - y) for x, y in zip(s.rhos, t.rhos)) <= kin._JUMP_CAP
+                        for s in inside
+                        for t in beyond
+                    ), (branch, end)
+        if rng_.intervals:
+            curve = kin.trace_curve(1, branch, 9)
+            assert len(curve.samples) >= 9
+        else:
+            assert rng_.diagnostic and "seed" not in rng_.diagnostic
+
+
+def _polygon_inequalities_hold(alphas, margin=0.0):
+    """Spherical polygon inequalities of the four sectors (Kapovich and
+    Millson): for every odd-sized subset I, sum_I a - sum_rest a is at
+    most (|I| - 1) pi; ``margin`` is the least slack required."""
+    return all(
+        sum(alphas[i] for i in sub) - sum(alphas[i] for i in range(4) if i not in sub)
+        <= (len(sub) - 1) * PI - margin
+        for r in (1, 3)
+        for sub in itertools.combinations(range(4), r)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.floats(0.2, PI - 0.2)] * 4))
+def test_some_branch_folds_iff_polygon_inequalities_hold(alphas):
+    # on the boundary the configuration space shrinks to a point
+    assume(
+        _polygon_inequalities_hold(alphas, 1e-6)
+        or not _polygon_inequalities_hold(alphas, -1e-6)
+    )
+    kin = VertexKinematics(Vertex4(alphas), FAST)
+    folds = any(kin.folding_range(1, branch).intervals for branch in ALL_BRANCHES)
+    assert folds == _polygon_inequalities_hold(alphas)
+
+
+def test_bench_vertex_without_a_traceable_range_verifies():
+    v = Vertex4((0.6346933163676514, 2.810076449142171, 0.623174785046862, 1.599043640586577))
+    rep = verify_duality(v, 1, 9, FAST)
+    assert rep.n_branches >= 1
+    assert rep.max_abs_rho_mismatch < 1e-6 and rep.sign_pattern_ok
+
+
+def test_arc_narrower_than_a_coarse_driver_grid_is_found():
+    v = Vertex4((0.9513290489514907, 0.2194429051989586, 1.9703036635776987, 2.1736982770777895))
+    rng_ = folding_range(v, 1, BRANCH_PP, FAST)
+    assert rng_.intervals
+    assert max(hi - lo for lo, hi in rng_.intervals) < 0.196  # the old grid spacing
+
+
+def test_trace_reaches_the_flat_fold_of_the_far_crease():
+    v = Vertex4((1.6665109671073064, 1.3959453121937417, 1.8395504545030148, 1.5676245656970504))
+    curve = trace_curve(v, 1, BRANCH_MM, 9, FAST)
+    for end in (curve.samples[0], curve.samples[-1]):
+        assert min(PI - abs(r) for r in end.rhos) < 1e-12
 
 
 # ---------------------------------------------------------------------------
