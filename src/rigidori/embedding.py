@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import LoopEvaluator, closure_residual, oracle_solve
+# oracle_solve is unused here, but bench/spans.py times it in every module that binds it
+from .closure import LoopEvaluator, closure_residual, oracle_solve  # noqa: F401
 from .errors import (
     InfeasibleDriverError,
     InputError,
@@ -302,8 +303,9 @@ def synchronize(
     the diagonal, or on one side). All sign assignments are certified in
     one closure batch. The base state is the first certified one in
     ALL_BRANCHES order (a state's branch is the first label it matches;
-    ties go to the lower apex driver). The dual state is re-solved and
-    certified by the closure oracle.
+    ties go to the lower apex driver). The dual state is the base state
+    under the duality sign map (_matched_dual_state), certified against
+    the closure loop of the dual vertex as it stands.
     """
     if variant not in (PARALLEL, ROTATED):
         raise InputError(f"variant must be '{PARALLEL}' or '{ROTATED}'")
@@ -332,14 +334,7 @@ def synchronize(
     base_state = min(states, key=lambda s: (rank[s], s.rhos[c], s.rhos))
 
     vd = dual(base)
-    seed = _matched_dual_state(base_state, merge_pair)
-    # the embedding measures theta through crease merge_pair[0] + 1 alone,
-    # so the oracle driven there keeps the seed's theta
-    drv = merge_pair[0] + 1
-    rep = oracle_solve(vd, drv, seed.rhos[drv - 1], seed, tol)
-    # the oracle clamps fold angles at +-pi, so beside a flat-folded corner
-    # its steps can lose a seed that already closed; keep the better state
-    dual_st = min((rep.state, seed), key=lambda s: closure_residual(vd, s))
+    dual_st = _matched_dual_state(base_state, merge_pair)
     if not closure_residual(vd, dual_st) < tol.residual_tol:
         raise MeshConsistencyError("matched dual state failed closure certification")
     th_base = crease_pair_angle(base, base_state, merge_pair)

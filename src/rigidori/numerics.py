@@ -87,9 +87,6 @@ class Rotation3:
             return self.compose(other)
         return self.matrix @ np.asarray(other, dtype=float)
 
-    def inverse(self) -> "Rotation3":
-        return Rotation3(self.matrix.T)
-
     def apply(self, vec) -> np.ndarray:
         return self.matrix @ np.asarray(vec, dtype=float)
 

@@ -142,3 +142,44 @@ def test_batched_residuals_match_single_state_residual():
         assert batch.shape == (64,)
         for row, res in zip(rhos, batch):
             assert abs(res - loop.residual(row)) < 1e-15
+
+
+# The duality sign maps give the dual state in closed form; the oracle,
+# seeded with that state and driven at one of its creases, must return it
+# unchanged. This keeps the oracle as the reference for the closed form
+# that verify_duality and synchronize certify without re-solving.
+DUALITY_VERTICES = [
+    Vertex4(tuple(map(float, a)))
+    for a in np.random.default_rng(2024).uniform(0.2, PI - 0.2, size=(20, 4))
+] + [SQ_TWIST, ELLIPTIC]
+
+
+@pytest.mark.parametrize("v", DUALITY_VERTICES, ids=lambda v: "%.4f,%.4f,%.4f,%.4f" % v.alphas)
+def test_oracle_returns_the_closed_form_dual_state(v):
+    from rigidori.embedding import _matched_dual_state, achievable_theta_interval, synchronize
+    from rigidori.errors import InfeasibleDriverError, TraceAbortError
+    from rigidori.kinematics import ALL_BRANCHES, dual_state, trace_curve
+    from rigidori.numerics import Tolerances
+    from rigidori.vertex import dual
+
+    tol = Tolerances(trace_step_max=0.05)
+    vd = dual(v)
+    mapped = []  # (driver index, closed-form dual state)
+    for branch in ALL_BRANCHES:
+        try:
+            curve = trace_curve(v, 1, branch, 9, tol)
+        except (InfeasibleDriverError, TraceAbortError):
+            continue
+        mapped += [(1, dual_state(s)) for s in curve.samples]
+    for pair in ((2, 4), (1, 3)):
+        lo, hi = achievable_theta_interval(v, pair)
+        if lo > hi:
+            continue
+        for theta in (lo, 0.5 * (lo + hi), hi):
+            cv = synchronize(v, "parallel", theta, pair, tol)
+            assert cv.dual_state == _matched_dual_state(cv.base_state, pair)
+            mapped.append((pair[0] + 1, cv.dual_state))
+    for drv, sd in mapped:
+        rep = oracle_solve(vd, drv, sd.rhos[drv - 1], sd, tol)
+        assert rep.converged
+        assert rep.state == sd

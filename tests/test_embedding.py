@@ -108,6 +108,21 @@ def test_synchronize_matches_duality_relations():
     assert abs(crease_pair_angle(cv.dual_vertex, cv.dual_state, (2, 4)) - cv.theta) < 1e-9
 
 
+@pytest.mark.parametrize("pair", [(2, 4), (1, 3)])
+def test_wrong_matched_dual_state_fails_closure(monkeypatch, pair):
+    # negating all four angles keeps theta but is not the duality map,
+    # so only the closure certificate can reject it
+    from rigidori import embedding
+
+    lo, hi = achievable_theta_interval(ELLIPTIC, pair)
+    synchronize(ELLIPTIC, "parallel", 0.5 * (lo + hi), pair)
+    monkeypatch.setattr(
+        embedding, "_matched_dual_state", lambda s, _pair: FoldState(tuple(-r for r in s.rhos))
+    )
+    with pytest.raises(MeshConsistencyError, match="closure"):
+        synchronize(ELLIPTIC, "parallel", 0.5 * (lo + hi), pair)
+
+
 def test_synchronize_out_of_range_reports_interval():
     with pytest.raises(InfeasibleDriverError) as err:
         synchronize(ELLIPTIC, "parallel", 0.05)

@@ -462,6 +462,24 @@ def test_verify_duality_ff_self_dual():
     assert rep.sign_pattern_ok
 
 
+def test_wrong_dual_map_fails_the_closure_certificate(monkeypatch, capsys):
+    # the identity is not the duality map, so its states do not close on
+    # C* of a non-Euclidean vertex; a (1,3) flip would not do here, being
+    # the global mirror of the right map, which closes as well
+    from rigidori import kinematics
+    from rigidori.cli import run
+
+    v = Vertex4((1.0, 1.3, 1.1, 1.7))
+    assert verify_duality(v, 1, 9, FAST).max_abs_rho_mismatch == 0.0
+    monkeypatch.setattr(kinematics, "dual_state", lambda s: s)
+    rep = verify_duality(v, 1, 9, FAST)
+    assert rep.n_branches >= 1
+    assert all(b.max_abs_rho_mismatch == math.inf for b in rep.branches)
+    code = run(["verify-duality", "--alphas", "1.0,1.3,1.1,1.7", "--samples", "9",
+                "--step-max", "0.05"])
+    assert code == 1 and "closure" in capsys.readouterr().err
+
+
 def test_traced_elliptic_sign_vector_differs_in_exactly_one_pair():
     curve = trace_curve(ELLIPTIC, 3, BRANCH_PP, 15, FAST)
     vd = dual(ELLIPTIC)
