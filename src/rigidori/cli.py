@@ -15,6 +15,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .closure import closure_residual, oracle_solve
 from .embedding import FoldedMesh, combined_mesh, split_combined, synchronize
@@ -80,7 +82,7 @@ def write_obj(mesh: FoldedMesh, path: str, args=None) -> None:
     lines = []
     if args is not None:
         lines.append(_csv_header(args))
-    for p in mesh.vertices:
+    for p in mesh.vertices.tolist():
         lines.append("v " + " ".join(_g(c) for c in p))
     for f in mesh.faces:
         lines.append("f " + " ".join(str(i + 1) for i in f))
@@ -318,14 +320,9 @@ def _cmd_stack(args, parser):
     sheet = _sheet(args, parser, tol)
     for path, rho in frames:
         cx = stack_complex(sheet, args.layers, rho, args.variant, tol)
-        offset = 0
-        verts = []
-        faces = []
-        for m in cx.meshes:
-            verts.extend(m.vertices)
-            faces.extend(tuple(i + offset for i in f) for f in m.faces)
-            offset += len(m.vertices)
-        write_obj(FoldedMesh(tuple(verts), tuple(faces)), path, args)
+        offsets = np.cumsum([0] + [len(m.vertices) for m in cx.meshes]).tolist()
+        faces = tuple(tuple(i + o for i in f) for m, o in zip(cx.meshes, offsets) for f in m.faces)
+        write_obj(FoldedMesh(np.concatenate([m.vertices for m in cx.meshes]), faces), path, args)
 
 
 def _cmd_auxetic(args, parser):

@@ -61,15 +61,27 @@ _X = np.array([1.0, 0.0, 0.0])
 # meshes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldedMesh:
-    """Vertices and polygonal faces; non-manifold edge sharing permitted."""
+    """Vertices and polygonal faces; non-manifold edge sharing permitted.
 
-    vertices: tuple[tuple[float, float, float], ...]
+    ``vertices`` is a read-only (N, 3) float64 copy of the given points
+    (an array or a sequence of triples). Construction validates face
+    indices, finite coordinates and the planarity of every face of four
+    or more corners within 1e-9 (see _max_planarity). Meshes are equal
+    when their vertex values and faces are equal.
+    """
+
+    vertices: np.ndarray
     faces: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.vertices)
+        pts = np.array(self.vertices, dtype=float) if len(self.vertices) else np.empty((0, 3))
+        if pts.shape[1:] != (3,):
+            raise InputError("vertices must be an (N, 3) array of points")
+        pts.flags.writeable = False
+        object.__setattr__(self, "vertices", pts)
+        n = len(pts)
         by_len: dict[int, list[tuple[int, ...]]] = {}
         for f in self.faces:
             by_len.setdefault(len(f), []).append(f)
@@ -79,27 +91,46 @@ class FoldedMesh:
             for m, idx in faces.items()
         ):
             raise InputError("face indices out of range")
-        pts = self.points()
         if not np.isfinite(pts).all():
             raise MeshConsistencyError("vertex coordinates are not finite")
         for m, idx in faces.items():
-            if m > 3 and _max_planarity(pts[idx]) > 1e-9:
+            if m > 3 and not _max_planarity(pts[idx]) <= 1e-9:
                 raise MeshConsistencyError("face deviates from planarity beyond 1e-9")
 
-    def points(self) -> np.ndarray:
-        return np.array(self.vertices, dtype=float)
+    def __eq__(self, other):
+        if not isinstance(other, FoldedMesh):
+            return NotImplemented
+        return self.faces == other.faces and np.array_equal(self.vertices, other.vertices)
 
     def transformed(self, rotation: np.ndarray, translation=np.zeros(3)) -> "FoldedMesh":
-        pts = self.points() @ np.asarray(rotation, dtype=float).T + translation
-        return FoldedMesh(tuple(map(tuple, pts.tolist())), self.faces)
+        pts = self.vertices @ np.asarray(rotation, dtype=float).T + translation
+        return FoldedMesh(pts, self.faces)
 
 
 def _max_planarity(pts: np.ndarray) -> float:
-    """Largest deviation scale from its best-fit plane over a stack of
-    faces of equal length, shape (faces, corners, 3): the smallest
-    singular value of each face's centered corners."""
-    q = pts - pts.mean(axis=1, keepdims=True)
-    return float(np.linalg.svd(q, compute_uv=False)[:, -1].max())
+    """Largest deviation scale from planarity over a stack of faces of
+    equal length, shape (faces, corners, 3): sqrt(sum_i (n . q_i)^2) for
+    the centered corners q_i and the unit Newell normal n of each face.
+
+    This is never below the smallest singular value of the centered
+    corners, sigma_min^2 = min over unit n of sum_i (n . q_i)^2, so a
+    threshold on it rejects every face that the same threshold on
+    sigma_min rejects. A face whose Newell vector is zero up to rounding
+    (collinear or area-cancelling corners) has no normal and is measured
+    by sigma_min itself.
+    """
+    q = pts - np.einsum("fki->fi", pts)[:, None] / pts.shape[1]
+    # Newell vector sum_i q_i x q_{i+1}, the antisymmetric part of
+    # sum_i q_i q_{i+1}^T
+    M = q.transpose(0, 2, 1) @ np.roll(q, -1, axis=1)
+    newell = (M - M.transpose(0, 2, 1))[:, (1, 2, 0), (2, 0, 1)]
+    length = np.sqrt(np.einsum("fi,fi->f", newell, newell))
+    degenerate = length <= 8 * np.finfo(float).eps * np.einsum("fki,fki->f", q, q)
+    h = np.einsum("fki,fi->fk", q, newell / np.where(degenerate, 1.0, length)[:, None])
+    dev = np.sqrt(np.einsum("fk,fk->f", h, h))
+    if degenerate.any():
+        dev[degenerate] = np.linalg.svd(q[degenerate], compute_uv=False)[:, -1]
+    return float(dev.max())
 
 
 def mesh_from_polygons(polygons, weld_tol: float = 1e-8) -> FoldedMesh:
@@ -108,12 +139,13 @@ def mesh_from_polygons(polygons, weld_tol: float = 1e-8) -> FoldedMesh:
     A point joins the first kept vertex within weld_tol (Chebyshev
     distance), so shared crease endpoints appear once; a point near no
     kept vertex is kept. Ordering is deterministic (construction order).
-    The distances are one (points, points) array, sized for the few dozen
-    points of a combined vertex.
+    The distances are (points, points) arrays, one per coordinate, sized
+    for the few dozen points of a combined vertex.
     """
     polys = [np.asarray(poly, dtype=float).reshape(-1, 3) for poly in polygons]
     pts = np.concatenate(polys) if polys else np.empty((0, 3))
-    near = (np.abs(pts[:, None] - pts[None]).max(axis=2) < weld_tol).tolist()
+    x, y, z = (np.abs(c[:, None] - c) < weld_tol for c in pts.T)
+    near = (x & y & z).tolist()
     kept: list[int] = []  # point index of each mesh vertex
     index = []
     for row in near:
@@ -123,7 +155,7 @@ def mesh_from_polygons(polygons, weld_tol: float = 1e-8) -> FoldedMesh:
         index.append(j)
     ends = np.cumsum([len(p) for p in polys]).tolist()
     faces = tuple(tuple(index[e - len(p) : e]) for p, e in zip(polys, ends))
-    return FoldedMesh(tuple(map(tuple, pts[kept].tolist())), faces)
+    return FoldedMesh(pts[kept], faces)
 
 
 # ---------------------------------------------------------------------------

@@ -80,9 +80,12 @@ class FoldPlan:
 
     Arrays are read-only. Corners are indexed in ``sheet.corners`` order
     (first seen over the faces), creases in ``sheet.creases`` order and
-    interior vertices in ``sheet.vertices`` order. The face tree is listed
-    in traversal order, so every parent precedes its children; the root
-    is face 0 and carries the identity.
+    interior vertices in ``sheet.vertices`` order. The face tree is a
+    breadth-first spanning tree of the face adjacency, rooted at face 0
+    (which carries the identity) and listed in traversal order. Level k
+    holds the tree edges whose child face lies k + 1 hinges from the root,
+    so every parent is placed by an earlier level; a 12 x 12 sheet has 46
+    levels.
     """
 
     coef: np.ndarray  # (C,) crease half-tangent per unit driver half-tangent
@@ -92,6 +95,7 @@ class FoldPlan:
     tree_hinge: np.ndarray  # (F-1,) the crease they share
     axis_point: np.ndarray  # (F-1, 3) a flat point on the hinge
     axis: np.ndarray  # (F-1, 3) unit hinge direction; the child turns by +rho
+    levels: tuple[np.ndarray, ...]  # tree-edge indices of each tree level
     flat: np.ndarray  # (N, 3) flat corner positions
     face_corners: np.ndarray  # (F, 4) corner indices per face
     first_slot: np.ndarray  # (N,) flat index into (F, 4) of each corner's first face
@@ -225,57 +229,21 @@ def build_square_twist_sheet(
     # edges are the sheet boundary
     crease_set = [k for k, c in edge_count.items() if c == 2]
 
-    def ck(a_, b_):
-        return frozenset((a_, b_))
-
-    # package-order crease keys (c1..c4) and mode for each interior vertex
+    # package-order crease neighbours (c1..c4), as (corner, di, dj) cell
+    # offsets, and mode of each interior vertex
+    stars = {
+        "P1": (2, (("P4", 0, 0), ("P2", -1, 0), ("P4", 0, -1), ("P2", 0, 0))),
+        "P2": (1, (("P1", 0, 0), ("P3", 0, -1), ("P1", 1, 0), ("P3", 0, 0))),
+        "P3": (2, (("P2", 0, 0), ("P4", 1, 0), ("P2", 0, 1), ("P4", 0, 0))),
+        "P4": (1, (("P3", 0, 0), ("P1", 0, 1), ("P3", -1, 0), ("P1", 0, 0))),
+    }
     vertices: dict[Name, SheetVertex] = {}
     for i in range(cols):
         for j in range(rows):
-            vertices[("P1", i, j)] = SheetVertex(
-                name=("P1", i, j),
-                position=pos(("P1", i, j)),
-                mode=2,
-                creases=(
-                    ck(("P1", i, j), ("P4", i, j)),
-                    ck(("P1", i, j), ("P2", i - 1, j)),
-                    ck(("P1", i, j), ("P4", i, j - 1)),
-                    ck(("P1", i, j), ("P2", i, j)),
-                ),
-            )
-            vertices[("P2", i, j)] = SheetVertex(
-                name=("P2", i, j),
-                position=pos(("P2", i, j)),
-                mode=1,
-                creases=(
-                    ck(("P2", i, j), ("P1", i, j)),
-                    ck(("P2", i, j), ("P3", i, j - 1)),
-                    ck(("P2", i, j), ("P1", i + 1, j)),
-                    ck(("P2", i, j), ("P3", i, j)),
-                ),
-            )
-            vertices[("P3", i, j)] = SheetVertex(
-                name=("P3", i, j),
-                position=pos(("P3", i, j)),
-                mode=2,
-                creases=(
-                    ck(("P3", i, j), ("P2", i, j)),
-                    ck(("P3", i, j), ("P4", i + 1, j)),
-                    ck(("P3", i, j), ("P2", i, j + 1)),
-                    ck(("P3", i, j), ("P4", i, j)),
-                ),
-            )
-            vertices[("P4", i, j)] = SheetVertex(
-                name=("P4", i, j),
-                position=pos(("P4", i, j)),
-                mode=1,
-                creases=(
-                    ck(("P4", i, j), ("P3", i, j)),
-                    ck(("P4", i, j), ("P1", i, j + 1)),
-                    ck(("P4", i, j), ("P3", i - 1, j)),
-                    ck(("P4", i, j), ("P1", i, j)),
-                ),
-            )
+            for p, (mode, star) in stars.items():
+                name = (p, i, j)
+                creases = tuple(frozenset((name, (q, i + di, j + dj))) for q, di, dj in star)
+                vertices[name] = SheetVertex(name, pos(name), mode, creases)
 
     sheet = SquareTwistSheet(
         generator=gen,
@@ -288,7 +256,7 @@ def build_square_twist_sheet(
         face_kinds=tuple(kinds),
         creases=tuple(crease_set),
         vertices=vertices,
-        driver_crease=ck(("P1", 0, 0), ("P2", -1, 0)),
+        driver_crease=frozenset((("P1", 0, 0), ("P2", -1, 0))),
         mv_coefficients={},
     )
     # freeze the MV assignment from a reference propagation; this also
@@ -368,7 +336,7 @@ def _fold_plan(sheet: SquareTwistSheet) -> FoldPlan:
     flat = np.array([(*xy, 0.0) for xy in sheet.corners.values()])
     face_corners = np.array([[corner_index[n] for n in f] for f in sheet.faces])
 
-    # face adjacency over shared creases; depth-first from face 0. The
+    # face adjacency over shared creases; breadth-first from face 0. The
     # child sits right of the parent's directed edge a -> b, so it turns
     # by +rho about the axis from b toward a
     edge_faces: dict[frozenset, list[int]] = {}
@@ -380,17 +348,21 @@ def _fold_plan(sheet: SquareTwistSheet) -> FoldPlan:
     reached = [False] * len(sheet.faces)
     reached[0] = True
     tree: list[tuple[int, int, int, int, int]] = []  # child, parent, hinge, a, b
-    stack = [0]
-    while stack:
-        fi = stack.pop()
-        f = sheet.faces[fi]
-        for a_, b_ in zip(f, f[1:] + f[:1]):
-            key = frozenset((a_, b_))
-            for fj in edge_faces.get(key, ()):
-                if not reached[fj]:
-                    reached[fj] = True
-                    tree.append((fj, fi, crease_index[key], corner_index[a_], corner_index[b_]))
-                    stack.append(fj)
+    levels = []
+    frontier = [0]
+    while frontier:
+        start = len(tree)
+        for fi in frontier:
+            f = sheet.faces[fi]
+            for a_, b_ in zip(f, f[1:] + f[:1]):
+                key = frozenset((a_, b_))
+                for fj in edge_faces.get(key, ()):
+                    if not reached[fj]:
+                        reached[fj] = True
+                        tree.append((fj, fi, crease_index[key], corner_index[a_], corner_index[b_]))
+        frontier = [edge[0] for edge in tree[start:]]
+        if frontier:
+            levels.append(np.arange(start, len(tree)))
     if not all(reached):
         raise MeshConsistencyError("face adjacency graph is not connected")
     child, parent, hinge, a_idx, b_idx = (np.array(col, dtype=np.intp) for col in zip(*tree))
@@ -412,11 +384,12 @@ def _fold_plan(sheet: SquareTwistSheet) -> FoldPlan:
         tree_hinge=hinge,
         axis_point=flat[b_idx],
         axis=axis,
+        levels=tuple(levels),
         flat=flat,
         face_corners=face_corners,
         first_slot=np.array([first_slot[n] for n in range(len(flat))]),
     )
-    for value in vars(plan).values():
+    for value in (*vars(plan).values(), *plan.levels):
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     return plan
@@ -446,25 +419,25 @@ def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedS
     else:
         rho = 2.0 * np.arctan(plan.coef * math.tan(0.5 * major_rho))
 
-    # hinge rotations as maps x -> Rh x + th about lines through the flat
-    # axis points
+    # hinge rotations as homogeneous maps x -> Rh x + th about lines
+    # through the flat axis points
     Rh = rotation_matrix_about_axis(plan.axis, rho[plan.tree_hinge])
-    th = plan.axis_point - np.einsum("eij,ej->ei", Rh, plan.axis_point)
+    H = np.zeros((len(Rh), 4, 4))
+    H[:, :3, :3] = Rh
+    H[:, :3, 3] = plan.axis_point - np.einsum("eij,ej->ei", Rh, plan.axis_point)
+    H[:, 3, 3] = 1.0
 
-    # compose down the tree: a child face moves by its parent's map after
-    # its own hinge rotation
-    Rs = [np.eye(3)] * len(plan.face_corners)
-    ts = [np.zeros(3)] * len(plan.face_corners)
-    for f, p, R1, t1 in zip(plan.tree_face.tolist(), plan.tree_parent.tolist(), Rh, th):
-        Rs[f] = Rs[p] @ R1
-        ts[f] = Rs[p] @ t1 + ts[p]
-    R, t = np.array(Rs), np.array(ts)
+    # compose down the tree one level at a time: a child face moves by its
+    # parent's map after its own hinge rotation
+    M = np.empty((len(plan.face_corners), 4, 4))
+    M[0] = np.eye(4)
+    for e in plan.levels:
+        M[plan.tree_face[e]] = M[plan.tree_parent[e]] @ H[e]
 
     # place every corner of every face; all faces sharing a corner must
     # agree (loop consistency)
-    placed = (
-        np.einsum("fij,fkj->fki", R, plan.flat[plan.face_corners]) + t[:, None, :]
-    ).reshape(-1, 3)
+    corners = plan.flat[plan.face_corners]
+    placed = (corners @ M[:, :3, :3].transpose(0, 2, 1) + M[:, None, :3, 3]).reshape(-1, 3)
     pos = placed[plan.first_slot]
     worst_spread = float(np.max(np.abs(placed - pos[plan.face_corners.ravel()])))
     if not worst_spread <= 1e-8:
@@ -486,9 +459,7 @@ def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedS
         positions=dict(zip(sheet.corners, pos)),
         crease_angles=dict(zip(sheet.creases, rho.tolist())),
         vertex_residuals=dict(zip(sheet.vertices, res.tolist())),
-        mesh=FoldedMesh(
-            tuple(map(tuple, pos.tolist())), tuple(map(tuple, plan.face_corners.tolist()))
-        ),
+        mesh=FoldedMesh(pos, tuple(map(tuple, plan.face_corners.tolist()))),
     )
 
 
@@ -675,10 +646,9 @@ def combined_vertex_multisets(cx: CwComplex) -> list[tuple[tuple, tuple]]:
     the crease vectors of the folded layer meshes, for checking that
     glued neighborhoods realize the generator together with its dual."""
     corner_index = {name: n for n, name in enumerate(cx.sheet.corners)}
-    points = [np.asarray(mesh.vertices) for mesh in cx.meshes]
 
     def sectors(layer: int, name: Name) -> tuple[float, ...]:
-        pts = points[layer]
+        pts = cx.meshes[layer].vertices
         ends = [next(n for n in key if n != name) for key in cx.sheet.vertices[name].creases]
         d = pts[[corner_index[n] for n in ends]] - pts[corner_index[name]]
         return tuple(sorted(_ray_angle(d[k - 1], d[k]) for k in range(4)))

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rigidori.embedding import (
     CombinedVertex,
@@ -18,6 +18,7 @@ from rigidori.embedding import (
     split_combined,
     synchronize,
 )
+from rigidori.embedding import _max_planarity
 from rigidori.closure import closure_residual
 from rigidori.errors import (
     InfeasibleDriverError,
@@ -314,7 +315,7 @@ def test_weld_joins_the_first_kept_vertex_only():
     # vertex, so it is kept even though its nearest point was welded
     a, b, c = (0.0, 0.0, 0.0), (0.6e-8, 0.0, 0.0), (1.2e-8, 0.0, 0.0)
     mesh = mesh_from_polygons([[a, b, c], [c, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]])
-    assert mesh.vertices == (a, c, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    assert mesh.vertices.tolist() == [list(a), list(c), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     assert mesh.faces == ((0, 0, 1), (1, 2, 3))
 
 
@@ -358,3 +359,112 @@ def test_mesh_validates_mixed_face_lengths():
     for bad in ((0, 1, -1), (0, 1, len(pts)), (0, 1), (0, 1, 2.5)):
         with pytest.raises(InputError):
             FoldedMesh(tuple(map(tuple, pts)), tuple(mixed) + (bad,))
+
+
+# ---------------------------------------------------------------------------
+# face planarity
+
+
+def _sigma_min(pts: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest singular values of a face's centered corners."""
+    s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    return float(s[-1]), float(s[0])
+
+
+def _planar_polygon(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Star-shaped m-gon in a random plane at a random offset and scale;
+    returns its corners, the plane normal and the scale."""
+    frame, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    ang = 2 * PI * (np.arange(m) + rng.uniform(-0.4, 0.4, m)) / m
+    r = rng.uniform(0.5, 1.0, m)
+    local = np.column_stack([r * np.cos(ang), r * np.sin(ang), np.zeros(m)])
+    return scale * (local @ frame.T + rng.uniform(-10, 10, 3)), frame[:, 2], scale
+
+
+def _measure(pts: np.ndarray) -> float:
+    return _max_planarity(pts[None])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 10), near=st.floats(-3, -1))
+def test_planarity_measure_is_never_below_sigma_min(seed, m, near):
+    # sigma_min from LAPACK is accurate to about eps * sigma_max, so the
+    # comparison is made where sigma_min >= 1e-3 sigma_max resolves it:
+    # random faces, and planar faces bent off their plane by 10**near
+    rng = np.random.default_rng(seed)
+    pts, normal, scale = _planar_polygon(rng, m)
+    bent = pts + (10.0**near * scale) * rng.normal(size=(m, 1)) * normal
+    for face in (rng.normal(size=(m, 3)) * rng.uniform(0.1, 10, 3), bent):
+        sigma, top = _sigma_min(face)
+        assume(sigma >= 1e-3 * top)
+        assert _measure(face) >= sigma * (1 - 1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 10), near=st.floats(-11, -7))
+def test_planarity_check_rejects_what_sigma_min_rejects(seed, m, near):
+    rng = np.random.default_rng(seed)
+    pts, normal, scale = _planar_polygon(rng, m)
+    # an exactly planar face measures at rounding level
+    assert _measure(pts) < 1e-12 * scale
+    # bent by about 10**near at unit scale: whenever sigma_min is over the
+    # threshold, so is the measure and the mesh is rejected
+    pts = pts / scale
+    bent = pts + 10.0**near * rng.normal(size=(m, 1)) * normal
+    faces = (tuple(range(m)),)
+    sigma, _ = _sigma_min(bent)
+    if sigma > 1e-9 * (1 + 1e-4):
+        with pytest.raises(MeshConsistencyError):
+            FoldedMesh(bent, faces)
+    FoldedMesh(pts, faces)
+
+
+def test_zero_newell_hexagon_is_judged_by_sigma_min():
+    # non-planar hexagon whose Newell vector is exactly zero: it has no
+    # normal, and a measure taken along a zero normal would be zero
+    hexagon = np.array(
+        [[1, -1, 1], [-2, 2, -1], [2, -2, 1], [0, 2, 1], [1, -2, 0], [-2, 1, -2]], dtype=float
+    )
+    assert not np.cross(hexagon, np.roll(hexagon, -1, axis=0)).sum(axis=0).any()
+    sigma, _ = _sigma_min(hexagon)
+    assert sigma > 0.3
+    assert _measure(hexagon) == pytest.approx(sigma, rel=1e-12)
+    with pytest.raises(MeshConsistencyError):
+        FoldedMesh(hexagon, (tuple(range(6)),))
+
+
+def test_collinear_quad_is_accepted():
+    # its Newell vector is rounding noise with no direction; sigma_min is
+    # at rounding level, as the face lies on a line
+    quad = np.array([0.5, 1.0, 2.5, 4.0])[:, None] * [0.3, -0.7, 0.2] + [0.1, -2.0, 3.0]
+    assert _measure(quad) < 1e-15
+    FoldedMesh(quad, ((0, 1, 2, 3),))
+
+
+# ---------------------------------------------------------------------------
+# mesh storage
+
+
+def test_mesh_from_tuples_holds_a_read_only_array():
+    triples = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0))
+    mesh = FoldedMesh(triples, ((0, 1, 2, 3),))
+    assert mesh.vertices.dtype == np.float64 and mesh.vertices.shape == (4, 3)
+    assert mesh == FoldedMesh(np.array(triples), ((0, 1, 2, 3),))
+    assert mesh != FoldedMesh(np.array(triples) + 1.0, ((0, 1, 2, 3),))
+    with pytest.raises(ValueError):
+        mesh.vertices[0, 0] = 1.0
+    source = np.array(triples)
+    copied = FoldedMesh(source, ((0, 1, 2, 3),))
+    source[0, 0] = 5.0  # the caller's array is neither frozen nor shared
+    assert copied.vertices[0, 0] == 0.0
+
+
+def test_transformed_layers_are_validated():
+    square = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0))
+    mesh = FoldedMesh(square, ((0, 1, 2, 3),))
+    moved = mesh.transformed(np.eye(3), np.array([1.0, 2.0, 3.0]))
+    assert moved.vertices.tolist()[0] == [1.0, 2.0, 3.0]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(MeshConsistencyError):
+            mesh.transformed(np.eye(3), np.array([0.0, bad, 0.0]))

@@ -6,7 +6,7 @@ import pytest
 
 from rigidori.errors import GluingError, InputError, RigidFoldabilityError
 from rigidori.flatfold import MODE_1, MODE_2, fold_mode
-from rigidori.numerics import DEFAULT_TOL
+from rigidori.numerics import DEFAULT_TOL, rotation_about_axis
 from rigidori.tessellation import (
     REGIME_2C1E,
     REGIME_3C,
@@ -77,7 +77,7 @@ def test_generator_must_be_flat_foldable_square_shape():
 
 def test_flat_and_flat_folded_limits(sheet22):
     m0 = fold_sheet(sheet22, 0.0)
-    assert np.ptp(m0.points()[:, 2]) < 1e-12
+    assert np.ptp(m0.vertices[:, 2]) < 1e-12
     fold_sheet(sheet22, PI)  # flat-folded limit builds
     cx = stack_complex(sheet22, 3, PI)
     assert cx.bbox[2] < 1e-9
@@ -224,7 +224,7 @@ def test_fold_scales_frozen_coefficients(planned_sheet):
 def test_placed_faces_keep_flat_lengths(planned_sheet):
     for rho in PLAN_DRIVERS:
         fs = _fold(planned_sheet, rho, DEFAULT_TOL)
-        pts = fs.mesh.points()
+        pts = fs.mesh.vertices
         for names, idx in zip(planned_sheet.faces, fs.mesh.faces):
             flat = np.array([planned_sheet.corners[n] for n in names])
             folded = pts[list(idx)]
@@ -246,7 +246,81 @@ def test_fold_plan_belongs_to_its_sheet(sheet22):
     shifted = {n: (x + 1.0, y) for n, (x, y) in sheet22.corners.items()}
     moved = dataclasses.replace(sheet22, corners=shifted)
     assert moved.fold_plan is not sheet22.fold_plan
-    a, b = fold_sheet(moved, 0.7).points(), fold_sheet(sheet22, 0.7).points()
+    a, b = fold_sheet(moved, 0.7).vertices, fold_sheet(sheet22, 0.7).vertices
     # folding commutes with translating the flat layout; a stale plan
     # would fold the old corners and leave the mesh where it was
     assert np.max(np.abs(a - b - [1.0, 0.0, 0.0])) < 1e-12
+
+
+def _depth_first_positions(sheet: SquareTwistSheet, major_rho: float) -> dict:
+    """Corner positions composed one face at a time down a depth-first
+    face tree from face 0: a child face moves by its parent's map after
+    turning by its crease's fold angle about the shared edge."""
+    flat = {n: np.array([x, y, 0.0]) for n, (x, y) in sheet.corners.items()}
+    coefs = sheet.mv_coefficients
+    if abs(major_rho) == PI:
+        rho = {k: math.copysign(PI, major_rho) * np.sign(c) for k, c in coefs.items()}
+    else:
+        rho = {k: 2.0 * math.atan(c * math.tan(0.5 * major_rho)) for k, c in coefs.items()}
+    edge_faces: dict[frozenset, list[int]] = {}
+    for fi, f in enumerate(sheet.faces):
+        for a, b in zip(f, f[1:] + f[:1]):
+            if frozenset((a, b)) in rho:
+                edge_faces.setdefault(frozenset((a, b)), []).append(fi)
+    maps = {0: (np.eye(3), np.zeros(3))}
+    stack = [0]
+    while stack:
+        fi = stack.pop()
+        R, t = maps[fi]
+        f = sheet.faces[fi]
+        for a, b in zip(f, f[1:] + f[:1]):
+            key = frozenset((a, b))
+            for fj in edge_faces.get(key, ()):
+                if fj not in maps:
+                    # the child lies right of a -> b: it turns by +rho about b -> a
+                    axis = (flat[a] - flat[b]) / np.linalg.norm(flat[a] - flat[b])
+                    Rh = rotation_about_axis(axis, rho[key]).matrix
+                    maps[fj] = (R @ Rh, R @ (flat[b] - Rh @ flat[b]) + t)
+                    stack.append(fj)
+    out = {}
+    for fi, f in enumerate(sheet.faces):
+        R, t = maps[fi]
+        for n in f:
+            out.setdefault(n, R @ flat[n] + t)
+    return out
+
+
+def test_level_placement_matches_depth_first_composition():
+    sheet = build_square_twist_sheet(GEN, 3, 4)
+    for rho in np.linspace(-PI, PI, 11).tolist():
+        ref = _depth_first_positions(sheet, rho)
+        fs = _fold(sheet, rho, DEFAULT_TOL)
+        assert fs.positions.keys() == ref.keys()
+        worst = max(np.max(np.abs(fs.positions[n] - p)) for n, p in ref.items())
+        assert worst < 1e-12, (rho, worst)
+
+
+def test_fold_plan_arrays_are_read_only(sheet22):
+    plan = sheet22.fold_plan
+    arrays = []
+    for value in vars(plan).values():
+        arrays += list(value) if isinstance(value, tuple) else [value]
+    assert len(plan.levels) > 1 and all(isinstance(a, np.ndarray) for a in arrays)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.flat[0] = a.flat[0]
+    # the levels partition the tree edges in traversal order, each parent
+    # placed by an earlier level
+    assert np.concatenate(plan.levels).tolist() == list(range(len(plan.tree_face)))
+    placed = {0}
+    for e in plan.levels:
+        assert set(plan.tree_parent[e].tolist()) <= placed
+        placed |= set(plan.tree_face[e].tolist())
+
+
+def test_folded_vertices_are_read_only(sheet22):
+    fs = _fold(sheet22, 0.7, DEFAULT_TOL)
+    with pytest.raises(ValueError):
+        fs.mesh.vertices[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        next(iter(fs.positions.values()))[0] = 1.0
