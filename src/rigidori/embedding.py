@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,14 +66,17 @@ class FoldedMesh:
     """Vertices and polygonal faces; non-manifold edge sharing permitted.
 
     ``vertices`` is a read-only (N, 3) float64 copy of the given points
-    (an array or a sequence of triples). Construction validates face
-    indices, finite coordinates and the planarity of every face of four
-    or more corners within 1e-9 (see _max_planarity). Meshes are equal
-    when their vertex values and faces are equal.
+    (an array or a sequence of triples). ``face_index`` holds the faces as
+    read-only index arrays, one per corner count, built from ``faces``
+    unless a caller that holds it for the same faces passes it. Construction
+    validates face indices, finite coordinates and the planarity of every
+    face of four or more corners within 1e-9 (see _max_planarity). Meshes
+    are equal when their vertex values and faces are equal.
     """
 
     vertices: np.ndarray
     faces: tuple[tuple[int, ...], ...]
+    face_index: dict[int, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         pts = np.array(self.vertices, dtype=float) if len(self.vertices) else np.empty((0, 3))
@@ -81,11 +84,15 @@ class FoldedMesh:
             raise InputError("vertices must be an (N, 3) array of points")
         pts.flags.writeable = False
         object.__setattr__(self, "vertices", pts)
+        if self.face_index is None:
+            by_len: dict[int, list[tuple[int, ...]]] = {}
+            for f in self.faces:
+                by_len.setdefault(len(f), []).append(f)
+            object.__setattr__(self, "face_index", {m: np.asarray(fs) for m, fs in by_len.items()})
+            for idx in self.face_index.values():
+                idx.flags.writeable = False
+        faces = self.face_index
         n = len(pts)
-        by_len: dict[int, list[tuple[int, ...]]] = {}
-        for f in self.faces:
-            by_len.setdefault(len(f), []).append(f)
-        faces = {m: np.asarray(fs) for m, fs in by_len.items()}
         if any(
             m < 3 or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n
             for m, idx in faces.items()
@@ -104,7 +111,7 @@ class FoldedMesh:
 
     def transformed(self, rotation: np.ndarray, translation=np.zeros(3)) -> "FoldedMesh":
         pts = self.vertices @ np.asarray(rotation, dtype=float).T + translation
-        return FoldedMesh(pts, self.faces)
+        return FoldedMesh(pts, self.faces, self.face_index)
 
 
 def _max_planarity(pts: np.ndarray) -> float:

@@ -27,14 +27,17 @@ modes and the closure oracle (see adjacent_origin_slopes and the tests).
 The uncorrected variant stays available behind ``corrected=False`` for
 comparison. The analytic relations alone admit spurious sign
 combinations, so every candidate state is certified against the closure
-loop, which is the only gate (see VertexKinematics.certified_candidates).
+loop, which is the only gate. The coefficients are fixed per vertex, so
+candidates are solved and certified for a whole driver array at once
+(VertexKinematics._candidate_table).
 
 Folding ranges are closed form: the adjacent relation is quadratic in
 each tangent with coefficients affine in s = t_d^2, so every driver at
 which a fold state appears, merges or flat-folds is a real root of a
 polynomial of degree <= 2 in s (VertexKinematics._breakpoints). Between
 neighbouring roots the branch's states vary continuously without a sign
-change, so one certified check per cell decides the range.
+change, so one certified check per cell decides the range; the checks
+of every branch share one table per driver crease (_cell_table).
 
 Both relations are invariant under a_i -> pi - a_i up to sign flips of one
 opposite crease pair, which is the elliptic-hyperbolic duality; see
@@ -45,6 +48,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 # oracle_solve is unused here, but bench/spans.py times it in every module that binds it
 from .closure import LoopEvaluator, oracle_solve  # noqa: F401
@@ -123,34 +129,39 @@ def _opposite_coefs(v: Vertex4, i: int) -> tuple[float, float, float, float]:
     )
 
 
-def _opposite_from(coefs: tuple[float, float, float, float], i: int, t_opp: float) -> float:
-    """opposite_t_squared from precomputed ``_opposite_coefs(v, i)``."""
+_NO_REAL_FOLD, _INDETERMINATE = 1, 2  # failure codes of _opposite_sq; 0 is solvable
+#: endpoint cause by the opposite relation's failure code just beyond the end
+_PROBE_CAUSES = ("closure_infeasible", "opposite_relation_negative", "degenerate_configuration")
+
+
+def _opposite_sq(coefs, t_opp: np.ndarray):
+    """opposite_t_squared from ``_opposite_coefs(v, i)`` over an array of
+    t_{i+2}: t_i^2 (0 where there is none), a failure code per entry and
+    the ratio behind it (NaN where the denominator vanishes)."""
     c_sum_in, c_dif_in, c_dif_op, c_sum_op = coefs
-    if math.isinf(t_opp):
-        num = -c_sum_in + c_dif_op
-        den = c_dif_in - c_dif_op
-    else:
-        s2 = t_opp * t_opp
-        num = -(1.0 + s2) * c_sum_in + s2 * c_dif_op + c_sum_op
-        den = (1.0 + s2) * c_dif_in - s2 * c_dif_op - c_sum_op
-    if abs(den) < _COEF_EPS:
-        if abs(num) < _COEF_EPS:
-            raise DegenerateConfigurationError(
-                f"opposite relation indeterminate (0/0) at crease {i}"
-            )
-        if num > 0:
-            return math.inf
-        raise NoRealFoldError(f"no real solution for t_{i}^2 at this driver")
-    ratio = num / den
-    if abs(ratio) < 1e-13:  # kill fp noise at exact zeros of the numerator
-        return 0.0
-    if ratio < 0.0:
-        if ratio > -_RATIO_ZERO_CLAMP:
-            return 0.0
-        raise NoRealFoldError(
-            f"no real solution for t_{i}^2 at this driver (ratio {ratio:.3e})"
-        )
-    return ratio
+    at_inf = np.isinf(t_opp)
+    t = np.where(at_inf, 0.0, t_opp)
+    s2 = t * t
+    num = np.where(at_inf, -c_sum_in + c_dif_op, -(1.0 + s2) * c_sum_in + s2 * c_dif_op + c_sum_op)
+    den = np.where(at_inf, c_dif_in - c_dif_op, (1.0 + s2) * c_dif_in - s2 * c_dif_op - c_sum_op)
+    vanishing = np.abs(den) < _COEF_EPS
+    ratio = np.where(vanishing, np.nan, num / np.where(vanishing, 1.0, den))
+    ratio = np.where(np.abs(ratio) < 1e-13, 0.0, ratio)  # fp noise at exact zeros of num
+    ratio = np.where((ratio < 0.0) & (ratio > -_RATIO_ZERO_CLAMP), 0.0, ratio)
+    code = np.where(ratio < 0.0, _NO_REAL_FOLD, 0)
+    if vanishing.any():
+        code[vanishing & (num <= 0)] = _NO_REAL_FOLD
+        code[vanishing & (np.abs(num) < _COEF_EPS)] = _INDETERMINATE
+    value = np.where(code != 0, 0.0, np.where(vanishing, np.inf, ratio))
+    return value, code, ratio
+
+
+def _opposite_error(i: int, code: int, ratio: float) -> Exception:
+    """The exception of a failure code of _opposite_sq at crease i."""
+    if code == _INDETERMINATE:
+        return DegenerateConfigurationError(f"opposite relation indeterminate (0/0) at crease {i}")
+    detail = "" if math.isnan(ratio) else f" (ratio {ratio:.3e})"
+    return NoRealFoldError(f"no real solution for t_{i}^2 at this driver{detail}")
 
 
 def opposite_t_squared(v: Vertex4, i: int, t_opp: float) -> float:
@@ -161,7 +172,10 @@ def opposite_t_squared(v: Vertex4, i: int, t_opp: float) -> float:
     NoRealFoldError when the ratio is negative (no real fold at this
     driver) and DegenerateConfigurationError on 0/0.
     """
-    return _opposite_from(_opposite_coefs(v, i), i, t_opp)
+    value, code, ratio = _opposite_sq(_opposite_coefs(v, i), np.array([float(t_opp)]))
+    if code[0]:
+        raise _opposite_error(i, code[0], ratio[0])
+    return float(value[0])
 
 
 def _adjacent_coefs(v: Vertex4, i: int) -> tuple[float, float, float, float, float, float]:
@@ -228,92 +242,135 @@ def adjacent_origin_slopes(
     return tuple(sorted((m1, m2)))
 
 
-def _solve_quadratic_candidates(qa: float, qb: float, qc: float) -> list[float] | None:
-    """Roots of qa x^2 + qb x + qc = 0 as fold-tangent candidates.
-
-    A vanishing leading coefficient means the projective root escaped to
-    infinity (the coupled crease flat-folds), so +-inf are returned as
-    candidates alongside any finite root. Returns None when the equation
-    is identically satisfied (unconstrained pair on a degenerate vertex).
+def _quadratic_roots(qa: np.ndarray, qb: np.ndarray, qc: np.ndarray):
+    """Roots of qa x^2 + qb x + qc = 0 as fold-tangent candidates,
+    elementwise: (roots, valid) of shape (..., 3), and the mask of
+    equations that hold identically (an unconstrained pair on a
+    degenerate vertex). A vanishing qa means the projective root escaped
+    to infinity (the coupled crease flat-folds): the slots hold the
+    linear root, if any, then +-inf. Otherwise they hold both roots, the
+    second dropped within 1e-12 (relative) of the first; a discriminant
+    within 1e-12 scale^2 of 0, or above -1e-10 scale^2, is a double root.
     """
-    scale = max(abs(qa), abs(qb), abs(qc), 1e-3)
-    if abs(qa) < _COEF_EPS * scale:
-        if abs(qb) < _COEF_EPS * scale:
-            if abs(qc) < _COEF_EPS * scale:
-                return None
-            return [math.inf, -math.inf]
-        return [-qc / qb, math.inf, -math.inf]
+    aqa, aqb, aqc = np.abs(qa), np.abs(qb), np.abs(qc)
+    scale = np.maximum(np.maximum(aqa, aqb), np.maximum(aqc, 1e-3))
+    tiny = _COEF_EPS * scale
+    linear = aqa < tiny
+    constant = linear & (aqb < tiny)
+    free = constant & (aqc < tiny)
     disc = qb * qb - 4.0 * qa * qc
-    if abs(disc) < 1e-12 * scale * scale:  # double root, +- fp noise
-        disc = 0.0
-    if disc < 0.0:
-        if disc > -1e-10 * scale * scale:
-            disc = 0.0
-        else:
-            return []
-    r = math.sqrt(disc)
-    q = -0.5 * (qb + r) if qb >= 0 else -0.5 * (qb - r)
-    roots = [q / qa]
-    roots.append(qc / q if abs(q) > 0 else roots[0])
-    out: list[float] = []
-    for x in roots:
-        if not any(abs(x - y) <= 1e-12 * max(1.0, abs(x)) for y in out):
-            out.append(x)
-    return out
+    double = (np.abs(disc) < 1e-12 * scale * scale) | (disc < 0) & (disc > -1e-10 * scale * scale)
+    disc = np.where(double, 0.0, disc)
+    real = ~linear & (disc >= 0.0)
+    r = np.sqrt(np.where(real, disc, 0.0))
+    q = np.where(qb >= 0, -0.5 * (qb + r), -0.5 * (qb - r))
+    # a denominator is replaced by 1 where its quotient is not used; a
+    # tiny one gives an infinite root, as in scalar arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = np.where(linear, -qc / np.where(linear & ~constant, qb, 1.0), q / np.where(linear, 1.0, qa))
+        second = np.where(q != 0, qc / np.where(q != 0, q, 1.0), first)
+        distinct = ~(np.abs(second - first) <= 1e-12 * np.maximum(1.0, np.abs(second)))
+    roots = np.stack(np.broadcast_arrays(first, np.where(linear, np.inf, second), -np.inf), -1)
+    flat = linear & ~free  # +-inf are candidates
+    valid = np.stack([real | linear & ~constant, real & distinct | flat, flat], -1)
+    return roots, valid, free
 
 
-def _adjacent_roots(
-    coefs: tuple[float, float, float, float, float, float],
-    t_known: float,
-    known_is_next: bool = False,
-) -> list[float] | None:
-    """Candidates for t_{i+1} given t_i = t_known (or for t_i given
-    t_{i+1} = t_known when ``known_is_next``: the relation is symmetric
-    under t_i <-> t_{i+1} with c1 <-> c2) from the corrected adjacent
-    relation; infinite t_known via the leading-coefficient limit."""
+def _swapped(coefs):
+    """Adjacent coefficients with c1 <-> c2, which swaps t_i and t_{i+1}."""
     cA, c1, c2, c3, c4, c5 = coefs
-    if known_is_next:
-        c1, c2 = c2, c1
-    if math.isinf(t_known):
-        qa, qb, qc = cA - c3, 0.0, cA - c2
-    else:
-        s2 = t_known * t_known
-        qa = cA * (1.0 + s2) - c1 - c3 * s2
-        qb = -c5 * t_known
-        qc = cA * (1.0 + s2) - c2 * s2 - c4
-    return _solve_quadratic_candidates(qa, qb, qc)
+    return cA, c2, c1, c3, c4, c5
+
+
+def _adjacent_roots(coefs, t_known: np.ndarray, known_is_next: bool = False):
+    """_quadratic_roots for t_{i+1} given t_i = t_known, elementwise (for
+    t_i given t_{i+1} = t_known when ``known_is_next``) from the corrected
+    adjacent relation; infinite t_known via the leading-coefficient limit.
+    The coefficients may be arrays that broadcast against t_known."""
+    cA, c1, c2, c3, c4, c5 = _swapped(coefs) if known_is_next else coefs
+    at_inf = np.isinf(t_known)
+    t = np.where(at_inf, 0.0, t_known)
+    s2 = t * t
+    qa = np.where(at_inf, cA - c3, cA * (1.0 + s2) - c1 - c3 * s2)
+    qb = np.where(at_inf, 0.0, -c5 * t)
+    qc = np.where(at_inf, cA - c2, cA * (1.0 + s2) - c2 * s2 - c4)
+    return _quadratic_roots(qa, qb, qc)
 
 
 # ---------------------------------------------------------------------------
-# state assembly and certification
+# candidate tables
 
 
-def _dedupe_states(states: list[FoldState]) -> list[FoldState]:
-    ordered = sorted(states, key=lambda s: s.rhos)
-    out: list[FoldState] = []
-    for s in ordered:
-        if not any(
-            max(abs(a - b) for a, b in zip(s.rhos, kept.rhos)) < 1e-9 for kept in out
-        ):
-            out.append(s)
-    return out
+def _rho_to_t(rho: np.ndarray) -> np.ndarray:
+    """tan(rho / 2) elementwise; +-inf at rho = +-pi."""
+    return np.where(np.abs(np.abs(rho) - math.pi) < 1e-15, np.copysign(np.inf, rho), np.tan(0.5 * rho))
 
 
-def _t_to_rho(t: float) -> float:
-    return 2.0 * math.atan(t)  # atan(+-inf) = +-pi/2, so +-pi comes out exact
+def _pair_signs(ta: np.ndarray, tb: np.ndarray, eps: float = _SIGN_EPS) -> np.ndarray:
+    """_pair_sign elementwise."""
+    small = (np.abs(ta) <= eps) | (np.abs(tb) <= eps)
+    return np.where(small, 0, np.where((ta > 0) == (tb > 0), 1, -1))
 
 
-def _rho_to_t(rho: float) -> float:
-    if abs(abs(rho) - math.pi) < 1e-15:
-        return math.copysign(math.inf, rho)
-    return math.tan(0.5 * rho)
+class _CandidateTable(NamedTuple):
+    """The candidate states of one driver crease at n drivers; read-only.
+
+    ``rhos`` is (n, 18, 4): both signs of the opposite crease times three
+    root slots of each adjacent relation. ``closes`` marks the rows that
+    pass closure, ``order`` lists them (flat row indices) by driver, then
+    in rhos order, ``kept`` drops each one within 1e-9 of an earlier kept
+    one, ``signs`` holds the pair signs of (t1, t3) and (t2, t4), and
+    ``error`` and ``ratio`` the opposite relation's failure per driver.
+    """
+
+    drivers: np.ndarray
+    rhos: np.ndarray
+    closes: np.ndarray
+    kept: np.ndarray
+    signs: np.ndarray
+    order: np.ndarray
+    error: np.ndarray
+    ratio: np.ndarray
+    crease: int  # the opposite crease's number in error messages
+
+    def check(self, j: int) -> None:
+        """Raise the opposite relation's failure at driver j, if any."""
+        if self.error[j]:
+            raise _opposite_error(self.crease, self.error[j], self.ratio[j])
+
+    def rows(self, branch: BranchLabel | None = None) -> list[list[list[float]]]:
+        """Per driver, the kept rows on ``branch`` (any branch when None),
+        in rhos order; degenerate pair signs act as wildcards."""
+        on = self.kept
+        if branch is not None:
+            want = (branch.opposite_sign_1, branch.opposite_sign_2)
+            on = on & ((self.signs == 0) | (self.signs == want)).all(axis=-1)
+        rows = self.order[on.ravel()[self.order]]
+        flat = self.rhos.reshape(-1, 4)[rows].tolist()
+        ends = np.cumsum(np.bincount(rows // 18, minlength=len(self.drivers))).tolist()
+        return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
+class _CellTable(NamedTuple):
+    """The driver-only part of one crease's folding ranges: breakpoints, a
+    table at the cell midpoints, the breakpoints and the join probes b -+ eps
+    of each inner breakpoint b, and each breakpoint's endpoint-cause probe."""
+
+    breakpoints: tuple[float, ...]
+    table: _CandidateTable
+    probe_codes: tuple[int, ...]
 
 
 class VertexKinematics:
     """Per-vertex solver context: the loop evaluator and the relation
-    coefficients, computed once, plus candidate enumeration,
-    branch-resolved solving, range detection, and curve tracing.
-    Stateless between calls; safe to share read-only."""
+    coefficients, computed once, plus candidate enumeration, solving,
+    range detection and curve tracing. It keeps one read-only cell table
+    per driver crease, built on first use; a race there builds it twice."""
+
+    #: per-step continuation jump cap (rad, max componentwise); a curve
+    #: hitting a flat-folded corner of [-pi, pi]^4 only "continues" by a
+    #: coordinate teleport of ~2*pi, which this rejects
+    _JUMP_CAP = 1.5
 
     def __init__(self, v: Vertex4, tol: Tolerances = DEFAULT_TOL):
         self.vertex = v
@@ -321,70 +378,84 @@ class VertexKinematics:
         self.loop = LoopEvaluator(v)
         self._opp = [_opposite_coefs(v, i) for i in (1, 2, 3, 4)]
         self._adj = [_adjacent_coefs(v, i) for i in (1, 2, 3, 4)]
-
-    def _opposite(self, i: int, t_opp: float) -> float:
-        """opposite_t_squared(self.vertex, i, t_opp) from the table."""
-        return _opposite_from(self._opp[(i - 1) % 4], i, t_opp)
+        self._cells: dict[int, _CellTable] = {}
 
     # -- candidate enumeration ------------------------------------------
 
-    def certified_candidates(self, driver_index: int, driver: float) -> list[FoldState]:
-        """All closure-certified states with the given driver angle.
-
-        The opposite crease takes both signs of the opposite relation,
-        and each crease beside the driver takes the roots of its corrected
-        adjacent relation with the driver. The closure loop is the only
-        gate: every candidate is certified against residual_tol in one
-        batched evaluation.
-        """
+    def _candidate_table(self, driver_index: int, drivers) -> _CandidateTable:
+        """The candidate states at every given driver, in one batch: the
+        opposite crease takes both signs of the opposite relation, each
+        crease beside the driver the roots of its corrected adjacent
+        relation with the driver. The closure loop is the only gate: all
+        rows are certified against residual_tol in one evaluation."""
         d = (driver_index - 1) % 4
-        t_d = _rho_to_t(driver)
+        drv = np.array(drivers, dtype=float)
+        n = len(drv)
+        t_d = _rho_to_t(drv)
+        m_sq, error, ratio = _opposite_sq(self._opp[(d + 2) % 4], t_d)
+        m = np.sqrt(m_sq)  # the crease opposite the driver, up to sign
+        t_opp = np.stack([m, -m], axis=1)
+        opp_ok = np.stack([error == 0, (error == 0) & (m != 0)], axis=1)
+        # the next and the far crease at once; a pair unconstrained on a
+        # degenerate vertex falls back to its relation with the opposite one
+        adj = self._adj
+        beside = np.array([adj[d], _swapped(adj[(d + 3) % 4])]).T[..., None]
+        roots, ok, free = _adjacent_roots(beside, t_d)
+        roots, ok = roots[:, :, None], ok[:, :, None]  # (side, n, 1, 3)
+        if free.any():
+            fallback = np.array([_swapped(adj[(d + 1) % 4]), adj[(d + 2) % 4]]).T[..., None, None]
+            alt, alt_ok, _ = _adjacent_roots(fallback, t_opp)
+            roots = np.where(free[:, :, None, None], alt, roots)
+            ok = np.where(free[:, :, None, None], alt_ok, ok)
+        (nxt, far), (nxt_ok, far_ok) = roots, ok
 
-        m_opp = math.sqrt(self._opposite(d + 3, t_d))  # crease opposite the driver
-        next_roots = _adjacent_roots(self._adj[d], t_d)
-        far_roots = _adjacent_roots(self._adj[(d + 3) % 4], t_d, known_is_next=True)
-        rows: list[tuple[float, ...]] = []
-        for t_opp in [m_opp, -m_opp] if m_opp else [m_opp]:
-            # a pair unconstrained on a degenerate vertex falls back to its
-            # adjacent relation with the opposite crease
-            nexts = next_roots
-            if nexts is None:
-                nexts = _adjacent_roots(self._adj[(d + 1) % 4], t_opp, known_is_next=True)
-            fars = far_roots
-            if fars is None:
-                fars = _adjacent_roots(self._adj[(d + 2) % 4], t_opp)
-            for t_next in nexts or ():
-                for t_far in fars or ():
-                    t = [0.0] * 4
-                    t[d] = t_d
-                    t[(d + 1) % 4] = t_next
-                    t[(d + 2) % 4] = t_opp
-                    t[(d + 3) % 4] = t_far
-                    rows.append(tuple(_t_to_rho(0.0 if abs(x) < 1e-12 else x) for x in t))
-        if not rows:
-            return []
-        closes = self.loop.residuals(rows) < self.tol.residual_tol
-        return _dedupe_states([FoldState(r) for r, ok in zip(rows, closes) if ok])
+        # rows (n, opposite sign, next root, far root, crease)
+        t = np.empty((n, 2, 3, 3, 4))
+        t[..., d] = t_d[:, None, None, None]
+        t[..., (d + 1) % 4] = nxt[:, :, :, None]
+        t[..., (d + 2) % 4] = t_opp[:, :, None, None]
+        t[..., (d + 3) % 4] = far[:, :, None, :]
+        t = np.where(np.abs(t) < 1e-12, 0.0, t).reshape(n * 18, 4)
+        valid = (opp_ok[:, :, None, None] & nxt_ok[:, :, :, None] & far_ok[:, :, None, :]).ravel()
+        rhos = 2.0 * np.arctan(t)  # atan(+-inf) = +-pi/2, so +-pi comes out exact
+        closes = np.zeros(n * 18, dtype=bool)
+        if valid.any():
+            closes[valid] = self.loop.residuals(rhos[valid]) < self.tol.residual_tol
+        signs = _pair_signs(t[:, :2], t[:, 2:])
+
+        # the closing rows by driver, then in rhos order; each is kept
+        # unless it lies within 1e-9 of an earlier kept one of its driver
+        order = np.flatnonzero(closes)
+        r0, r1, r2, r3 = rhos[order].T
+        order = order[np.lexsort((r3, r2, r1, r0, order // 18))]
+        owner, ranked, kept = order // 18, rhos[order], closes.copy()
+        lags = range(1, int(np.bincount(owner).max(initial=0)))
+        near = np.zeros((len(lags) + 1, len(order)), dtype=bool)  # [lag, k]: k near k - lag
+        for lag in lags:
+            near[lag, lag:] = owner[lag:] == owner[:-lag]
+            near[lag, lag:] &= np.abs(ranked[lag:] - ranked[:-lag]).max(axis=1) < 1e-9
+        for k in np.flatnonzero(near.any(axis=0)).tolist():
+            kept[order[k]] = not any(near[lag, k] and kept[order[k - lag]] for lag in lags)
+        rhos, closes, kept = rhos.reshape(n, 18, 4), closes.reshape(n, 18), kept.reshape(n, 18)
+        signs = signs.reshape(n, 18, 2)
+        for arr in (drv, rhos, closes, kept, signs, order, error, ratio):
+            arr.flags.writeable = False
+        return _CandidateTable(drv, rhos, closes, kept, signs, order, error, ratio, d + 3)
+
+    def certified_candidates(self, driver_index: int, driver: float) -> list[FoldState]:
+        """All closure-certified states with the given driver angle, in
+        rhos order: the one-driver case of _candidate_table."""
+        table = self._candidate_table(driver_index, [driver])
+        table.check(0)
+        return [FoldState(r) for r in table.rows()[0]]
 
     # -- solving ----------------------------------------------------------
 
     def solve_state(self, driver_index: int, driver: float, branch: BranchLabel) -> FoldState:
         if not -math.pi <= driver <= math.pi:
             raise InputError("driver must lie in [-pi, pi]")
-        try:
-            candidates = self.certified_candidates(driver_index, driver)
-        except NoRealFoldError as exc:
-            raise InfeasibleDriverError(str(exc)) from exc
-        if not candidates:
-            raise BranchNotRealizableError(
-                f"no sign assignment passes closure at driver {driver:.6g}"
-            )
-        matching = [s for s in candidates if branch.matches(s)]
-        if not matching:
-            raise BranchNotRealizableError(
-                f"branch {branch} not realizable at driver {driver:.6g}"
-            )
-        return min(matching, key=lambda s: s.rhos)
+        table = self._candidate_table(driver_index, [driver])
+        return FoldState(_least_on_branch(table, 0, table.rows(branch)[0], branch))
 
     # -- folding range ----------------------------------------------------
 
@@ -401,10 +472,8 @@ class VertexKinematics:
         relation's numerator and denominator add nothing.
         """
         polys = []
-        for coefs, driver_is_next in ((self._adj[d], False), (self._adj[(d + 3) % 4], True)):
+        for coefs in (self._adj[d], _swapped(self._adj[(d + 3) % 4])):
             cA, c1, c2, c3, c4, c5 = coefs
-            if driver_is_next:
-                c1, c2 = c2, c1
             a0, a1 = cA - c1, cA - c3  # qa = a0 + a1 s
             q0, q1 = cA - c4, cA - c2  # qc = q0 + q1 s
             polys += [
@@ -412,27 +481,28 @@ class VertexKinematics:
                 (q0, q1, 0.0),
                 (-4.0 * a0 * q0, c5 * c5 - 4.0 * (a0 * q1 + a1 * q0), -4.0 * a1 * q1),
             ]
+        p0, p1, p2 = np.array(polys).T
+        roots, valid, _ = _quadratic_roots(p2, p1, p0)
         out = [0.0, math.pi, -math.pi]
-        for p0, p1, p2 in polys:
-            for s in _solve_quadratic_candidates(p2, p1, p0) or ():
-                if not math.isfinite(s) or s < -1e-12:
-                    continue
-                b = 2.0 * math.atan(math.sqrt(s)) if s >= 1e-12 else 0.0
-                for x in (b, -b):
-                    if all(abs(x - y) > 1e-9 for y in out):
-                        out.append(x)
+        for s in roots[valid].tolist():
+            if not math.isfinite(s) or s < -1e-12:
+                continue
+            b = 2.0 * math.atan(math.sqrt(s)) if s >= 1e-12 else 0.0
+            for x in (b, -b):
+                if all(abs(x - y) > 1e-9 for y in out):
+                    out.append(x)
         return sorted(out)
 
-    def _branch_states(
-        self, driver_index: int, driver: float, branch: BranchLabel | None
-    ) -> list[FoldState]:
-        """Certified states at ``driver`` on ``branch`` (any branch when
-        None); empty where no real fold exists."""
-        try:
-            cands = self.certified_candidates(driver_index, driver)
-        except (NoRealFoldError, DegenerateConfigurationError):
-            return []
-        return [s for s in cands if branch is None or branch.matches(s)]
+    def _cell_table(self, driver_index: int) -> _CellTable:
+        d = (driver_index - 1) % 4
+        if d not in self._cells:
+            bps = self._breakpoints(d)
+            mids = [0.5 * (lo + hi) for lo, hi in zip(bps, bps[1:])]
+            inner = [(b, min(1e-6, 0.25 * (b - a), 0.25 * (c - b))) for a, b, c in zip(bps, bps[1:], bps[2:])]
+            probes = [b - e for b, e in inner] + [b + e for b, e in inner]
+            table = self._candidate_table(driver_index, mids + bps + probes)
+            self._cells[d] = _CellTable(tuple(bps), table, tuple(self._probe_codes(d, bps)))
+        return self._cells[d]
 
     def folding_range(self, driver_index: int, branch: BranchLabel) -> "FoldingRange":
         """Maximal driver intervals of the branch, from an exact cell
@@ -444,26 +514,26 @@ class VertexKinematics:
         continuity rule of solve_near; runs shorter than 1e-6 are isolated
         degenerate points. Each endpoint is the breakpoint itself, or the
         nearest point at most 1e-6 inside it, that has a certified state.
+        Only the branch filter is done per call; the rest is the cell table.
         """
-        bps = self._breakpoints((driver_index - 1) % 4)
-        cells = list(zip(bps, bps[1:]))
+        cells = self._cell_table(driver_index)
+        bps = cells.breakpoints
+        nc = len(bps) - 1
+        rows = cells.table.rows(branch)
+        mid, at, before, after = rows[:nc], rows[nc : 2 * nc + 1], rows[2 * nc + 1 : 3 * nc], rows[3 * nc :]
         runs: list[list[int]] = []  # [first, last] member cell per run
-        for k, (lo, hi) in enumerate(cells):
-            if not self._branch_states(driver_index, 0.5 * (lo + hi), branch):
-                continue
-            follows_run = runs and runs[-1][1] == k - 1
-            if follows_run and self._joins(driver_index, branch, cells[k - 1], cells[k]):
+        for k in (k for k in range(nc) if mid[k]):
+            if runs and runs[-1][1] == k - 1 and self._joins(before[k - 1], after[k - 1]):
                 runs[-1][1] = k
             else:
                 runs.append([k, k])
-        intervals: list[tuple[float, float]] = []
-        causes: list[tuple[str, str]] = []
+        intervals, causes = [], []
         for first, last in runs:
-            lo, hi = cells[first][0], cells[last][1]
+            lo, hi = bps[first], bps[last + 1]
             if hi - lo < 1e-6:  # isolated degenerate point, not a branch arc
                 continue
-            lo, cause_lo = self._endpoint(driver_index, branch, cells[first], +1.0)
-            hi, cause_hi = self._endpoint(driver_index, branch, cells[last], -1.0)
+            lo, cause_lo = self._endpoint(driver_index, branch, cells, first, +1.0, at[first])
+            hi, cause_hi = self._endpoint(driver_index, branch, cells, last, -1.0, at[last + 1])
             intervals.append((lo, hi))
             causes.append((cause_lo, cause_hi))
         diagnostic = ""
@@ -472,37 +542,38 @@ class VertexKinematics:
             diagnostic = f"{what} on this branch at any driver"
         return FoldingRange(tuple(intervals), tuple(causes), diagnostic)
 
-    def _joins(self, driver_index, branch, left, right) -> bool:
-        """Whether branch states continue across the breakpoint between
-        two neighbouring member cells."""
-        b = left[1]
-        eps = min(1e-6, 0.25 * (left[1] - left[0]), 0.25 * (right[1] - right[0]))
-        before = self._branch_states(driver_index, b - eps, branch)
-        after = self._branch_states(driver_index, b + eps, branch)
+    def _joins(self, before, after) -> bool:
+        """Whether branch states just either side of a breakpoint continue."""
         return any(
-            max(abs(x - y) for x, y in zip(s.rhos, t.rhos)) <= self._JUMP_CAP
-            for s in before
-            for t in after
+            max(abs(x - y) for x, y in zip(s, t)) <= self._JUMP_CAP for s in before for t in after
         )
 
-    def _endpoint(self, driver_index, branch, cell, inward) -> tuple[float, str]:
+    def _endpoint(self, driver_index, branch, cells, k, inward, states) -> tuple[float, str]:
         """The first driver with a certified branch state among the end
-        cell's breakpoint and the points 1e-12, 1e-11, ..., 1e-6 inside
+        cell k's breakpoint and the points 1e-12, 1e-11, ..., 1e-6 inside
         it, falling back to the cell midpoint, which has one; and its
-        endpoint cause."""
-        lo, hi = cell
-        root = lo if inward > 0 else hi
-        for off in (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 0.5 * (hi - lo)):
-            drv = root + inward * off
-            states = self._branch_states(driver_index, drv, branch)
-            if states:
-                break
-        return drv, self._endpoint_cause(driver_index, drv, states[0])
+        endpoint cause. ``states`` are the branch states at the breakpoint."""
+        lo, hi = cells.breakpoints[k : k + 2]
+        b = k if inward > 0 else k + 1
+        drv, code = cells.breakpoints[b], cells.probe_codes[b]
+        if not states:
+            offsets = (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 0.5 * (hi - lo))
+            drivers = [drv + inward * off for off in offsets]
+            for drv, states in zip(drivers, self._candidate_table(driver_index, drivers).rows(branch)):
+                if states:
+                    break
+            code = self._probe_codes((driver_index - 1) % 4, [drv])[0]
+        # sqrt-type corner approaches reach |rho| = pi - O(sqrt(solver_tol))
+        flat = any(abs(abs(r) - math.pi) < 1e-4 for r in states[0])
+        return drv, "flat_folded_crease" if flat else _PROBE_CAUSES[code]
 
-    #: per-step continuation jump cap (rad, max componentwise); a curve
-    #: hitting a flat-folded corner of [-pi, pi]^4 only "continues" by a
-    #: coordinate teleport of ~2*pi, which this rejects
-    _JUMP_CAP = 1.5
+    def _probe_codes(self, d: int, drivers) -> list[int]:
+        """The opposite relation's failure code just beyond each driver of
+        crease d (0-based), away from driver 0: the endpoint-cause probe."""
+        drv = np.array(drivers, dtype=float)
+        eps = max(10.0 * self.tol.solver_tol, 1e-10)
+        probe = np.clip(drv + np.copysign(eps, np.where(drv != 0, drv, 1.0)), -math.pi, math.pi)
+        return _opposite_sq(self._opp[(d + 2) % 4], _rho_to_t(probe))[1].tolist()
 
     def solve_near(
         self,
@@ -512,42 +583,22 @@ class VertexKinematics:
         branch: BranchLabel | None = None,
     ) -> FoldState | None:
         """One continuation step: the certified state at ``driver`` nearest
-        to ``prev``, ties broken toward the previous sign vector. States
-        off ``branch`` or more than _JUMP_CAP away are rejected; None when
-        nothing is left."""
-        cands = [
-            s
-            for s in self._branch_states(driver_index, driver, branch)
-            if max(abs(a - b) for a, b in zip(s.rhos, prev.rhos)) <= self._JUMP_CAP
-        ]
-        if not cands:
-            return None
+        to ``prev`` (see _nearest); None when there is none."""
+        rows = self._candidate_table(driver_index, [driver]).rows(branch)[0]
+        state = self._nearest(rows, prev.rhos)
+        return None if state is None else FoldState(state)
 
-        def key(s: FoldState):
-            dist = sum((a - b) ** 2 for a, b in zip(s.rhos, prev.rhos))
-            sign_mismatch = sum(
-                1
-                for a, b in zip(s.rhos, prev.rhos)
-                if abs(a) > 1e-9 and abs(b) > 1e-9 and (a > 0) != (b > 0)
-            )
-            return (dist, sign_mismatch, s.rhos)
+    def _nearest(self, cands, prev):
+        """The candidate row nearest to the row ``prev``, ties broken toward
+        the previous sign vector, then by rhos; rows more than _JUMP_CAP
+        away are rejected, and None is returned when nothing is left."""
+        def key(s):
+            dist = sum((a - b) ** 2 for a, b in zip(s, prev))
+            flips = sum(1 for a, b in zip(s, prev) if abs(a) > 1e-9 and abs(b) > 1e-9 and (a > 0) != (b > 0))
+            return (dist, flips, s)
 
-        return min(cands, key=key)
-
-    def _endpoint_cause(self, driver_index: int, drv: float, state: FoldState) -> str:
-        # sqrt-type corner approaches reach |rho| = pi - O(sqrt(solver_tol))
-        if any(abs(abs(r) - math.pi) < 1e-4 for r in state.rhos):
-            return "flat_folded_crease"
-        eps = max(10.0 * self.tol.solver_tol, 1e-10)
-        probe = drv + math.copysign(eps, drv if drv != 0 else 1.0)
-        try:
-            t_probe = _rho_to_t(max(-math.pi, min(math.pi, probe)))
-            self._opposite(driver_index + 2, t_probe)
-        except NoRealFoldError:
-            return "opposite_relation_negative"
-        except DegenerateConfigurationError:
-            return "degenerate_configuration"
-        return "closure_infeasible"
+        near = (s for s in cands if max(abs(a - b) for a, b in zip(s, prev)) <= self._JUMP_CAP)
+        return min(near, key=key, default=None)
 
     # -- tracing ----------------------------------------------------------
 
@@ -565,20 +616,22 @@ class VertexKinematics:
         span = hi - lo
         n = max(n_samples, int(math.ceil(span / self.tol.trace_step_max)) + 1)
         drivers = [lo + span * k / (n - 1) for k in range(n)]
+        table = self._candidate_table(driver_index, drivers)
+        rows = table.rows(branch)
 
         # start from the interval interior: the endpoints are typically
         # flat-folded corner states whose coordinate representative is
         # ambiguous cold but unambiguous when approached with continuity
         start_idx = n // 2
-        states: list[FoldState | None] = [None] * n
-        states[start_idx] = self.solve_state(driver_index, drivers[start_idx], branch)
+        states: list[list[float] | None] = [None] * n
+        states[start_idx] = _least_on_branch(table, start_idx, rows[start_idx], branch)
 
         def march(indices):
             state = states[start_idx]
             prev_drv = drivers[start_idx]
             for idx in indices:
                 drv = drivers[idx]
-                nxt = self.solve_near(driver_index, drv, state, branch)
+                nxt = self._nearest(rows[idx], state)
                 if nxt is None:
                     nxt = self._refine_step(driver_index, branch, prev_drv, state, drv)
                 if nxt is None:
@@ -591,49 +644,55 @@ class VertexKinematics:
 
         march(range(start_idx + 1, n))
         march(range(start_idx - 1, -1, -1))
-        samples = [s for s in states if s is not None]
-        return self._make_curve(driver_index, branch, drivers, samples)
+        return self._make_curve(driver_index, branch, drivers, states)
 
     def _refine_step(self, driver_index, branch, prev_drv, state, drv):
-        """Approach a failing sample through geometrically finer sub-steps."""
+        """Approach a failing sample through finer sub-steps, one table per depth."""
         for depth in range(1, 7):
             sub = 2**depth
+            mids = [prev_drv + (drv - prev_drv) * j / sub for j in range(1, sub + 1)]
             approached = state
-            ok = True
-            for j in range(1, sub + 1):
-                mid = prev_drv + (drv - prev_drv) * j / sub
-                step_state = self.solve_near(driver_index, mid, approached, branch)
-                if step_state is None:
-                    ok = False
+            for rows in self._candidate_table(driver_index, mids).rows(branch):
+                approached = self._nearest(rows, approached)
+                if approached is None:
                     break
-                approached = step_state
-            if ok:
+            else:
                 return approached
         return None
 
     def _partial(self, driver_index, branch, drivers, states):
         pairs = [(d, s) for d, s in zip(drivers, states) if s is not None]
-        if not pairs:
-            return None
-        drv = [p[0] for p in pairs]
-        smp = [p[1] for p in pairs]
         try:
-            return self._make_curve(driver_index, branch, drv, smp)
+            return self._make_curve(driver_index, branch, *zip(*pairs)) if pairs else None
         except InputError:
             return None
 
-    def _make_curve(self, driver_index, branch, drivers, samples):
-        """The curve through ``samples``, their residuals from one batch."""
-        residuals = self.loop.residuals([s.rhos for s in samples])
+    def _make_curve(self, driver_index, branch, drivers, rows):
+        """The curve through the sample ``rows``, residuals from one batch."""
+        residuals = self.loop.residuals(rows)
         return ConfigCurve(
             vertex=self.vertex,
             branch=branch,
             driver_index=driver_index,
             drivers=tuple(drivers),
-            samples=tuple(samples),
+            samples=tuple(FoldState(r) for r in rows),
             residuals=tuple(residuals.tolist()),
             tol=self.tol,
         )
+
+
+def _least_on_branch(table: _CandidateTable, j: int, states, branch: BranchLabel):
+    """solve_state's pick at driver j: the first of the branch ``states``."""
+    try:
+        table.check(j)
+    except NoRealFoldError as exc:
+        raise InfeasibleDriverError(str(exc)) from exc
+    driver = float(table.drivers[j])
+    if not table.kept[j].any():
+        raise BranchNotRealizableError(f"no sign assignment passes closure at driver {driver:.6g}")
+    if not states:
+        raise BranchNotRealizableError(f"branch {branch} not realizable at driver {driver:.6g}")
+    return states[0]
 
 
 @dataclass(frozen=True)
@@ -708,9 +767,10 @@ def trace_curve(
     n_samples: int,
     tol: Tolerances = DEFAULT_TOL,
 ) -> ConfigCurve:
-    """Monotone driver sweep across the folding range with adaptive steps
-    capped at trace_step_max; every sample closure-certified. n_samples is
-    a lower bound on the sample count."""
+    """Monotone driver sweep across the longest interval of the folding
+    range in uniform steps of at most trace_step_max, a failed step being
+    retried through finer sub-steps; every sample closure-certified.
+    n_samples is a lower bound on the sample count."""
     return VertexKinematics(v, tol).trace_curve(driver_index, branch, n_samples)
 
 

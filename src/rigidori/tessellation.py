@@ -123,6 +123,11 @@ class SquareTwistSheet:
         gets a plan of its own."""
         return _fold_plan(self)
 
+    @functools.cached_property
+    def _mesh_faces(self) -> tuple[tuple[int, ...], ...]:
+        """The faces of every folded mesh: the plan's face corners as tuples."""
+        return tuple(map(tuple, self.fold_plan.face_corners.tolist()))
+
     @property
     def mv_assignment(self) -> dict[frozenset, str]:
         """Mountain/valley letter per crease at positive driver angles."""
@@ -459,7 +464,7 @@ def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedS
         positions=dict(zip(sheet.corners, pos)),
         crease_angles=dict(zip(sheet.creases, rho.tolist())),
         vertex_residuals=dict(zip(sheet.vertices, res.tolist())),
-        mesh=FoldedMesh(pos, tuple(map(tuple, plan.face_corners.tolist()))),
+        mesh=FoldedMesh(pos, sheet._mesh_faces, {plan.face_corners.shape[1]: plan.face_corners}),
     )
 
 

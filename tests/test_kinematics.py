@@ -1,12 +1,13 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rigidori.closure import LoopEvaluator, closure_residual, oracle_solve
-from rigidori.errors import InfeasibleDriverError, NoRealFoldError
+from rigidori.errors import DegenerateConfigurationError, InfeasibleDriverError, NoRealFoldError
 from rigidori.flatfold import MODE_1, MODE_2, fold_mode, mode_constants
 from rigidori.kinematics import (
     ALL_BRANCHES,
@@ -160,8 +161,10 @@ def test_adjacent_roots_recover_either_tangent_of_the_pair():
             for i in (1, 2, 3, 4):
                 ti, tj = t[i - 1], t[i % 4]
                 coefs = _adjacent_coefs(v, i)
-                nxt = _adjacent_roots(coefs, ti)
-                prev = _adjacent_roots(coefs, tj, known_is_next=True)
+                roots, valid, _ = _adjacent_roots(coefs, np.array([ti, tj]))
+                nxt = roots[0][valid[0]]
+                roots, valid, _ = _adjacent_roots(coefs, np.array([ti, tj]), known_is_next=True)
+                prev = roots[1][valid[1]]
                 assert min(abs(x - tj) for x in nxt) < 1e-9 * max(1.0, abs(tj))
                 assert min(abs(x - ti) for x in prev) < 1e-9 * max(1.0, abs(ti))
 
@@ -211,6 +214,42 @@ def test_adjacent_duality_sign_flip():
             res = adjacent_residual(vd, i, t[i - 1], -t[i % 4])
             scale = (1 + t[i - 1] ** 2) * (1 + t[i % 4] ** 2)
             assert abs(res) < 1e-11 * scale
+
+
+# ---------------------------------------------------------------------------
+# candidate tables
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alphas=st.tuples(*[st.floats(0.2, PI - 0.2)] * 4),
+    driver_index=st.integers(1, 4),
+    extra=st.lists(st.floats(-PI, PI), max_size=8),
+)
+@example(alphas=SQ_TWIST.alphas, driver_index=1, extra=[0.4])
+@example(alphas=(1.0, 1.0, 1.0, 1.0), driver_index=2, extra=[0.4])
+def test_candidate_table_rows_match_single_driver_calls(alphas, driver_index, extra):
+    # the square twist has double roots at driver 0; on (1, 1, 1, 1) the
+    # adjacent pairs at driver +-pi hold identically, so both creases
+    # beside the driver fall back to the opposite crease
+    kin = VertexKinematics(Vertex4(alphas))
+    drivers = kin._breakpoints((driver_index - 1) % 4) + [0.0, PI, -PI] + extra
+    table = kin._candidate_table(driver_index, drivers)
+    rows = {b: table.rows(b) for b in (None,) + ALL_BRANCHES}
+    for j, drv in enumerate(drivers):
+        try:
+            single = kin.certified_candidates(driver_index, drv)
+        except (NoRealFoldError, DegenerateConfigurationError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                table.check(j)
+            assert all(rows[b][j] == [] for b in rows)
+            continue
+        table.check(j)
+        for b in rows:
+            expected = [s.rhos for s in single if b is None or b.matches(s)]
+            assert len(rows[b][j]) == len(expected), (drv, b)
+            for got, want in zip(rows[b][j], expected):
+                assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12, (drv, b)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +370,20 @@ def test_range_endpoints_and_interior_carry_branch_states(v):
             assert len(curve.samples) >= 9
         else:
             assert rng_.diagnostic and "seed" not in rng_.diagnostic
+
+
+@pytest.mark.parametrize("v", [SQ_TWIST, ELLIPTIC] + RANGE_VERTICES[:8], ids=str)
+def test_cell_table_is_shared_read_only_and_order_independent(v):
+    fresh = {b: VertexKinematics(v, FAST).folding_range(1, b) for b in ALL_BRANCHES}
+    for order in (ALL_BRANCHES, ALL_BRANCHES[::-1], ALL_BRANCHES[1::2] + ALL_BRANCHES[::2]):
+        kin = VertexKinematics(v, FAST)
+        assert {b: kin.folding_range(1, b) for b in order} == fresh
+    cells = kin._cell_table(1)
+    assert kin._cell_table(5) is cells  # one table per driver crease, kept
+    table = cells.table
+    assert not any(a.flags.writeable for a in table if isinstance(a, np.ndarray))
+    with pytest.raises(ValueError):
+        table.rhos[0, 0, 0] = 0.0
 
 
 def _polygon_inequalities_hold(alphas, margin=0.0):
