@@ -28,6 +28,7 @@ from .numerics import (
     axis_angle_vector,
     rot_x,
     rot_z,
+    wrap_angle,
 )
 from .vertex import FoldState, Vertex4
 
@@ -138,7 +139,7 @@ def oracle_solve(
         if not improved:
             break
 
-    rhos = [max(-math.pi, min(math.pi, r)) for r in assemble(x)]
+    rhos = [r if abs(r) <= math.pi else wrap_angle(r) for r in assemble(x)]
     residual = ev.residual(rhos)
     return ClosureReport(
         state=FoldState(rhos),

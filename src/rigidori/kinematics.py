@@ -29,7 +29,8 @@ comparison. The analytic relations alone admit spurious sign
 combinations, so every candidate state is certified against the closure
 loop, which is the only gate. The coefficients are fixed per vertex, so
 candidates are solved and certified for a whole driver array at once
-(VertexKinematics._candidate_table).
+(VertexKinematics._candidate_table), and the traces of all four branches
+at one driver crease read one table over all their samples (_sample_table).
 
 Folding ranges are closed form: the adjacent relation is quadratic in
 each tangent with coefficients affine in s = t_d^2, so every driver at
@@ -338,16 +339,18 @@ class _CandidateTable(NamedTuple):
         if self.error[j]:
             raise _opposite_error(self.crease, self.error[j], self.ratio[j])
 
-    def rows(self, branch: BranchLabel | None = None) -> list[list[list[float]]]:
-        """Per driver, the kept rows on ``branch`` (any branch when None),
-        in rhos order; degenerate pair signs act as wildcards."""
-        on = self.kept
+    def rows(self, branch: BranchLabel | None = None, start: int = 0, stop: int | None = None):
+        """Per driver start..stop-1 (all by default), the kept rows on ``branch``
+        (any when None), in rhos order; degenerate pair signs are wildcards."""
+        on, signs = self.kept[start:stop], self.signs[start:stop]
         if branch is not None:
             want = (branch.opposite_sign_1, branch.opposite_sign_2)
-            on = on & ((self.signs == 0) | (self.signs == want)).all(axis=-1)
-        rows = self.order[on.ravel()[self.order]]
-        flat = self.rhos.reshape(-1, 4)[rows].tolist()
-        ends = np.cumsum(np.bincount(rows // 18, minlength=len(self.drivers))).tolist()
+            on = on & ((signs == 0) | (signs == want)).all(axis=-1)
+        order = self.order - 18 * start
+        order = order[(order >= 0) & (order < on.size)]
+        rows = order[on.ravel()[order]]
+        flat = self.rhos[start:stop].reshape(-1, 4)[rows].tolist()
+        ends = np.cumsum(np.bincount(rows // 18, minlength=len(on))).tolist()
         return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
 
@@ -364,8 +367,9 @@ class _CellTable(NamedTuple):
 class VertexKinematics:
     """Per-vertex solver context: the loop evaluator and the relation
     coefficients, computed once, plus candidate enumeration, solving,
-    range detection and curve tracing. It keeps one read-only cell table
-    per driver crease, built on first use; a race there builds it twice."""
+    range detection and curve tracing. Per driver crease it keeps a cell
+    table and, per n_samples, a table of every branch's trace samples, all
+    read-only and built on first use; a race there builds one twice."""
 
     #: per-step continuation jump cap (rad, max componentwise); a curve
     #: hitting a flat-folded corner of [-pi, pi]^4 only "continues" by a
@@ -379,6 +383,7 @@ class VertexKinematics:
         self._opp = [_opposite_coefs(v, i) for i in (1, 2, 3, 4)]
         self._adj = [_adjacent_coefs(v, i) for i in (1, 2, 3, 4)]
         self._cells: dict[int, _CellTable] = {}
+        self._samples: dict[tuple[int, int], tuple] = {}
 
     # -- candidate enumeration ------------------------------------------
 
@@ -440,7 +445,7 @@ class VertexKinematics:
         signs = signs.reshape(n, 18, 2)
         for arr in (drv, rhos, closes, kept, signs, order, error, ratio):
             arr.flags.writeable = False
-        return _CandidateTable(drv, rhos, closes, kept, signs, order, error, ratio, d + 3)
+        return _CandidateTable(drv, rhos, closes, kept, signs, order, error, ratio, (d + 2) % 4 + 1)
 
     def certified_candidates(self, driver_index: int, driver: float) -> list[FoldState]:
         """All closure-certified states with the given driver angle, in
@@ -602,29 +607,44 @@ class VertexKinematics:
 
     # -- tracing ----------------------------------------------------------
 
+    def _sample_table(self, driver_index: int, n_samples: int):
+        """One candidate table over every branch's sample drivers (None when
+        no branch folds) and, per branch, its folding range, its drivers
+        across its longest interval and their offset into the table."""
+        key = ((driver_index - 1) % 4, n_samples)
+        if key not in self._samples:
+            parts, drivers = {}, []
+            for branch in ALL_BRANCHES:
+                rng, drv = self.folding_range(driver_index, branch), ()
+                if rng.intervals:
+                    lo, hi = max(rng.intervals, key=lambda iv: iv[1] - iv[0])
+                    span = hi - lo
+                    n = max(n_samples, int(math.ceil(span / self.tol.trace_step_max)) + 1)
+                    drv = tuple(lo + span * k / (n - 1) for k in range(n))
+                parts[branch] = (rng, drv, len(drivers))
+                drivers += drv
+            table = self._candidate_table(driver_index, drivers) if drivers else None
+            self._samples[key] = (table, parts)
+        return self._samples[key]
+
     def trace_curve(
         self, driver_index: int, branch: BranchLabel, n_samples: int
     ) -> "ConfigCurve":
         if n_samples < 2:
             raise InputError("n_samples must be at least 2")
-        rng = self.folding_range(driver_index, branch)
+        table, parts = self._sample_table(driver_index, n_samples)
+        rng, drivers, offset = parts[branch]
         if not rng.intervals:
-            raise InfeasibleDriverError(
-                f"empty folding range for branch {branch}: {rng.diagnostic}"
-            )
-        lo, hi = max(rng.intervals, key=lambda iv: iv[1] - iv[0])
-        span = hi - lo
-        n = max(n_samples, int(math.ceil(span / self.tol.trace_step_max)) + 1)
-        drivers = [lo + span * k / (n - 1) for k in range(n)]
-        table = self._candidate_table(driver_index, drivers)
-        rows = table.rows(branch)
+            raise InfeasibleDriverError(f"empty folding range for branch {branch}: {rng.diagnostic}")
+        n = len(drivers)
+        rows = table.rows(branch, offset, offset + n)
 
         # start from the interval interior: the endpoints are typically
         # flat-folded corner states whose coordinate representative is
         # ambiguous cold but unambiguous when approached with continuity
         start_idx = n // 2
         states: list[list[float] | None] = [None] * n
-        states[start_idx] = _least_on_branch(table, start_idx, rows[start_idx], branch)
+        states[start_idx] = _least_on_branch(table, offset + start_idx, rows[start_idx], branch)
 
         def march(indices):
             state = states[start_idx]
@@ -770,7 +790,8 @@ def trace_curve(
     """Monotone driver sweep across the longest interval of the folding
     range in uniform steps of at most trace_step_max, a failed step being
     retried through finer sub-steps; every sample closure-certified.
-    n_samples is a lower bound on the sample count."""
+    n_samples is a lower bound on the sample count. The samples come from
+    the vertex's one table over all four branches' sample drivers."""
     return VertexKinematics(v, tol).trace_curve(driver_index, branch, n_samples)
 
 
@@ -789,7 +810,9 @@ def dual_state(s: FoldState) -> FoldState:
 class DualityBranchReport:
     """max_abs_rho_mismatch is 0.0 when every sample, mapped to C* by
     dual_state (which keeps each |rho_i|), closes on C*; it is inf when
-    any mapped sample fails closure."""
+    any mapped sample fails closure. That closure batch carries the
+    claim: with dual_state as documented, sign_pattern_ok holds by
+    construction, since pair (1,3) keeps its signs and pair (2,4) flips."""
 
     branch: BranchLabel
     driver_index: int
@@ -847,26 +870,27 @@ def verify_duality(
     """Trace every realizable branch of C and check that the dual vertex
     reproduces it with matched |rho| and the one-pair-flipped sign
     pattern. Each traced state is mapped to C* in closed form by
-    dual_state, and every mapped state of a branch is certified against
-    the closure loop of C* in one batch, so the check is end to end."""
-    vd = dual(v)
+    dual_state, and the mapped states of all branches are certified
+    against the closure loop of C* in one batch, so the check is end to end."""
     kin = VertexKinematics(v, tol)
-    dual_loop = LoopEvaluator(vd)
-    reports = []
+    curves = []
     for branch in branches:
         try:
-            curve = kin.trace_curve(driver_index, branch, n_samples)
+            curves.append(kin.trace_curve(driver_index, branch, n_samples))
         except (InfeasibleDriverError, TraceAbortError):
             continue
-        pairs = [(s, dual_state(s)) for s in curve.samples]
-        closes = dual_loop.residuals([sd.rhos for _, sd in pairs]) < tol.residual_tol
-        reports.append(
-            DualityBranchReport(
-                branch=branch,
-                driver_index=driver_index,
-                n_samples=len(curve.samples),
-                max_abs_rho_mismatch=0.0 if closes.all() else math.inf,
-                sign_pattern_ok=all(_sign_pattern_is_dual(s, sd) for s, sd in pairs),
-            )
+    pairs = [(s, dual_state(s)) for curve in curves for s in curve.samples]
+    dual_rhos = np.reshape([sd.rhos for _, sd in pairs], (-1, 4))
+    closes = LoopEvaluator(dual(v)).residuals(dual_rhos) < tol.residual_tol
+    ends = np.cumsum([len(curve.samples) for curve in curves], dtype=int).tolist()
+    reports = [
+        DualityBranchReport(
+            branch=curve.branch,
+            driver_index=driver_index,
+            n_samples=b - a,
+            max_abs_rho_mismatch=0.0 if closes[a:b].all() else math.inf,
+            sign_pattern_ok=all(_sign_pattern_is_dual(s, sd) for s, sd in pairs[a:b]),
         )
+        for curve, a, b in zip(curves, [0] + ends, ends)
+    ]
     return DualityReport(vertex=v, branches=tuple(reports))

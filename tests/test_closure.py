@@ -183,3 +183,18 @@ def test_oracle_returns_the_closed_form_dual_state(v):
         rep = oracle_solve(vd, drv, sd.rhos[drv - 1], sd, tol)
         assert rep.converged
         assert rep.state == sd
+
+
+@pytest.mark.parametrize("driver_index", [1, 2, 3, 4])
+def test_oracle_keeps_angles_at_pi_and_converges_from_a_closing_state(driver_index):
+    # at theta = 2e-12 the matched dual state of (1, 1, 1, 1) has creases
+    # a hair from +-pi, where a Newton step may leave [-pi, pi]; reducing
+    # such an angle by 2 pi keeps the state closed, clamping it did not
+    from rigidori.embedding import synchronize
+    from rigidori.vertex import dual
+
+    v = Vertex4((1.0, 1.0, 1.0, 1.0))
+    sd = synchronize(v, "parallel", 2e-12).dual_state
+    rep = oracle_solve(dual(v), driver_index, sd.rhos[driver_index - 1], sd)
+    assert rep.converged and rep.residual < 1e-12
+    assert all(abs(r) <= PI for r in rep.state.rhos)

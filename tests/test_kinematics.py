@@ -7,7 +7,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rigidori.closure import LoopEvaluator, closure_residual, oracle_solve
-from rigidori.errors import DegenerateConfigurationError, InfeasibleDriverError, NoRealFoldError
+from rigidori.errors import (
+    DegenerateConfigurationError,
+    InfeasibleDriverError,
+    NoRealFoldError,
+    TraceAbortError,
+)
 from rigidori.flatfold import MODE_1, MODE_2, fold_mode, mode_constants
 from rigidori.kinematics import (
     ALL_BRANCHES,
@@ -252,6 +257,17 @@ def test_candidate_table_rows_match_single_driver_calls(alphas, driver_index, ex
                 assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12, (drv, b)
 
 
+@pytest.mark.parametrize("alphas, driver_index, driver, crease", [
+    ((0.4, 0.4, 0.4, 0.5), 3, 3.0, 1),
+    ((0.5, 0.4, 0.4, 0.4), 3, -3.1, 1),
+    ((0.5, 0.4, 0.4, 0.4), 4, -3.1, 2),
+])
+def test_no_real_fold_names_the_crease_opposite_the_driver(alphas, driver_index, driver, crease):
+    kin = VertexKinematics(Vertex4(alphas))
+    with pytest.raises(NoRealFoldError, match=re.escape(f"no real solution for t_{crease}^2")):
+        kin.certified_candidates(driver_index, driver)
+
+
 # ---------------------------------------------------------------------------
 # solve_state
 
@@ -384,6 +400,58 @@ def test_cell_table_is_shared_read_only_and_order_independent(v):
     assert not any(a.flags.writeable for a in table if isinstance(a, np.ndarray))
     with pytest.raises(ValueError):
         table.rhos[0, 0, 0] = 0.0
+
+
+def _trace_outcome(kin, branch):
+    try:
+        return kin.trace_curve(1, branch, 9)
+    except (InfeasibleDriverError, TraceAbortError) as exc:
+        return type(exc), str(exc), getattr(exc, "partial_curve", None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(alphas=st.tuples(*[st.floats(0.2, PI - 0.2)] * 4))
+@example(alphas=SQ_TWIST.alphas)
+@example(alphas=(1.0, 1.0, 1.0, 1.0))
+def test_sample_table_is_shared_and_changes_no_trace(alphas):
+    v = Vertex4(alphas)
+    fresh = {b: _trace_outcome(VertexKinematics(v, FAST), b) for b in ALL_BRANCHES}
+    for order in (ALL_BRANCHES, ALL_BRANCHES[::-1], ALL_BRANCHES[1::2] + ALL_BRANCHES[::2]):
+        kin = VertexKinematics(v, FAST)
+        assert {b: _trace_outcome(kin, b) for b in order} == fresh
+    table, parts = kin._sample_table(5, 9)
+    assert kin._sample_table(1, 9) is kin._samples[(0, 9)]  # one table per crease and n_samples
+    if table is not None:
+        assert not any(a.flags.writeable for a in table if isinstance(a, np.ndarray))
+    for branch, (rng_, drivers, offset) in parts.items():
+        assert rng_ == kin.folding_range(1, branch)
+        if not drivers:
+            continue
+        got = table.rows(branch, offset, offset + len(drivers))
+        want = kin._candidate_table(1, drivers).rows(branch)
+        assert [len(r) for r in got] == [len(r) for r in want]
+        for g, w in zip(itertools.chain(*got), itertools.chain(*want)):
+            assert max(abs(x - y) for x, y in zip(g, w)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "alphas, branches",
+    [((1.0, 1.3, 1.1, 1.7), 4), ((2.0, 1.2, 2.3, 1.5), 3), ((0.3, 0.3, 0.3, 2.9), 0)],
+)
+def test_verify_duality_builds_one_cell_and_one_sample_table(monkeypatch, alphas, branches):
+    # generic vertices, where no endpoint or refinement fallback runs
+    built = []
+    original = VertexKinematics._candidate_table
+
+    def counted(self, driver_index, drivers):
+        built.append(len(drivers))
+        return original(self, driver_index, drivers)
+
+    monkeypatch.setattr(VertexKinematics, "_candidate_table", counted)
+    rep = verify_duality(Vertex4(alphas), 1, 9, FAST)
+    assert len(built) == (2 if branches else 1)  # no sample table when no branch folds
+    assert all(built)  # and none over an empty driver list
+    assert rep.n_branches == branches
 
 
 def _polygon_inequalities_hold(alphas, margin=0.0):
