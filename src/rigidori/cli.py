@@ -140,6 +140,11 @@ def _state_dict(s: FoldState) -> dict:
 # subcommand implementations
 
 
+def _samples_at_least_2(args, parser) -> None:
+    if args.samples < 2:
+        parser.error("--samples must be at least 2")
+
+
 def _cmd_classify(args, parser):
     v = _parse_vertex(args, parser)
     c = classify(v, _tol(args))
@@ -155,10 +160,9 @@ def _cmd_dual(args, parser):
 
 
 def _cmd_modes(args, parser):
+    _samples_at_least_2(args, parser)
     v = _parse_vertex(args, parser)
     n = args.samples
-    if n < 2:
-        parser.error("--samples must be at least 2")
     tol = _tol(args)
     k = mode_constants(v.alphas[0], v.alphas[1], tol)
     curves = {}
@@ -210,6 +214,7 @@ def _cmd_range(args, parser):
 
 
 def _cmd_trace(args, parser):
+    _samples_at_least_2(args, parser)
     v = _parse_vertex(args, parser)
     curve = trace_curve(v, args.driver_index, _BRANCHES[args.branch], args.samples, _tol(args))
     lines = [_csv_header(args), "driver_index,branch,rho1,rho2,rho3,rho4,residual"]
@@ -229,6 +234,7 @@ def _finite_or_none(x: float) -> float | None:
 
 
 def _cmd_verify_duality(args, parser):
+    _samples_at_least_2(args, parser)
     v = _parse_vertex(args, parser)
     rep = verify_duality(v, args.driver_index, args.samples, _tol(args))
     _emit_json(
@@ -257,13 +263,16 @@ def _cmd_verify_duality(args, parser):
 
 
 def _cmd_combine(args, parser):
+    if not args.output:
+        parser.error("combine writes an OBJ file: --output is required")
+    if not args.radius > 0:
+        parser.error("--radius must be positive")
+    if args.arc_segments < 1:
+        parser.error("--arc-segments must be at least 1")
     v = _parse_vertex(args, parser)
     merge_pair = (2, 4) if args.merge_pair == "24" else (1, 3)
     cv = synchronize(v, args.variant, _angle(args, args.theta), merge_pair, tol=_tol(args))
-    mesh = combined_mesh(cv, args.radius, args.arc_segments, _tol(args))
-    if not args.output:
-        parser.error("combine writes an OBJ file: --output is required")
-    write_obj(mesh, args.output, args)
+    write_obj(combined_mesh(cv, args.radius, args.arc_segments, _tol(args)), args.output, args)
 
 
 def _cmd_split(args, parser):

@@ -401,12 +401,9 @@ def dual_alignment(cv: CombinedVertex) -> np.ndarray:
     coincide with the base's."""
     ge = crease_directions(cv.base, cv.base_state)
     gh = crease_directions(cv.dual_vertex, cv.dual_state)
-    i, j = cv.merge_pair
-    if cv.variant == PARALLEL:
-        targets = (ge[(i - 1) % 4], ge[(j - 1) % 4])
-    else:
-        targets = (ge[(j - 1) % 4], ge[(i - 1) % 4])
-    sources = (gh[(i - 1) % 4], gh[(j - 1) % 4])
+    base_of = {k: m for m, k in cv.crease_map.items()}  # dual crease -> base crease
+    sources = [gh[k - 1] for k in cv.merge_pair]
+    targets = [ge[base_of[k] - 1] for k in cv.merge_pair]
     R = _orthonormal_frame(*targets) @ _orthonormal_frame(*sources).T
     for src, tgt in zip(sources, targets):
         if np.linalg.norm(R @ src - tgt) > 1e-9:

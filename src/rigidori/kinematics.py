@@ -38,7 +38,10 @@ which a fold state appears, merges or flat-folds is a real root of a
 polynomial of degree <= 2 in s (VertexKinematics._breakpoints). Between
 neighbouring roots the branch's states vary continuously without a sign
 change, so one certified check per cell decides the range; the checks
-of every branch share one table per driver crease (_cell_table).
+of every branch share one table per driver crease (_cell_table). Each
+breakpoint carries the tag of its polynomial (qa, qc or disc of an
+adjacent pair, or zero and pi for driver 0 and +-pi), and a range end's
+cause is read from the tag of the breakpoint that ends it.
 
 Both relations are invariant under a_i -> pi - a_i up to sign flips of one
 opposite crease pair, which is the elliptic-hyperbolic duality; see
@@ -131,8 +134,6 @@ def _opposite_coefs(v: Vertex4, i: int) -> tuple[float, float, float, float]:
 
 
 _NO_REAL_FOLD, _INDETERMINATE = 1, 2  # failure codes of _opposite_sq; 0 is solvable
-#: endpoint cause by the opposite relation's failure code just beyond the end
-_PROBE_CAUSES = ("closure_infeasible", "opposite_relation_negative", "degenerate_configuration")
 
 
 def _opposite_sq(coefs, t_opp: np.ndarray):
@@ -354,14 +355,19 @@ class _CandidateTable(NamedTuple):
         return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
 
+#: endpoint cause of each breakpoint tag, in the priority that keeps one tag where roots merge
+_TAG_CAUSES = {"pi": "flat_folded_crease", "qa": "flat_folded_crease", "disc": "driver_limit",
+               "qc": "crease_through_zero", "zero": "crease_through_zero"}
+
+
 class _CellTable(NamedTuple):
     """The driver-only part of one crease's folding ranges: breakpoints, a
     table at the cell midpoints, the breakpoints and the join probes b -+ eps
-    of each inner breakpoint b, and each breakpoint's endpoint-cause probe."""
+    of each inner breakpoint b, and each breakpoint's endpoint cause."""
 
     breakpoints: tuple[float, ...]
     table: _CandidateTable
-    probe_codes: tuple[int, ...]
+    causes: tuple[str, ...]
 
 
 class VertexKinematics:
@@ -464,17 +470,19 @@ class VertexKinematics:
 
     # -- folding range ----------------------------------------------------
 
-    def _breakpoints(self, d: int) -> list[float]:
-        """Sorted drivers of crease d (0-based) at which a fold state can
-        appear, merge or flat-fold: 0, +-pi and +-2 atan(sqrt(s)) for the
-        real roots s >= 0 of polynomials in s = t_d^2 of degree <= 2.
+    def _breakpoints(self, d: int) -> list[tuple[float, str]]:
+        """Sorted (driver, tag) pairs of crease d (0-based) at which a fold
+        state can appear, merge or flat-fold: (0, zero), (+-pi, pi) and
+        +-2 atan(sqrt(s)) for the real roots s >= 0 of polynomials in
+        s = t_d^2 of degree <= 2, tagged by their polynomial.
 
         For each adjacent pair at the driver these are the coefficients
         qa and qc (the neighbour's tangent at inf or 0) and the
-        discriminant c5^2 s - 4 qa qc (a double root). The opposite
-        crease reaches 0 or pi only at such a double root, where the
-        driver is at a limit position, so the zeros of the opposite
-        relation's numerator and denominator add nothing.
+        discriminant c5^2 s - 4 qa qc (tag disc: a double root). The
+        opposite crease reaches 0 or pi only at such a double root, where
+        the driver is at a limit position, so the zeros of the opposite
+        relation's numerator and denominator add nothing. Roots within
+        1e-9 merge into the first, with the tag first in _TAG_CAUSES.
         """
         polys = []
         for coefs in (self._adj[d], _swapped(self._adj[(d + 3) % 4])):
@@ -488,25 +496,27 @@ class VertexKinematics:
             ]
         p0, p1, p2 = np.array(polys).T
         roots, valid, _ = _quadratic_roots(p2, p1, p0)
-        out = [0.0, math.pi, -math.pi]
-        for s in roots[valid].tolist():
+        out = {0.0: "zero", math.pi: "pi", -math.pi: "pi"}
+        for k, j in zip(*np.nonzero(valid)):
+            s = float(roots[k, j])
             if not math.isfinite(s) or s < -1e-12:
                 continue
             b = 2.0 * math.atan(math.sqrt(s)) if s >= 1e-12 else 0.0
+            tag = ("qa", "qc", "disc")[k % 3]
             for x in (b, -b):
-                if all(abs(x - y) > 1e-9 for y in out):
-                    out.append(x)
-        return sorted(out)
+                x = next((y for y in out if abs(x - y) <= 1e-9), x)
+                out[x] = min(out.get(x, tag), tag, key=list(_TAG_CAUSES).index)
+        return sorted(out.items())
 
     def _cell_table(self, driver_index: int) -> _CellTable:
         d = (driver_index - 1) % 4
         if d not in self._cells:
-            bps = self._breakpoints(d)
+            bps, tags = zip(*self._breakpoints(d))
             mids = [0.5 * (lo + hi) for lo, hi in zip(bps, bps[1:])]
             inner = [(b, min(1e-6, 0.25 * (b - a), 0.25 * (c - b))) for a, b, c in zip(bps, bps[1:], bps[2:])]
             probes = [b - e for b, e in inner] + [b + e for b, e in inner]
-            table = self._candidate_table(driver_index, mids + bps + probes)
-            self._cells[d] = _CellTable(tuple(bps), table, tuple(self._probe_codes(d, bps)))
+            table = self._candidate_table(driver_index, mids + list(bps) + probes)
+            self._cells[d] = _CellTable(bps, table, tuple(_TAG_CAUSES[t] for t in tags))
         return self._cells[d]
 
     def folding_range(self, driver_index: int, branch: BranchLabel) -> "FoldingRange":
@@ -514,11 +524,12 @@ class VertexKinematics:
         decomposition of [-pi, pi] at the relations' breakpoints.
 
         A cell belongs to the branch when a certified branch state exists
-        at its midpoint. Neighbouring cells join when branch states just
-        either side of their shared breakpoint lie within _JUMP_CAP, the
-        continuity rule of solve_near; runs shorter than 1e-6 are isolated
+        at its midpoint. Neighbouring cells join when some branch state just
+        before their shared breakpoint has a _nearest state just after it,
+        the trace's continuity rule; runs shorter than 1e-6 are isolated
         degenerate points. Each endpoint is the breakpoint itself, or the
-        nearest point at most 1e-6 inside it, that has a certified state.
+        nearest point at most 1e-6 inside it, that has a certified state;
+        its cause is that of the breakpoint's tag (see FoldingRange).
         Only the branch filter is done per call; the rest is the cell table.
         """
         cells = self._cell_table(driver_index)
@@ -528,7 +539,9 @@ class VertexKinematics:
         mid, at, before, after = rows[:nc], rows[nc : 2 * nc + 1], rows[2 * nc + 1 : 3 * nc], rows[3 * nc :]
         runs: list[list[int]] = []  # [first, last] member cell per run
         for k in (k for k in range(nc) if mid[k]):
-            if runs and runs[-1][1] == k - 1 and self._joins(before[k - 1], after[k - 1]):
+            if runs and runs[-1][1] == k - 1 and any(
+                self._nearest(after[k - 1], s) is not None for s in before[k - 1]
+            ):
                 runs[-1][1] = k
             else:
                 runs.append([k, k])
@@ -547,51 +560,20 @@ class VertexKinematics:
             diagnostic = f"{what} on this branch at any driver"
         return FoldingRange(tuple(intervals), tuple(causes), diagnostic)
 
-    def _joins(self, before, after) -> bool:
-        """Whether branch states just either side of a breakpoint continue."""
-        return any(
-            max(abs(x - y) for x, y in zip(s, t)) <= self._JUMP_CAP for s in before for t in after
-        )
-
     def _endpoint(self, driver_index, branch, cells, k, inward, states) -> tuple[float, str]:
         """The first driver with a certified branch state among the end
         cell k's breakpoint and the points 1e-12, 1e-11, ..., 1e-6 inside
-        it, falling back to the cell midpoint, which has one; and its
-        endpoint cause. ``states`` are the branch states at the breakpoint."""
+        it, falling back to the cell midpoint, which has one; and the
+        breakpoint's cause. ``states`` are the branch states at the breakpoint."""
         lo, hi = cells.breakpoints[k : k + 2]
         b = k if inward > 0 else k + 1
-        drv, code = cells.breakpoints[b], cells.probe_codes[b]
+        drv = cells.breakpoints[b]
         if not states:
             offsets = (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 0.5 * (hi - lo))
             drivers = [drv + inward * off for off in offsets]
-            for drv, states in zip(drivers, self._candidate_table(driver_index, drivers).rows(branch)):
-                if states:
-                    break
-            code = self._probe_codes((driver_index - 1) % 4, [drv])[0]
-        # sqrt-type corner approaches reach |rho| = pi - O(sqrt(solver_tol))
-        flat = any(abs(abs(r) - math.pi) < 1e-4 for r in states[0])
-        return drv, "flat_folded_crease" if flat else _PROBE_CAUSES[code]
-
-    def _probe_codes(self, d: int, drivers) -> list[int]:
-        """The opposite relation's failure code just beyond each driver of
-        crease d (0-based), away from driver 0: the endpoint-cause probe."""
-        drv = np.array(drivers, dtype=float)
-        eps = max(10.0 * self.tol.solver_tol, 1e-10)
-        probe = np.clip(drv + np.copysign(eps, np.where(drv != 0, drv, 1.0)), -math.pi, math.pi)
-        return _opposite_sq(self._opp[(d + 2) % 4], _rho_to_t(probe))[1].tolist()
-
-    def solve_near(
-        self,
-        driver_index: int,
-        driver: float,
-        prev: FoldState,
-        branch: BranchLabel | None = None,
-    ) -> FoldState | None:
-        """One continuation step: the certified state at ``driver`` nearest
-        to ``prev`` (see _nearest); None when there is none."""
-        rows = self._candidate_table(driver_index, [driver]).rows(branch)[0]
-        state = self._nearest(rows, prev.rhos)
-        return None if state is None else FoldState(state)
+            rows = self._candidate_table(driver_index, drivers).rows(branch)
+            drv = next(x for x, found in zip(drivers, rows) if found)
+        return drv, cells.causes[b]
 
     def _nearest(self, cands, prev):
         """The candidate row nearest to the row ``prev``, ties broken toward
@@ -717,9 +699,10 @@ def _least_on_branch(table: _CandidateTable, j: int, states, branch: BranchLabel
 
 @dataclass(frozen=True)
 class FoldingRange:
-    """Maximal feasible driver interval(s) of a branch, with endpoint
-    causes in {flat_folded_crease, opposite_relation_negative,
-    closure_infeasible, degenerate_configuration}."""
+    """Maximal feasible driver interval(s) of a branch. Each end's cause is
+    the tag of the breakpoint that ends it: flat_folded_crease (pi, qa: the
+    driver or a crease beside it reaches +-pi), crease_through_zero (zero,
+    qc: it passes through 0) or driver_limit (disc: the driver turns back)."""
 
     intervals: tuple[tuple[float, float], ...]
     endpoint_causes: tuple[tuple[str, str], ...]

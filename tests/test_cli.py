@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import pathlib
+import shlex
 
 import pytest
 
@@ -340,3 +342,44 @@ def test_modes_single_sample_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["modes", "--alphas", "45,90,135,90", "--degrees", "--samples", "1"])
     assert exc.value.code == 2
+
+
+ELLIPTIC = ["--alphas", "45,90,45,90", "--degrees"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", *ELLIPTIC, "--samples", "1"],
+    ["verify-duality", *ELLIPTIC, "--samples", "1"],
+    ["combine", *ELLIPTIC, "--theta", "90", "--output", "c.obj", "--radius", "0"],
+    ["combine", *ELLIPTIC, "--theta", "90", "--output", "c.obj", "--radius", "-1"],
+    ["combine", *ELLIPTIC, "--theta", "90", "--output", "c.obj", "--arc-segments", "0"],
+    # theta 9 rad is unreachable; the missing --output is reported before solving
+    ["combine", *ELLIPTIC, "--theta", "9"],
+])
+def test_bad_sample_and_mesh_options_are_usage_errors(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert os.listdir(tmp_path) == []
+
+
+def _readme_commands():
+    """The argv of each command in the README's "Command line" block."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.strip()]
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 13
+    for argv in commands:
+        assert run(argv) == 0, argv
+        out = capsys.readouterr().out
+        if argv[0] == "range":
+            causes = {c for pair in json.loads(out)["endpoint_causes"] for c in pair}
+            assert causes
+            assert causes <= {"flat_folded_crease", "crease_through_zero", "driver_limit"}

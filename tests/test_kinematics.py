@@ -30,7 +30,7 @@ from rigidori.kinematics import (
     trace_curve,
     verify_duality,
 )
-from rigidori.kinematics import _adjacent_coefs, _adjacent_roots, _sign_pattern_is_dual
+from rigidori.kinematics import _adjacent_coefs, _adjacent_roots, _sign_pattern_is_dual, _swapped
 from rigidori.numerics import Tolerances
 from rigidori.vertex import FoldState, Vertex4, dual
 
@@ -238,7 +238,7 @@ def test_candidate_table_rows_match_single_driver_calls(alphas, driver_index, ex
     # adjacent pairs at driver +-pi hold identically, so both creases
     # beside the driver fall back to the opposite crease
     kin = VertexKinematics(Vertex4(alphas))
-    drivers = kin._breakpoints((driver_index - 1) % 4) + [0.0, PI, -PI] + extra
+    drivers = [b for b, _ in kin._breakpoints((driver_index - 1) % 4)] + [0.0, PI, -PI] + extra
     table = kin._candidate_table(driver_index, drivers)
     rows = {b: table.rows(b) for b in (None,) + ALL_BRANCHES}
     for j, drv in enumerate(drivers):
@@ -407,6 +407,55 @@ def _trace_outcome(kin, branch):
         return kin.trace_curve(1, branch, 9)
     except (InfeasibleDriverError, TraceAbortError) as exc:
         return type(exc), str(exc), getattr(exc, "partial_curve", None)
+
+
+def _relative_discriminant(coefs, s):
+    """|c5^2 s - 4 qa qc| of an adjacent relation at s = t_d^2, relative to
+    the magnitude of its terms (qa, qc written out as their cosines)."""
+    cA, c1, c2, c3, c4, c5 = coefs
+    qa, qc = cA - c1 + (cA - c3) * s, cA - c4 + (cA - c2) * s
+    size_a = abs(cA) + abs(c1) + (abs(cA) + abs(c3)) * s
+    size_c = abs(cA) + abs(c4) + (abs(cA) + abs(c2)) * s
+    scale = c5 * c5 * s + 4.0 * size_a * size_c
+    return abs(c5 * c5 * s - 4.0 * qa * qc) / scale if scale else 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(alphas=st.tuples(*[st.floats(0.2, PI - 0.2)] * 4))
+@example(alphas=SQ_TWIST.alphas)
+@example(alphas=(1.0, 1.0, 1.0, 1.0))
+def test_endpoint_causes_name_what_the_branch_state_does_there(alphas):
+    v = Vertex4(alphas)
+    kin = VertexKinematics(v, FAST)
+    for driver_index, branch in itertools.product((1, 2, 3, 4), ALL_BRANCHES):
+        rng_ = kin.folding_range(driver_index, branch)
+        bps = [b for b, _ in kin._breakpoints(driver_index - 1)]
+        for ends, causes in zip(rng_.intervals, rng_.endpoint_causes):
+            for drv, cause in zip(ends, causes):
+                # an end that is no breakpoint has no cause to check; see
+                # test_equal_sector_range_reaches_its_flat_fold
+                assume(min(abs(drv - b) for b in bps) <= 1e-6)
+                states = [s.rhos for s in kin.certified_candidates(driver_index, drv) if branch.matches(s)]
+                assert states, (driver_index, branch, drv)
+                if cause == "flat_folded_crease":
+                    assert any(abs(abs(r) - PI) <= 1e-6 for s in states for r in s), (drv, states)
+                elif cause == "crease_through_zero":
+                    assert any(abs(r) <= 1e-6 for s in states for r in s), (drv, states)
+                else:
+                    assert cause == "driver_limit", cause
+                    sides = (_adjacent_coefs(v, driver_index), _swapped(_adjacent_coefs(v, driver_index + 3)))
+                    t_sq = math.tan(0.5 * drv) ** 2
+                    assert min(_relative_discriminant(c, t_sq) for c in sides) <= 1e-6, drv
+
+
+@pytest.mark.xfail(strict=True, reason="qc = cA (1 + s) - c2 s - c4 cancels near driver -pi, so closure rejects the states there")
+def test_equal_sector_range_reaches_its_flat_fold():
+    # PP states (-x, -y, -x, -y) exist for every driver x in (-pi, 0), but
+    # none within 1e-6 of -pi passes closure, so the end falls back to the
+    # cell midpoint -pi/2
+    lo, hi = folding_range(Vertex4((0.25,) * 4), 1, BRANCH_PP, FAST).intervals[0]
+    assert hi == 0.0
+    assert lo <= -PI + 1e-6
 
 
 @settings(max_examples=30, deadline=None)
