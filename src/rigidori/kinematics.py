@@ -293,9 +293,10 @@ def _adjacent_roots(coefs, t_known: np.ndarray, known_is_next: bool = False):
     at_inf = np.isinf(t_known)
     t = np.where(at_inf, 0.0, t_known)
     s2 = t * t
-    qa = np.where(at_inf, cA - c3, cA * (1.0 + s2) - c1 - c3 * s2)
+    # factored like _breakpoints: cA (1 + s) - c1 - c3 s cancels near +-pi
+    qa = np.where(at_inf, cA - c3, (cA - c1) + (cA - c3) * s2)
     qb = np.where(at_inf, 0.0, -c5 * t)
-    qc = np.where(at_inf, cA - c2, cA * (1.0 + s2) - c2 * s2 - c4)
+    qc = np.where(at_inf, cA - c2, (cA - c4) + (cA - c2) * s2)
     return _quadratic_roots(qa, qb, qc)
 
 

@@ -20,13 +20,16 @@ s = tan(major_rho / 2)).
 
 Because every half-tangent is linear in s, the mode relations are walked
 once, at build time, from s = 1; that reference propagation freezes each
-crease's coefficient and certifies the layout. The sheet also stores its
-fold plan: the coefficient array, each interior vertex's crease indices,
-a spanning tree of the face adjacency with the hinge axis of every tree
-edge, and each face's corner indices. Folding then scales the frozen
-coefficients (rho = 2 atan(coef * s)), composes the hinge rotations down
-the tree, places every corner in one array pass, and certifies every
-interior vertex's loop closure in one batch.
+crease's coefficient and certifies the layout. Folding scales the frozen
+coefficients (rho = 2 atan(coef * s)) and composes the hinges of a patch
+of faces around cell (0, 0). Every interior vertex folds alike, so the
+folded sheet is periodic: the patch's neighbours in cells (1, 0) and
+(0, 1) give the two folded lattice translations, and every face is placed
+in one broadcast as its kind's cell-(0, 0) motion plus its cell's
+translation. A lattice step with a rotational part above 1e-8 raises.
+Every corner's placements by all of its faces must agree within 1e-8, so
+every face cycle of the sheet is checked, not only the patch's, and every
+interior vertex's loop closure is certified in one batch.
 
 Stacking glues the mountain crease row of each layer to the valley
 crease row of the next (the rows are the zigzag paths of major creases
@@ -41,7 +44,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -74,31 +79,42 @@ class SheetVertex:
     creases: tuple[frozenset, frozenset, frozenset, frozenset]
 
 
+KINDS = ("square", "pleat_h", "pleat_v", "corner")
+# the hinge patch as (kind, i, j): one face of each kind in cell (0, 0),
+# then pleat_v(1, 0) and pleat_h(0, 1), which every sheet has and which
+# give the lattice translations
+PATCH = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (2, 1, 0), (1, 0, 1))
+# the patch hinge tree as (child, parent) pairs, parents placed first; the
+# square carries the identity
+PATCH_TREE = ((1, 0), (2, 0), (4, 0), (5, 0), (3, 2))
+
+
 @dataclass(frozen=True, eq=False)
 class FoldPlan:
     """Everything a fold needs that does not depend on the driver angle.
 
-    Arrays are read-only. Corners are indexed in ``sheet.corners`` order
-    (first seen over the faces), creases in ``sheet.creases`` order and
-    interior vertices in ``sheet.vertices`` order. The face tree is a
-    breadth-first spanning tree of the face adjacency, rooted at face 0
-    (which carries the identity) and listed in traversal order. Level k
-    holds the tree edges whose child face lies k + 1 hinges from the root,
-    so every parent is placed by an earlier level; a 12 x 12 sheet has 46
-    levels.
+    Arrays are read-only. Corners are indexed in ``sheet.corners`` order,
+    creases in ``sheet.creases`` order, interior vertices in
+    ``sheet.vertices`` order and faces in ``sheet.faces`` order; kinds
+    index KINDS. Hinge e of PATCH_TREE turns its child about the edge it
+    shares with its parent. A face's cell is the cell of its one P1
+    corner. A corner takes its position from the first face that lists it,
+    so the square of cell (0, 0) keeps its flat corners exactly.
     """
 
     coef: np.ndarray  # (C,) crease half-tangent per unit driver half-tangent
     vertex_creases: np.ndarray  # (V, 4) crease indices in package order c1..c4
-    tree_face: np.ndarray  # (F-1,) child face of each tree edge
-    tree_parent: np.ndarray  # (F-1,) its parent face
-    tree_hinge: np.ndarray  # (F-1,) the crease they share
-    axis_point: np.ndarray  # (F-1, 3) a flat point on the hinge
-    axis: np.ndarray  # (F-1, 3) unit hinge direction; the child turns by +rho
-    levels: tuple[np.ndarray, ...]  # tree-edge indices of each tree level
-    flat: np.ndarray  # (N, 3) flat corner positions
+    patch_hinge: np.ndarray  # (5,) crease of each PATCH_TREE hinge
+    axis_point: np.ndarray  # (5, 3) a flat point on the hinge
+    axis: np.ndarray  # (5, 3) unit hinge direction; the child turns by +rho
+    lattice: np.ndarray  # (2, 3) flat lattice vectors R and U
+    face_kind: np.ndarray  # (F,) kind of each face
+    face_cell: np.ndarray  # (F, 2) lattice cell (i, j) of each face
+    local: np.ndarray  # (F, 4, 3) flat corners shifted back into cell (0, 0)
     face_corners: np.ndarray  # (F, 4) corner indices per face
     first_slot: np.ndarray  # (N,) flat index into (F, 4) of each corner's first face
+    mountain_rows: np.ndarray  # (rows, 2 cols) corner indices of mountain_path(j)
+    valley_rows: np.ndarray  # (rows, 2 cols) corner indices of valley_path(j)
 
 
 @dataclass(frozen=True)
@@ -128,27 +144,23 @@ class SquareTwistSheet:
         """The faces of every folded mesh: the plan's face corners as tuples."""
         return tuple(map(tuple, self.fold_plan.face_corners.tolist()))
 
-    @property
-    def mv_assignment(self) -> dict[frozenset, str]:
-        """Mountain/valley letter per crease at positive driver angles."""
+    @functools.cached_property
+    def _row_pairs(self) -> dict[str, tuple[tuple[tuple[Name, Name], ...], ...]]:
+        """Per variant, the (mountain, valley) corner pairs of each grid
+        row that a glued row joins."""
+        rows = [(self.mountain_path(j), self.valley_path(j)) for j in range(self.rows)]
         return {
-            k: ("V" if c > 0 else "M" if c < 0 else "flat")
-            for k, c in self.mv_coefficients.items()
+            PARALLEL: tuple(tuple(zip(a, b)) for a, b in rows),
+            ROTATED: tuple(tuple(zip(a, b[::-1])) for a, b in rows),
         }
 
     def valley_path(self, j: int) -> list[Name]:
         """Major-crease row through the P1/P2 corners of grid row j."""
-        out = []
-        for i in range(self.cols):
-            out += [("P1", i, j), ("P2", i, j)]
-        return out
+        return [(p, i, j) for i in range(self.cols) for p in ("P1", "P2")]
 
     def mountain_path(self, j: int) -> list[Name]:
         """Major-crease row through the P4/P3 corners of grid row j."""
-        out = []
-        for i in range(self.cols):
-            out += [("P4", i, j), ("P3", i, j)]
-        return out
+        return [(p, i, j) for i in range(self.cols) for p in ("P4", "P3")]
 
 
 def _normalize_generator(v: Vertex4, tol: Tolerances) -> tuple[float, Vertex4]:
@@ -334,69 +346,57 @@ def _propagate(sheet: SquareTwistSheet, s: float) -> dict[frozenset, float]:
 
 def _fold_plan(sheet: SquareTwistSheet) -> FoldPlan:
     """Driver-independent fold data: coefficient array, per-vertex crease
-    indices, a spanning tree of the face adjacency with its hinge axes,
-    and the corner indices of every face."""
+    indices, the patch hinge tree with its axes, and every face's kind,
+    cell, corner indices and flat corners shifted back into cell (0, 0)."""
     crease_index = {key: c for c, key in enumerate(sheet.creases)}
     corner_index = {name: n for n, name in enumerate(sheet.corners)}
     flat = np.array([(*xy, 0.0) for xy in sheet.corners.values()])
     face_corners = np.array([[corner_index[n] for n in f] for f in sheet.faces])
+    face_kind = np.array([KINDS.index(k) for k in sheet.face_kinds])
+    face_cell = np.array([next(n[1:] for n in f if n[0] == "P1") for f in sheet.faces])
+    origin = flat[corner_index[("P1", 0, 0)]]
+    lattice = flat[[corner_index[("P1", 1, 0)], corner_index[("P1", 0, 1)]]] - origin
+    local = flat[face_corners] - (face_cell @ lattice)[:, None]
 
-    # face adjacency over shared creases; breadth-first from face 0. The
-    # child sits right of the parent's directed edge a -> b, so it turns
-    # by +rho about the axis from b toward a
-    edge_faces: dict[frozenset, list[int]] = {}
-    for fi, f in enumerate(sheet.faces):
-        for a_, b_ in zip(f, f[1:] + f[:1]):
-            key = frozenset((a_, b_))
-            if key in crease_index:
-                edge_faces.setdefault(key, []).append(fi)
-    reached = [False] * len(sheet.faces)
-    reached[0] = True
-    tree: list[tuple[int, int, int, int, int]] = []  # child, parent, hinge, a, b
-    levels = []
-    frontier = [0]
-    while frontier:
-        start = len(tree)
-        for fi in frontier:
-            f = sheet.faces[fi]
-            for a_, b_ in zip(f, f[1:] + f[:1]):
-                key = frozenset((a_, b_))
-                for fj in edge_faces.get(key, ()):
-                    if not reached[fj]:
-                        reached[fj] = True
-                        tree.append((fj, fi, crease_index[key], corner_index[a_], corner_index[b_]))
-        frontier = [edge[0] for edge in tree[start:]]
-        if frontier:
-            levels.append(np.arange(start, len(tree)))
-    if not all(reached):
-        raise MeshConsistencyError("face adjacency graph is not connected")
-    child, parent, hinge, a_idx, b_idx = (np.array(col, dtype=np.intp) for col in zip(*tree))
+    # the patch hinges. The child sits right of the parent's directed edge
+    # a -> b, so it turns by +rho about the axis from b toward a
+    face_at = {(k, i, j): fi for fi, (k, (i, j)) in enumerate(zip(face_kind.tolist(), face_cell.tolist()))}
+    patch = [sheet.faces[face_at[key]] for key in PATCH]
+    hinges = []
+    for child, parent in PATCH_TREE:
+        f = patch[parent]
+        a_, b_ = next(e for e in zip(f, f[1:] + f[:1]) if set(e) <= set(patch[child]))
+        hinges.append((crease_index[frozenset((a_, b_))], corner_index[a_], corner_index[b_]))
+    hinge, a_idx, b_idx = np.array(hinges).T
     axis = flat[a_idx] - flat[b_idx]
     axis /= np.linalg.norm(axis, axis=1, keepdims=True)
 
-    # a corner takes its position from the first face that lists it
     first_slot: dict[int, int] = {}
     for slot, n in enumerate(face_corners.ravel().tolist()):
         first_slot.setdefault(n, slot)
+
+    def rows(path) -> np.ndarray:
+        return np.array([[corner_index[n] for n in path(j)] for j in range(sheet.rows)])
 
     plan = FoldPlan(
         coef=np.array([sheet.mv_coefficients[key] for key in sheet.creases]),
         vertex_creases=np.array(
             [[crease_index[key] for key in rec.creases] for rec in sheet.vertices.values()]
         ),
-        tree_face=child,
-        tree_parent=parent,
-        tree_hinge=hinge,
+        patch_hinge=hinge,
         axis_point=flat[b_idx],
         axis=axis,
-        levels=tuple(levels),
-        flat=flat,
+        lattice=lattice,
+        face_kind=face_kind,
+        face_cell=face_cell,
+        local=local,
         face_corners=face_corners,
         first_slot=np.array([first_slot[n] for n in range(len(flat))]),
+        mountain_rows=rows(sheet.mountain_path),
+        valley_rows=rows(sheet.valley_path),
     )
-    for value in (*vars(plan).values(), *plan.levels):
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+    for value in vars(plan).values():
+        value.flags.writeable = False
     return plan
 
 
@@ -406,12 +406,29 @@ def _fold_plan(sheet: SquareTwistSheet) -> FoldPlan:
 
 @dataclass(frozen=True)
 class FoldedSheet:
+    """A folded sheet as arrays: the mesh (corners in ``sheet.corners``
+    order), the fold angle of every crease, the closure residual of every
+    interior vertex and the two folded lattice translations. The name-keyed
+    mappings are read-only views built on first access."""
+
     sheet: SquareTwistSheet
     major_rho: float
-    positions: dict[Name, np.ndarray]
-    crease_angles: dict[frozenset, float]
-    vertex_residuals: dict[Name, float]
     mesh: FoldedMesh
+    rho: np.ndarray  # (C,) in sheet.creases order
+    residuals: np.ndarray  # (V,) in sheet.vertices order
+    lattice: np.ndarray  # (2, 3) folded cell-to-cell translations R and U
+
+    @functools.cached_property
+    def positions(self) -> Mapping[Name, np.ndarray]:
+        return MappingProxyType(dict(zip(self.sheet.corners, self.mesh.vertices)))
+
+    @functools.cached_property
+    def crease_angles(self) -> Mapping[frozenset, float]:
+        return MappingProxyType(dict(zip(self.sheet.creases, self.rho.tolist())))
+
+    @functools.cached_property
+    def vertex_residuals(self) -> Mapping[Name, float]:
+        return MappingProxyType(dict(zip(self.sheet.vertices, self.residuals.tolist())))
 
 
 def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedSheet:
@@ -424,32 +441,38 @@ def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedS
     else:
         rho = 2.0 * np.arctan(plan.coef * math.tan(0.5 * major_rho))
 
-    # hinge rotations as homogeneous maps x -> Rh x + th about lines
-    # through the flat axis points
-    Rh = rotation_matrix_about_axis(plan.axis, rho[plan.tree_hinge])
+    # compose the patch hinges, each a homogeneous map x -> Rh x + th about
+    # a line through its flat axis point: a child face moves by its
+    # parent's map after its own hinge rotation
+    Rh = rotation_matrix_about_axis(plan.axis, rho[plan.patch_hinge])
     H = np.zeros((len(Rh), 4, 4))
     H[:, :3, :3] = Rh
     H[:, :3, 3] = plan.axis_point - np.einsum("eij,ej->ei", Rh, plan.axis_point)
     H[:, 3, 3] = 1.0
-
-    # compose down the tree one level at a time: a child face moves by its
-    # parent's map after its own hinge rotation
-    M = np.empty((len(plan.face_corners), 4, 4))
+    M = np.empty((len(PATCH), 4, 4))
     M[0] = np.eye(4)
-    for e in plan.levels:
-        M[plan.tree_face[e]] = M[plan.tree_parent[e]] @ H[e]
+    for e, (child, parent) in enumerate(PATCH_TREE):
+        M[child] = M[parent] @ H[e]
+    R, t = M[:, :3, :3], M[:, :3, 3]
 
-    # place every corner of every face; all faces sharing a corner must
-    # agree (loop consistency)
-    corners = plan.flat[plan.face_corners]
-    placed = (corners @ M[:, :3, :3].transpose(0, 2, 1) + M[:, None, :3, 3]).reshape(-1, 3)
-    pos = placed[plan.first_slot]
-    worst_spread = float(np.max(np.abs(placed - pos[plan.face_corners.ravel()])))
+    # pleat_v(1, 0) and pleat_h(0, 1) are their cell-(0, 0) kinds moved one
+    # lattice step, which must be a pure translation
+    drift = max(float(np.max(np.abs(R[4] - R[2]))), float(np.max(np.abs(R[5] - R[1]))))
+    if not drift <= 1e-8:
+        raise MeshConsistencyError(f"cell-to-cell motion has a rotational part {drift:.3e}")
+    lattice = np.stack([t[4] - t[2] + R[2] @ plan.lattice[0], t[5] - t[1] + R[1] @ plan.lattice[1]])
+
+    # place every face by its kind's motion and its cell's translation; all
+    # faces sharing a corner must agree (loop consistency)
+    kind = plan.face_kind
+    rotations = np.ascontiguousarray(R.transpose(0, 2, 1))[kind]  # contiguous: a faster matmul
+    placed = plan.local @ rotations + (t[kind] + plan.face_cell @ lattice)[:, None]
+    pos = placed.reshape(-1, 3)[plan.first_slot]
+    worst_spread = float(np.max(np.abs(placed - pos[plan.face_corners])))
     if not worst_spread <= 1e-8:
         raise MeshConsistencyError(
             f"internal face-cycle inconsistency: corner spread {worst_spread:.3e}"
         )
-    pos.flags.writeable = False
 
     # per-vertex loop closure certificates
     res = LoopEvaluator(sheet.generator).residuals(rho[plan.vertex_creases])
@@ -458,13 +481,15 @@ def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedS
         name = list(sheet.vertices)[worst]
         raise MeshConsistencyError(f"vertex {name} fails closure: residual {res[worst]:.3e}")
 
+    for a in (rho, res, lattice):
+        a.flags.writeable = False
     return FoldedSheet(
         sheet=sheet,
         major_rho=major_rho,
-        positions=dict(zip(sheet.corners, pos)),
-        crease_angles=dict(zip(sheet.creases, rho.tolist())),
-        vertex_residuals=dict(zip(sheet.vertices, res.tolist())),
         mesh=FoldedMesh(pos, sheet._mesh_faces, {plan.face_corners.shape[1]: plan.face_corners}),
+        rho=rho,
+        residuals=res,
+        lattice=lattice,
     )
 
 
@@ -472,9 +497,11 @@ def fold_sheet(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances = DEFA
     """Rigidly fold the sheet at the given major crease angle.
 
     Fold angles scale the crease coefficients frozen at build time
-    (rho = 2 atan(coef * tan(major_rho / 2))); plates are placed by
-    composing the hinge rotations down the face tree of the sheet's fold
-    plan, and every interior vertex loop is certified against the closure
+    (rho = 2 atan(coef * tan(major_rho / 2))). The hinges of one cell's
+    patch are composed, and every plate is placed by its kind's motion in
+    cell (0, 0) plus its cell's folded lattice translation. The lattice
+    motion must be a pure translation, every corner's placements must
+    agree, and every interior vertex loop is certified against the closure
     oracle before the mesh is returned.
     """
     return _fold(sheet, major_rho, tol).mesh
@@ -517,15 +544,14 @@ def _lattice_axes(fs: FoldedSheet) -> np.ndarray:
     structure's base plane); the first is the in-plane component of the
     row lattice direction. At zero fold this is the flat frame.
     """
-    sheet = fs.sheet
-    kc = sheet.face_kinds.index("corner")
-    pts = np.array([fs.positions[n] for n in sheet.faces[kc]])
+    sheet, plan, pos = fs.sheet, fs.sheet.fold_plan, fs.mesh.vertices
+    pts = pos[plan.face_corners[sheet.face_kinds.index("corner")]]
     n3 = np.cross(pts[1] - pts[0], pts[3] - pts[0])
     n3 = n3 / np.linalg.norm(n3)
     if sheet.cols > 1:
-        e_row = fs.positions[("P1", 1, 0)] - fs.positions[("P1", 0, 0)]
-    else:
-        e_row = fs.positions[("P2", 0, 0)] - fs.positions[("P1", 0, 0)]
+        e_row = fs.lattice[0]
+    else:  # the square's P1 -> P2 edge
+        e_row = pos[plan.valley_rows[0, 1]] - pos[plan.valley_rows[0, 0]]
     e1 = e_row - np.dot(e_row, n3) * n3
     n1 = np.linalg.norm(e1)
     if n1 < 1e-12:
@@ -553,63 +579,36 @@ def stack_complex(
         raise InputError(f"variant must be '{PARALLEL}' or '{ROTATED}'")
     fs = _fold(sheet, major_rho, tol)
     axes = _lattice_axes(fs)
-
-    if layers == 1:
-        bbox = _lattice_bbox(fs, axes, 1)
-        return CwComplex(
-            sheet=sheet,
-            layers=1,
-            major_rho=major_rho,
-            variant=variant,
-            meshes=(fs.mesh,),
-            glue_map=(),
-            glue_residual=0.0,
-            lattice_axes=axes,
-            bbox=bbox,
-        )
-
-    # mountain rows of the lower layer receive valley rows of the upper;
-    # at negative drivers the roles swap, the registration is identical
-    j_glue = 0
-    a_names = sheet.mountain_path(j_glue)
-    b_names = sheet.valley_path(j_glue)
-    if variant == ROTATED:
-        b_names = list(reversed(b_names))
-    A = np.array([fs.positions[n] for n in a_names])
-    B = np.array([fs.positions[n] for n in b_names])
-    R, t, res = _kabsch(B, A)
-    if res > 1e-8:
-        raise GluingError(f"crease-row registration residual {res:.3e} exceeds 1e-8")
-
-    # rows that actually coincide under the registration; the parallel
-    # variant preserves the row lattice so every row glues, the rotated
-    # variant reverses it so only the registered row overlaps on a
-    # finite sheet
-    glued_rows = []
-    for j in range(sheet.rows):
-        av = sheet.mountain_path(j)
-        bv = sheet.valley_path(j)
+    meshes, glue_pairs, glue_residual = [fs.mesh], [], 0.0
+    if layers > 1:
+        # mountain rows of the lower layer receive valley rows of the
+        # upper; at negative drivers the roles swap, the registration is
+        # identical. Row 0 is registered, every row is tested against it
+        plan = sheet.fold_plan
+        A = fs.mesh.vertices[plan.mountain_rows]
+        B = fs.mesh.vertices[plan.valley_rows]
         if variant == ROTATED:
-            bv = list(reversed(bv))
-        Aj = np.array([fs.positions[n] for n in av])
-        Bj = np.array([fs.positions[n] for n in bv])
-        dev = float(np.max(np.linalg.norm(Bj @ R.T + t - Aj, axis=1)))
-        if dev <= 1e-8:
-            glued_rows.append((j, av, bv, dev))
-    if not glued_rows:
-        raise GluingError("no crease row coincides under the registration")
+            B = B[:, ::-1]
+        R, t, res = _kabsch(B[0], A[0])
+        if res > 1e-8:
+            raise GluingError(f"crease-row registration residual {res:.3e} exceeds 1e-8")
 
-    meshes = [fs.mesh]
-    glue_pairs = []
-    Rk, tk = np.eye(3), np.zeros(3)
-    for layer in range(1, layers):
-        Rk, tk = R @ Rk, R @ tk + t
-        meshes.append(fs.mesh.transformed(Rk, tk))
-        for j, av, bv, _ in glued_rows:
-            for na, nb in zip(av, bv):
-                glue_pairs.append(((layer - 1, na), (layer, nb)))
-    worst = max(dev for _, _, _, dev in glued_rows)
-    bbox = _lattice_bbox(fs, axes, layers)
+        # rows that actually coincide under the registration; the parallel
+        # variant preserves the row lattice so every row glues, the rotated
+        # variant reverses it so only the registered row overlaps on a
+        # finite sheet
+        dev = np.max(np.linalg.norm(B @ R.T + t - A, axis=2), axis=1)
+        glued = np.flatnonzero(dev <= 1e-8)
+        if not len(glued):
+            raise GluingError("no crease row coincides under the registration")
+        row_pairs = sheet._row_pairs[variant]
+        pairs = [pair for j in glued.tolist() for pair in row_pairs[j]]
+        Rk, tk = np.eye(3), np.zeros(3)
+        for layer in range(1, layers):
+            Rk, tk = R @ Rk, R @ tk + t
+            meshes.append(fs.mesh.transformed(Rk, tk))
+            glue_pairs += [((layer - 1, na), (layer, nb)) for na, nb in pairs]
+        glue_residual = float(dev[glued].max())
     return CwComplex(
         sheet=sheet,
         layers=layers,
@@ -617,9 +616,9 @@ def stack_complex(
         variant=variant,
         meshes=tuple(meshes),
         glue_map=tuple(glue_pairs),
-        glue_residual=worst,
+        glue_residual=glue_residual,
         lattice_axes=axes,
-        bbox=bbox,
+        bbox=_lattice_bbox(fs, axes, layers),
     )
 
 
@@ -633,11 +632,10 @@ def _lattice_bbox(fs: FoldedSheet, axes: np.ndarray, layers: int):
     normal times the layer count. At zero fold these reduce to the flat
     block dimensions with zero height.
     """
-    sheet = fs.sheet
-    p0 = fs.positions[("P1", 0, 0)]
-    v_row = fs.positions[("P1", 1, 0)] - p0
-    v_col = fs.positions[("P1", 0, 1)] - p0
-    rise = fs.positions[("P4", 0, 0)] - p0  # valley row to mountain row
+    sheet, plan, pos = fs.sheet, fs.sheet.fold_plan, fs.mesh.vertices
+    v_row, v_col = fs.lattice
+    # valley row to mountain row: P1(0, 0) to P4(0, 0)
+    rise = pos[plan.mountain_rows[0, 0]] - pos[plan.valley_rows[0, 0]]
     n3 = axes[:, 2]
     return (
         float(sheet.cols * np.linalg.norm(v_row)),

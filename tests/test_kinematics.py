@@ -432,8 +432,7 @@ def test_endpoint_causes_name_what_the_branch_state_does_there(alphas):
         bps = [b for b, _ in kin._breakpoints(driver_index - 1)]
         for ends, causes in zip(rng_.intervals, rng_.endpoint_causes):
             for drv, cause in zip(ends, causes):
-                # an end that is no breakpoint has no cause to check; see
-                # test_equal_sector_range_reaches_its_flat_fold
+                # an end that is no breakpoint has no cause to check
                 assume(min(abs(drv - b) for b in bps) <= 1e-6)
                 states = [s.rhos for s in kin.certified_candidates(driver_index, drv) if branch.matches(s)]
                 assert states, (driver_index, branch, drv)
@@ -448,11 +447,10 @@ def test_endpoint_causes_name_what_the_branch_state_does_there(alphas):
                     assert min(_relative_discriminant(c, t_sq) for c in sides) <= 1e-6, drv
 
 
-@pytest.mark.xfail(strict=True, reason="qc = cA (1 + s) - c2 s - c4 cancels near driver -pi, so closure rejects the states there")
 def test_equal_sector_range_reaches_its_flat_fold():
-    # PP states (-x, -y, -x, -y) exist for every driver x in (-pi, 0), but
-    # none within 1e-6 of -pi passes closure, so the end falls back to the
-    # cell midpoint -pi/2
+    # PP states (-x, -y, -x, -y) exist for every driver x in (-pi, 0); the
+    # adjacent relations must stay accurate up to the flat fold at -pi,
+    # where the unfactored form cancelled and closure rejected the states
     lo, hi = folding_range(Vertex4((0.25,) * 4), 1, BRANCH_PP, FAST).intervals[0]
     assert hi == 0.0
     assert lo <= -PI + 1e-6

@@ -1,15 +1,20 @@
 import math
+import types
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from rigidori.errors import GluingError, InputError, RigidFoldabilityError
+from rigidori import tessellation
+from rigidori.errors import GluingError, InputError, MeshConsistencyError, RigidFoldabilityError
 from rigidori.flatfold import MODE_1, MODE_2, fold_mode
 from rigidori.numerics import DEFAULT_TOL, rotation_about_axis
 from rigidori.tessellation import (
+    PATCH,
+    PATCH_TREE,
     REGIME_2C1E,
     REGIME_3C,
+    REGIME_OTHER,
     SquareTwistSheet,
     auxetic_sweep,
     build_square_twist_sheet,
@@ -63,8 +68,9 @@ def test_mv_assignment_structure(sheet22):
     k1 = math.tan(PI / 8)
     counts = Counter(round(v, 10) for v in sheet22.mv_coefficients.values())
     assert set(counts) == {1.0, -1.0, round(k1, 10), round(-k1, 10)}
-    letters = Counter(sheet22.mv_assignment.values())
-    assert letters["M"] == letters["V"]
+    # as many mountain (negative) as valley (positive) creases
+    signs = Counter(np.sign(list(sheet22.mv_coefficients.values())).tolist())
+    assert signs[-1.0] == signs[1.0]
 
 
 def test_generator_must_be_flat_foldable_square_shape():
@@ -290,32 +296,137 @@ def _depth_first_positions(sheet: SquareTwistSheet, major_rho: float) -> dict:
     return out
 
 
-def test_level_placement_matches_depth_first_composition():
-    sheet = build_square_twist_sheet(GEN, 3, 4)
-    for rho in np.linspace(-PI, PI, 11).tolist():
-        ref = _depth_first_positions(sheet, rho)
-        fs = _fold(sheet, rho, DEFAULT_TOL)
-        assert fs.positions.keys() == ref.keys()
-        worst = max(np.max(np.abs(fs.positions[n] - p)) for n, p in ref.items())
-        assert worst < 1e-12, (rho, worst)
+def test_tiled_placement_matches_depth_first_composition():
+    gen = Vertex4((0.6, PI / 2, PI - 0.6, PI / 2))
+    sheets = [build_square_twist_sheet(GEN, r, c) for r, c in ((1, 1), (1, 5), (5, 1), (3, 4))]
+    sheets.append(build_square_twist_sheet(gen, 3, 5, pleat_length=0.8))
+    for sheet in sheets:
+        for rho in PLAN_DRIVERS:
+            ref = _depth_first_positions(sheet, rho)
+            fs = _fold(sheet, rho, DEFAULT_TOL)
+            assert fs.positions.keys() == ref.keys()
+            worst = max(np.max(np.abs(fs.positions[n] - p)) for n, p in ref.items())
+            assert worst < 1e-12, (sheet.rows, sheet.cols, rho, worst)
+
+
+def _reference_bbox(sheet: SquareTwistSheet, major_rho: float, layers: int) -> tuple:
+    """The complex's block dimensions from depth-first positions, looked
+    up by corner name: cell periods along rows and columns, and the rise
+    P1(0, 0) -> P4(0, 0) along the first corner plate's normal."""
+    pos = _depth_first_positions(sheet, major_rho)
+    plate = [pos[n] for n in sheet.faces[sheet.face_kinds.index("corner")]]
+    n3 = np.cross(plate[1] - plate[0], plate[3] - plate[0])
+    n3 /= np.linalg.norm(n3)
+    p0 = pos[("P1", 0, 0)]
+    return (
+        sheet.cols * np.linalg.norm(pos[("P1", 1, 0)] - p0),
+        sheet.rows * np.linalg.norm(pos[("P1", 0, 1)] - p0),
+        layers * abs(np.dot(pos[("P4", 0, 0)] - p0, n3)),
+    )
+
+
+def test_auxetic_sweep_matches_depth_first_reference(sheet22):
+    for lo, hi in ((0.05 * PI, 0.45 * PI), (0.55 * PI, 0.95 * PI), (-PI, PI)):
+        rep = auxetic_sweep(sheet22, 3, lo, hi, 9)
+        ref = [(rho, *_reference_bbox(sheet22, rho, 3)) for rho, *_ in rep.samples]
+        assert np.max(np.abs(np.subtract(rep.samples, ref))) < 1e-12
+        # the regimes follow from the samples alone
+        for regime, a, b in zip(rep.regimes, ref, ref[1:]):
+            deltas = np.subtract(b[1:], a[1:])
+            dec, inc = int(np.sum(deltas < 0)), int(np.sum(deltas > 0))
+            assert regime == (REGIME_3C if dec == 3 else REGIME_2C1E if (dec, inc) == (2, 1) else REGIME_OTHER)
 
 
 def test_fold_plan_arrays_are_read_only(sheet22):
     plan = sheet22.fold_plan
-    arrays = []
-    for value in vars(plan).values():
-        arrays += list(value) if isinstance(value, tuple) else [value]
-    assert len(plan.levels) > 1 and all(isinstance(a, np.ndarray) for a in arrays)
+    arrays = list(vars(plan).values())
+    assert all(isinstance(a, np.ndarray) for a in arrays)
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = a.flat[0]
-    # the levels partition the tree edges in traversal order, each parent
-    # placed by an earlier level
-    assert np.concatenate(plan.levels).tolist() == list(range(len(plan.tree_face)))
+    # the patch tree places every patch face once, each parent before its
+    # child, from the square of cell (0, 0)
     placed = {0}
-    for e in plan.levels:
-        assert set(plan.tree_parent[e].tolist()) <= placed
-        placed |= set(plan.tree_face[e].tolist())
+    for child, parent in PATCH_TREE:
+        assert parent in placed and child not in placed
+        placed.add(child)
+    assert placed == set(range(len(PATCH)))
+    # every face's shifted corners coincide with its kind's cell-(0, 0)
+    # face, and every corner's first slot lists that corner
+    patch = [np.flatnonzero((plan.face_kind == k) & (plan.face_cell == (i, j)).all(axis=1)) for k, i, j in PATCH]
+    assert all(len(f) == 1 for f in patch)
+    assert np.max(np.abs(plan.local - plan.local[[patch[k][0] for k in plan.face_kind]])) < 1e-14
+    assert plan.face_corners.ravel()[plan.first_slot].tolist() == list(range(len(sheet22.corners)))
+    names = list(sheet22.corners)
+    for j in range(sheet22.rows):
+        assert [names[n] for n in plan.mountain_rows[j]] == sheet22.mountain_path(j)
+        assert [names[n] for n in plan.valley_rows[j]] == sheet22.valley_path(j)
+
+
+def _with_plan(sheet: SquareTwistSheet, **changes) -> SquareTwistSheet:
+    """A copy of the sheet whose fold plan has the given arrays replaced."""
+    import dataclasses
+
+    copy = dataclasses.replace(sheet)
+    copy.__dict__["fold_plan"] = dataclasses.replace(sheet.fold_plan, **changes)
+    return copy
+
+
+def test_wrong_hinge_angle_fails(sheet22):
+    # a patch hinge bends the tiling (corner spread or lattice rotation);
+    # any other crease breaks its vertices' closure
+    plan = sheet22.fold_plan
+    for c in (*plan.patch_hinge.tolist(), len(plan.coef) // 2, len(plan.coef) - 1):
+        coef = plan.coef.copy()
+        coef[c] *= 1.01
+        with pytest.raises(MeshConsistencyError):
+            _fold(_with_plan(sheet22, coef=coef), 1.0, DEFAULT_TOL)
+
+
+def test_rotated_lattice_step_does_not_tile(sheet22, monkeypatch):
+    # pleat_v(1, 0) carries an extra 1e-6 rotation about the sheet normal
+    e = [child for child, _ in PATCH_TREE].index(4)
+    turn = rotation_about_axis([0.0, 0.0, 1.0], 1e-6).matrix
+    exact = tessellation.rotation_matrix_about_axis
+
+    def injected(axis, angle):
+        out = exact(axis, angle)
+        out[e] = out[e] @ turn
+        return out
+
+    monkeypatch.setattr(tessellation, "rotation_matrix_about_axis", injected)
+    with pytest.raises(MeshConsistencyError, match="rotational part"):
+        _fold(sheet22, 1.0, DEFAULT_TOL)
+
+
+def test_generator_that_does_not_close_fails(sheet22):
+    import dataclasses
+
+    # still flat-foldable with right-angle sectors, but the frozen fold
+    # angles no longer close its loops
+    bent = Vertex4((PI / 4 + 1e-3, PI / 2, 3 * PI / 4 - 1e-3, PI / 2))
+    with pytest.raises(MeshConsistencyError, match="fails closure"):
+        _fold(dataclasses.replace(sheet22, generator=bent), 1.0, DEFAULT_TOL)
+
+
+def test_shifted_valley_row_does_not_glue(sheet22, monkeypatch):
+    import dataclasses
+
+    exact = tessellation._fold
+    valley = sheet22.fold_plan.valley_rows[0]
+
+    def shifted(sheet, major_rho, tol):
+        fs = exact(sheet, major_rho, tol)
+        pts = fs.mesh.vertices.copy()
+        pts[valley[1:]] += 1e-6  # the row's first corner stays
+        # the shift bends the row's faces, so the points ride on a stand-in
+        # for the mesh, which FoldedMesh would reject
+        return dataclasses.replace(fs, mesh=types.SimpleNamespace(vertices=pts))
+
+    monkeypatch.setattr(tessellation, "_fold", shifted)
+    for variant in ("parallel", "rotated"):
+        with pytest.raises(GluingError):
+            stack_complex(sheet22, 2, 1.0, variant=variant)
 
 
 def test_folded_vertices_are_read_only(sheet22):
