@@ -44,9 +44,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -143,16 +141,6 @@ class SquareTwistSheet:
     def _mesh_faces(self) -> tuple[tuple[int, ...], ...]:
         """The faces of every folded mesh: the plan's face corners as tuples."""
         return tuple(map(tuple, self.fold_plan.face_corners.tolist()))
-
-    @functools.cached_property
-    def _row_pairs(self) -> dict[str, tuple[tuple[tuple[Name, Name], ...], ...]]:
-        """Per variant, the (mountain, valley) corner pairs of each grid
-        row that a glued row joins."""
-        rows = [(self.mountain_path(j), self.valley_path(j)) for j in range(self.rows)]
-        return {
-            PARALLEL: tuple(tuple(zip(a, b)) for a, b in rows),
-            ROTATED: tuple(tuple(zip(a, b[::-1])) for a, b in rows),
-        }
 
     def valley_path(self, j: int) -> list[Name]:
         """Major-crease row through the P1/P2 corners of grid row j."""
@@ -408,8 +396,7 @@ def _fold_plan(sheet: SquareTwistSheet) -> FoldPlan:
 class FoldedSheet:
     """A folded sheet as arrays: the mesh (corners in ``sheet.corners``
     order), the fold angle of every crease, the closure residual of every
-    interior vertex and the two folded lattice translations. The name-keyed
-    mappings are read-only views built on first access."""
+    interior vertex and the two folded lattice translations."""
 
     sheet: SquareTwistSheet
     major_rho: float
@@ -417,18 +404,6 @@ class FoldedSheet:
     rho: np.ndarray  # (C,) in sheet.creases order
     residuals: np.ndarray  # (V,) in sheet.vertices order
     lattice: np.ndarray  # (2, 3) folded cell-to-cell translations R and U
-
-    @functools.cached_property
-    def positions(self) -> Mapping[Name, np.ndarray]:
-        return MappingProxyType(dict(zip(self.sheet.corners, self.mesh.vertices)))
-
-    @functools.cached_property
-    def crease_angles(self) -> Mapping[frozenset, float]:
-        return MappingProxyType(dict(zip(self.sheet.creases, self.rho.tolist())))
-
-    @functools.cached_property
-    def vertex_residuals(self) -> Mapping[Name, float]:
-        return MappingProxyType(dict(zip(self.sheet.vertices, self.residuals.tolist())))
 
 
 def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedSheet:
@@ -585,10 +560,9 @@ def stack_complex(
         # upper; at negative drivers the roles swap, the registration is
         # identical. Row 0 is registered, every row is tested against it
         plan = sheet.fold_plan
-        A = fs.mesh.vertices[plan.mountain_rows]
-        B = fs.mesh.vertices[plan.valley_rows]
-        if variant == ROTATED:
-            B = B[:, ::-1]
+        a_rows = plan.mountain_rows
+        b_rows = plan.valley_rows if variant == PARALLEL else plan.valley_rows[:, ::-1]
+        A, B = fs.mesh.vertices[a_rows], fs.mesh.vertices[b_rows]
         R, t, res = _kabsch(B[0], A[0])
         if res > 1e-8:
             raise GluingError(f"crease-row registration residual {res:.3e} exceeds 1e-8")
@@ -601,8 +575,11 @@ def stack_complex(
         glued = np.flatnonzero(dev <= 1e-8)
         if not len(glued):
             raise GluingError("no crease row coincides under the registration")
-        row_pairs = sheet._row_pairs[variant]
-        pairs = [pair for j in glued.tolist() for pair in row_pairs[j]]
+        names = list(sheet.corners)
+        pairs = [
+            (names[a], names[b])
+            for a, b in zip(a_rows[glued].ravel().tolist(), b_rows[glued].ravel().tolist())
+        ]
         Rk, tk = np.eye(3), np.zeros(3)
         for layer in range(1, layers):
             Rk, tk = R @ Rk, R @ tk + t

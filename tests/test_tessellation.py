@@ -29,6 +29,14 @@ PI = math.pi
 GEN = Vertex4((PI / 4, PI / 2, 3 * PI / 4, PI / 2))
 
 
+def _positions(fs) -> dict:
+    return dict(zip(fs.sheet.corners, fs.mesh.vertices))
+
+
+def _crease_angles(fs) -> dict:
+    return dict(zip(fs.sheet.creases, fs.rho.tolist()))
+
+
 @pytest.fixture(scope="module")
 def sheet22():
     return build_square_twist_sheet(GEN, 2, 2)
@@ -92,13 +100,13 @@ def test_flat_and_flat_folded_limits(sheet22):
 def test_interior_vertices_close_at_eleven_drivers(sheet22):
     for rho in np.linspace(-0.95 * PI, 0.95 * PI, 11):
         fs = _fold(sheet22, float(rho), DEFAULT_TOL)
-        assert max(fs.vertex_residuals.values()) < 1e-9
+        assert fs.residuals.max() < 1e-9
 
 
 def test_local_states_match_generator_modes(sheet22):
-    fs = _fold(sheet22, 1.1, DEFAULT_TOL)
+    angles = _crease_angles(_fold(sheet22, 1.1, DEFAULT_TOL))
     for name, rec in sheet22.vertices.items():
-        rhos = tuple(fs.crease_angles[k] for k in rec.creases)
+        rhos = tuple(angles[k] for k in rec.creases)
         mode = MODE_2 if rec.mode == 2 else MODE_1
         drv = rhos[1] if rec.mode == 2 else rhos[0]
         expect = fold_mode(sheet22.generator, mode, drv)
@@ -106,15 +114,15 @@ def test_local_states_match_generator_modes(sheet22):
 
 
 def test_folded_periodicity(sheet22):
-    fs = _fold(sheet22, 0.9, DEFAULT_TOL)
-    lat_r = fs.positions[("P1", 1, 0)] - fs.positions[("P1", 0, 0)]
-    lat_u = fs.positions[("P1", 0, 1)] - fs.positions[("P1", 0, 0)]
+    pos = _positions(_fold(sheet22, 0.9, DEFAULT_TOL))
+    lat_r = pos[("P1", 1, 0)] - pos[("P1", 0, 0)]
+    lat_u = pos[("P1", 0, 1)] - pos[("P1", 0, 0)]
     for p in ("P1", "P2", "P3", "P4"):
         for i, j in ((0, 0), (0, 1)):
-            d = fs.positions[(p, i + 1, j)] - fs.positions[(p, i, j)]
+            d = pos[(p, i + 1, j)] - pos[(p, i, j)]
             assert np.linalg.norm(d - lat_r) < 1e-8
         for i, j in ((0, 0), (1, 0)):
-            d = fs.positions[(p, i, j + 1)] - fs.positions[(p, i, j)]
+            d = pos[(p, i, j + 1)] - pos[(p, i, j)]
             assert np.linalg.norm(d - lat_u) < 1e-8
 
 
@@ -200,7 +208,7 @@ def test_general_alpha_generator_folds():
     gen = Vertex4((0.6, PI / 2, PI - 0.6, PI / 2))
     sheet = build_square_twist_sheet(gen, 1, 2, pleat_length=0.8)
     fs = _fold(sheet, 0.7, DEFAULT_TOL)
-    assert max(fs.vertex_residuals.values()) < 1e-9
+    assert fs.residuals.max() < 1e-9
     cx = stack_complex(sheet, 2, 0.7)
     assert cx.glue_residual < 1e-8
 
@@ -221,10 +229,10 @@ def test_fold_scales_frozen_coefficients(planned_sheet):
     for rho in PLAN_DRIVERS:
         s = math.copysign(math.inf, rho) if abs(rho) == PI else math.tan(0.5 * rho)
         walked = _propagate(planned_sheet, s)
-        fs = _fold(planned_sheet, rho, DEFAULT_TOL)
-        assert fs.crease_angles.keys() == walked.keys()
+        angles = _crease_angles(_fold(planned_sheet, rho, DEFAULT_TOL))
+        assert angles.keys() == walked.keys()
         for key, t in walked.items():
-            assert abs(fs.crease_angles[key] - 2.0 * math.atan(t)) < 1e-12
+            assert abs(angles[key] - 2.0 * math.atan(t)) < 1e-12
 
 
 def test_placed_faces_keep_flat_lengths(planned_sheet):
@@ -303,9 +311,9 @@ def test_tiled_placement_matches_depth_first_composition():
     for sheet in sheets:
         for rho in PLAN_DRIVERS:
             ref = _depth_first_positions(sheet, rho)
-            fs = _fold(sheet, rho, DEFAULT_TOL)
-            assert fs.positions.keys() == ref.keys()
-            worst = max(np.max(np.abs(fs.positions[n] - p)) for n, p in ref.items())
+            pos = _positions(_fold(sheet, rho, DEFAULT_TOL))
+            assert pos.keys() == ref.keys()
+            worst = max(np.max(np.abs(pos[n] - p)) for n, p in ref.items())
             assert worst < 1e-12, (sheet.rows, sheet.cols, rho, worst)
 
 
@@ -433,5 +441,3 @@ def test_folded_vertices_are_read_only(sheet22):
     fs = _fold(sheet22, 0.7, DEFAULT_TOL)
     with pytest.raises(ValueError):
         fs.mesh.vertices[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        next(iter(fs.positions.values()))[0] = 1.0
