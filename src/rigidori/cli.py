@@ -79,15 +79,11 @@ def write_obj(mesh: FoldedMesh, path: str, args=None) -> None:
     """Wavefront OBJ: `v x y z` then 1-based `f i j ...` lines, vertices
     printed to 17 significant digits, deterministic construction order.
     Non-manifold edge sharing is inherent in the indexing."""
-    lines = []
-    if args is not None:
-        lines.append(_csv_header(args))
-    for p in mesh.vertices.tolist():
-        lines.append("v " + " ".join(_g(c) for c in p))
-    for f in mesh.faces:
-        lines.append("f " + " ".join(str(i + 1) for i in f))
+    head = _csv_header(args) + "\n" if args is not None else ""
+    coords = ("v %.17g %.17g %.17g\n" * len(mesh.vertices)) % tuple(mesh.vertices.ravel().tolist())
+    faces = "".join("f " + " ".join([str(i + 1) for i in f]) + "\n" for f in mesh.faces)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head + coords + faces)
 
 
 def _parse_vertex(args, parser) -> Vertex4:
@@ -271,8 +267,9 @@ def _cmd_combine(args, parser):
         parser.error("--arc-segments must be at least 1")
     v = _parse_vertex(args, parser)
     merge_pair = (2, 4) if args.merge_pair == "24" else (1, 3)
-    cv = synchronize(v, args.variant, _angle(args, args.theta), merge_pair, tol=_tol(args))
-    write_obj(combined_mesh(cv, args.radius, args.arc_segments, _tol(args)), args.output, args)
+    tol = _tol(args)
+    cv = synchronize(v, args.variant, _angle(args, args.theta), merge_pair, tol=tol)
+    write_obj(combined_mesh(cv, args.radius, args.arc_segments, tol), args.output, args)
 
 
 def _cmd_split(args, parser):

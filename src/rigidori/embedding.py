@@ -32,6 +32,7 @@ kinematic results are unaffected.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -65,13 +66,15 @@ _X = np.array([1.0, 0.0, 0.0])
 class FoldedMesh:
     """Vertices and polygonal faces; non-manifold edge sharing permitted.
 
-    ``vertices`` is a read-only (N, 3) float64 copy of the given points
-    (an array or a sequence of triples). ``face_index`` holds the faces as
-    read-only index arrays, one per corner count, built from ``faces``
-    unless a caller that holds it for the same faces passes it. Construction
-    validates face indices, finite coordinates and the planarity of every
-    face of four or more corners within 1e-9 (see _max_planarity). Meshes
-    are equal when their vertex values and faces are equal.
+    The faces' indices alone are the topology: coincident points are not
+    welded. ``vertices`` is a read-only (N, 3) float64 copy of the given
+    points (an array or a sequence of triples). ``face_index`` holds the
+    faces as read-only index arrays, one per corner count, built from
+    ``faces`` unless a caller that holds it for the same faces passes it.
+    Construction validates face indices, finite coordinates and the
+    planarity of every face of four or more corners within 1e-9 (see
+    _max_planarity). Meshes are equal when their vertex values and faces
+    are equal.
     """
 
     vertices: np.ndarray
@@ -140,31 +143,6 @@ def _max_planarity(pts: np.ndarray) -> float:
     return float(dev.max())
 
 
-def mesh_from_polygons(polygons, weld_tol: float = 1e-8) -> FoldedMesh:
-    """Weld a list of 3D polygons (arrays of points) into one indexed mesh.
-
-    A point joins the first kept vertex within weld_tol (Chebyshev
-    distance), so shared crease endpoints appear once; a point near no
-    kept vertex is kept. Ordering is deterministic (construction order).
-    The distances are (points, points) arrays, one per coordinate, sized
-    for the few dozen points of a combined vertex.
-    """
-    polys = [np.asarray(poly, dtype=float).reshape(-1, 3) for poly in polygons]
-    pts = np.concatenate(polys) if polys else np.empty((0, 3))
-    x, y, z = (np.abs(c[:, None] - c) < weld_tol for c in pts.T)
-    near = (x & y & z).tolist()
-    kept: list[int] = []  # point index of each mesh vertex
-    index = []
-    for row in near:
-        j = next((n for n, k in enumerate(kept) if row[k]), len(kept))
-        if j == len(kept):
-            kept.append(len(index))
-        index.append(j)
-    ends = np.cumsum([len(p) for p in polys]).tolist()
-    faces = tuple(tuple(index[e - len(p) : e]) for p, e in zip(polys, ends))
-    return FoldedMesh(pts[kept], faces)
-
-
 # ---------------------------------------------------------------------------
 # single-vertex embedding
 
@@ -175,9 +153,6 @@ class FoldedVertexGeometry:
     plate_polys: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     plate_frames: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     source: tuple[Vertex4, FoldState]
-
-    def crease_angle(self, i: int, j: int) -> float:
-        return _ray_angle(self.crease_dirs[(i - 1) % 4], self.crease_dirs[(j - 1) % 4])
 
 
 def _ray_angle(d1: np.ndarray, d2: np.ndarray) -> float:
@@ -225,10 +200,8 @@ def embed_vertex(
             f"state does not close: residual {res:.3e} >= {tol.residual_tol:.1e}"
         )
     frames = plate_orientations(v, s)
-    dirs = []
     polys = []
     for k, w in enumerate(frames):
-        dirs.append(w @ _X)
         thetas = [v.alphas[k] * j / arc_segments for j in range(arc_segments + 1)]
         local = np.array(
             [[0.0, 0.0, 0.0]]
@@ -236,7 +209,7 @@ def embed_vertex(
         )
         polys.append(local @ w.T)
     return FoldedVertexGeometry(
-        crease_dirs=tuple(dirs),
+        crease_dirs=tuple(w @ _X for w in frames),
         plate_polys=tuple(polys),
         plate_frames=tuple(frames),
         source=(v, s),
@@ -396,19 +369,48 @@ def _orthonormal_frame(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.column_stack([e1, e2, np.cross(e1, e2)])
 
 
-def dual_alignment(cv: CombinedVertex) -> np.ndarray:
-    """Proper rotation placing the dual geometry so the identified creases
-    coincide with the base's."""
-    ge = crease_directions(cv.base, cv.base_state)
-    gh = crease_directions(cv.dual_vertex, cv.dual_state)
+def _alignment(cv: CombinedVertex, base_dirs, dual_dirs) -> np.ndarray:
+    """Proper rotation taking the dual's identified crease directions onto
+    the base's, checked to make them coincide within 1e-9."""
     base_of = {k: m for m, k in cv.crease_map.items()}  # dual crease -> base crease
-    sources = [gh[k - 1] for k in cv.merge_pair]
-    targets = [ge[base_of[k] - 1] for k in cv.merge_pair]
+    sources = [dual_dirs[k - 1] for k in cv.merge_pair]
+    targets = [base_dirs[base_of[k] - 1] for k in cv.merge_pair]
     R = _orthonormal_frame(*targets) @ _orthonormal_frame(*sources).T
     for src, tgt in zip(sources, targets):
         if np.linalg.norm(R @ src - tgt) > 1e-9:
             raise MeshConsistencyError("identified creases fail to coincide within 1e-9")
     return R
+
+
+def dual_alignment(cv: CombinedVertex) -> np.ndarray:
+    """Proper rotation placing the dual geometry so the identified creases
+    coincide with the base's."""
+    base = crease_directions(cv.base, cv.base_state)
+    return _alignment(cv, base, crease_directions(cv.dual_vertex, cv.dual_state))
+
+
+@functools.lru_cache(maxsize=16)
+def _combined_topology(arc_segments: int, merged: tuple[tuple[int, int], ...]):
+    """Vertex table of a combined mesh from plate labels alone: the first
+    point of each vertex among the eight plate polygons (base plates 1..4,
+    then dual plates 1..4; plate k is the apex, the tip on crease k, the
+    arc points and the tip on crease k + 1), and the faces as a tuple and
+    a read-only array. Plates share the apex and their creases' tips; a
+    merged dual crease (``merged``: (base, dual) pairs) takes the base's."""
+    tip = {(sheet, c): (sheet, c) for sheet in (0, 1) for c in range(1, 5)}
+    tip.update({(1, d): (0, b) for b, d in merged})
+    labels = []
+    for sheet, k in itertools.product((0, 1), range(1, 5)):
+        arc = [(sheet, k, j) for j in range(1, arc_segments)]
+        labels += ["apex", tip[sheet, k], *arc, tip[sheet, k % 4 + 1]]
+    index: dict = {}  # label -> (mesh vertex, first point)
+    for n, label in enumerate(labels):
+        index.setdefault(label, (len(index), n))
+    kept = np.array([n for _, n in index.values()])
+    faces = np.array([index[label][0] for label in labels]).reshape(8, arc_segments + 2)
+    for a in (kept, faces):
+        a.flags.writeable = False
+    return kept, tuple(map(tuple, faces.tolist())), {arc_segments + 2: faces}
 
 
 def combined_mesh(
@@ -418,12 +420,16 @@ def combined_mesh(
     tol: Tolerances = DEFAULT_TOL,
 ) -> FoldedMesh:
     """Both folded geometries in one frame, identified creases coincident;
-    the merged creases become non-manifold edges with four incident faces."""
+    the merged creases become non-manifold edges with four incident faces.
+    The topology is fixed: 1 + 6 + 8 (arc_segments - 1) vertices in plate
+    order (apex, crease tips, arc points) at their first plate's points;
+    plates that only touch, as at a flat fold, keep distinct vertices."""
     ge = embed_vertex(cv.base, cv.base_state, radius, arc_segments, tol)
     gh = embed_vertex(cv.dual_vertex, cv.dual_state, radius, arc_segments, tol)
-    R = dual_alignment(cv)
-    polys = list(ge.plate_polys) + [p @ R.T for p in gh.plate_polys]
-    return mesh_from_polygons(polys)
+    R = _alignment(cv, ge.crease_dirs, gh.crease_dirs)
+    kept, faces, face_index = _combined_topology(arc_segments, tuple(cv.crease_map.items()))
+    pts = np.concatenate([*ge.plate_polys, *(p @ R.T for p in gh.plate_polys)])
+    return FoldedMesh(pts[kept], faces, face_index)
 
 
 def junction_dihedrals(cv: CombinedVertex, tol: Tolerances = DEFAULT_TOL) -> list[float]:
@@ -432,7 +438,7 @@ def junction_dihedrals(cv: CombinedVertex, tol: Tolerances = DEFAULT_TOL) -> lis
     base sector and the dual sector form a half-plane)."""
     ge = embed_vertex(cv.base, cv.base_state, tol=tol)
     gh = embed_vertex(cv.dual_vertex, cv.dual_state, tol=tol)
-    R = dual_alignment(cv)
+    R = _alignment(cv, ge.crease_dirs, gh.crease_dirs)
     i, j = cv.merge_pair
     out = []
     # plate k spans creases k, k+1; merged crease index m is shared with

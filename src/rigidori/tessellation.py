@@ -517,16 +517,13 @@ def _lattice_axes(fs: FoldedSheet) -> np.ndarray:
     The third axis is the corner-plate normal (those plates are mutually
     parallel translates in every folded state and play the role of the
     structure's base plane); the first is the in-plane component of the
-    row lattice direction. At zero fold this is the flat frame.
+    folded row translation, which every sheet has, one column or more. At
+    zero fold this is the flat frame.
     """
-    sheet, plan, pos = fs.sheet, fs.sheet.fold_plan, fs.mesh.vertices
-    pts = pos[plan.face_corners[sheet.face_kinds.index("corner")]]
+    pts = fs.mesh.vertices[fs.sheet.fold_plan.face_corners[fs.sheet.face_kinds.index("corner")]]
     n3 = np.cross(pts[1] - pts[0], pts[3] - pts[0])
     n3 = n3 / np.linalg.norm(n3)
-    if sheet.cols > 1:
-        e_row = fs.lattice[0]
-    else:  # the square's P1 -> P2 edge
-        e_row = pos[plan.valley_rows[0, 1]] - pos[plan.valley_rows[0, 0]]
+    e_row = fs.lattice[0]
     e1 = e_row - np.dot(e_row, n3) * n3
     n1 = np.linalg.norm(e1)
     if n1 < 1e-12:

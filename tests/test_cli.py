@@ -233,6 +233,21 @@ def test_obj_single_plate_and_determinism(tmp_path):
     assert lines[-1] == "f 1 2 3 4"
 
 
+def test_obj_vertex_lines_match_per_value_formatting(tmp_path):
+    pts = (
+        (-0.0, 0.0, 0.0), (2.0, 0.0, -0.0), (2.0, 3.0, 0.0), (0.1, 1 / 3, 0.0),
+        (5e-324, 1e300, -7.0), (-2.5e-7, -1e300, 123456789.0), (-1.0, 0.5, 0.0),
+    )
+    faces = ((0, 1, 2, 3), (0, 4, 5), (0, 1, 2, 3, 6))
+    path = tmp_path / "m.obj"
+    write_obj(FoldedMesh(pts, faces), str(path))
+    expect = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in pts]
+    expect += ["f " + " ".join(str(i + 1) for i in f) for f in faces]
+    assert path.read_bytes() == ("\n".join(expect) + "\n").encode()
+    assert expect[0] == "v -0 0 0"
+    assert expect[4] == "v 4.9406564584124654e-324 1.0000000000000001e+300 -7"
+
+
 def test_obj_merged_crease_shared_indices(tmp_path):
     out = tmp_path / "cv.obj"
     code = run(

@@ -14,7 +14,6 @@ from rigidori.embedding import (
     dual_alignment,
     embed_vertex,
     junction_dihedrals,
-    mesh_from_polygons,
     split_combined,
     synchronize,
 )
@@ -55,9 +54,9 @@ def test_flat_crease_directions_are_cumulative_sums():
 def test_rigidity_of_sector_angles_in_any_state():
     for drv in (0.4, 1.3, 2.7):
         s = fold_mode(SQ_TWIST, MODE_1, drv)
-        g = embed_vertex(SQ_TWIST, s)
         for i in range(1, 5):
-            assert abs(g.crease_angle(i, i % 4 + 1) - SQ_TWIST.alphas[i - 1]) < 1e-10
+            angle = crease_pair_angle(SQ_TWIST, s, (i, i % 4 + 1))
+            assert abs(angle - SQ_TWIST.alphas[i - 1]) < 1e-10
 
 
 def test_elliptic_cone_state_embeds():
@@ -302,21 +301,64 @@ def test_dual_alignment_maps_creases_exactly():
     assert abs(np.linalg.det(R) - 1.0) < 1e-12
 
 
-def test_mesh_from_polygons_welds_shared_points():
-    tri1 = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
-    tri2 = [(1, 0, 0), (1, 1, 0), (0, 1, 0)]
-    mesh = mesh_from_polygons([tri1, tri2])
-    assert len(mesh.vertices) == 4
-    assert len(mesh.faces) == 2
+def _distance_weld(polygons, weld_tol: float = 1e-8) -> FoldedMesh:
+    """Reference topology: each point joins the first kept vertex within
+    weld_tol (Chebyshev), and a point near no kept vertex is kept."""
+    pts = np.concatenate(polygons)
+    near = np.all(np.abs(pts[:, None] - pts) < weld_tol, axis=2)
+    kept, index = [], []
+    for row in near:
+        j = next((n for n, k in enumerate(kept) if row[k]), len(kept))
+        if j == len(kept):
+            kept.append(len(index))
+        index.append(j)
+    m = len(polygons[0])
+    return FoldedMesh(pts[kept], tuple(tuple(index[k : k + m]) for k in range(0, len(pts), m)))
 
 
-def test_weld_joins_the_first_kept_vertex_only():
-    # b is within weld_tol of a, c of b but not of a: c joins no kept
-    # vertex, so it is kept even though its nearest point was welded
-    a, b, c = (0.0, 0.0, 0.0), (0.6e-8, 0.0, 0.0), (1.2e-8, 0.0, 0.0)
-    mesh = mesh_from_polygons([[a, b, c], [c, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]])
-    assert mesh.vertices.tolist() == [list(a), list(c), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-    assert mesh.faces == ((0, 0, 1), (1, 2, 3))
+def test_combined_mesh_matches_distance_weld_on_generic_states():
+    # away from flat folds only the shared apex and crease tips coincide,
+    # so the fixed topology is the distance weld's, first coordinates kept
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 48:
+        v = Vertex4(tuple(rng.uniform(0.2, PI - 0.2, size=4)))
+        pair = ((2, 4), (1, 3))[checked % 2]
+        lo, hi = achievable_theta_interval(v, pair)
+        if lo >= hi:
+            continue
+        variant = ("parallel", "rotated")[checked // 2 % 2]
+        cv = synchronize(v, variant, lo + rng.uniform(0.05, 0.95) * (hi - lo), pair)
+        segments = (1, 3, 8)[checked % 3]
+        R = dual_alignment(cv)
+        ge = embed_vertex(cv.base, cv.base_state, 1.5, segments)
+        gh = embed_vertex(cv.dual_vertex, cv.dual_state, 1.5, segments)
+        welded = _distance_weld([*ge.plate_polys, *(p @ R.T for p in gh.plate_polys)])
+        assert combined_mesh(cv, 1.5, segments) == welded
+        checked += 1
+
+
+P_FLAT = Vertex4((1.0, 1.0, PI - 1.0, PI - 1.0))
+EQUAL = Vertex4((1.0, 1.0, 1.0, 1.0))
+ALTERNATING = Vertex4((0.8, 1.2, 0.8, 1.2))
+
+
+@pytest.mark.parametrize("segments", [1, 3, 8])
+@pytest.mark.parametrize("variant", ["parallel", "rotated"])
+@pytest.mark.parametrize(
+    "v, end",
+    [(P_FLAT, "lo"), (EQUAL, 2.0), (ALTERNATING, "lo"), (ALTERNATING, "hi")],
+    ids=["pi-minus-lo", "equal-2", "alternating-lo", "alternating-hi"],
+)
+def test_flat_fold_plates_keep_distinct_vertices(v, end, variant, segments):
+    # at these flat folds distinct plate points coincide in space; a
+    # distance weld merged them, the fixed topology keeps them apart
+    lo, hi = achievable_theta_interval(v, (2, 4))
+    theta = {"lo": lo, "hi": hi}.get(end, end)
+    mesh = combined_mesh(synchronize(v, variant, theta), arc_segments=segments)
+    assert len(mesh.vertices) == 1 + 6 + 8 * (segments - 1)
+    assert len(mesh.faces) == 8
+    assert all(len(set(f)) == segments + 2 for f in mesh.faces)
 
 
 def _tilted_grid(nx: int, ny: int):

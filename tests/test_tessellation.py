@@ -189,6 +189,16 @@ def test_rotated_variant_builds_and_flexes():
         assert cx.glue_residual < 1e-8
 
 
+@pytest.mark.parametrize("rho", [1.0, -2.0, 3.0])
+def test_one_column_sheets_share_the_lattice_frame(sheet22, rho):
+    # every sheet has the folded row translation, so a one-column sheet
+    # carries the frame of a wider sheet of the same generator
+    ref = stack_complex(sheet22, 1, rho).lattice_axes
+    for rows, cols in ((1, 1), (2, 1), (5, 1)):
+        axes = stack_complex(build_square_twist_sheet(GEN, rows, cols), 1, rho).lattice_axes
+        assert np.abs(axes - ref).max() <= 1e-12
+
+
 def test_auxetic_regimes_windows(sheet22):
     rep = auxetic_sweep(sheet22, 3, 0.05 * PI, 0.45 * PI, 9)
     assert all(r == REGIME_2C1E for r in rep.regimes)
