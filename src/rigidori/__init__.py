@@ -13,10 +13,10 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .numerics import DEFAULT_TOL, Rotation3, Tolerances, rotation_about_axis, rotation_residual, wrap_angle
+from .numerics import DEFAULT_TOL, Tolerances, rotation_about_axis, wrap_angle
 from .vertex import Curvature, FoldState, Vertex4, VertexClass, classify, cyclically_equal, dual
 from .flatfold import MODE_1, MODE_2, ModeConstants, fold_mode, mode_constants
-from .closure import ClosureReport, closure_residual, fold_map, oracle_solve
+from .closure import ClosureReport, closure_residual, oracle_solve
 from .kinematics import (
     ALL_BRANCHES,
     BRANCH_MM,

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .closure import closure_residual, oracle_solve
 from .embedding import FoldedMesh, combined_mesh, split_combined, synchronize
-from .errors import RigidOriError
+from .errors import InputError, RigidOriError
 from .flatfold import MODE_1, MODE_2, fold_mode, mode_constants
 from .kinematics import (
     BRANCH_MM,
@@ -42,6 +43,8 @@ from .tessellation import (
 from .vertex import FoldState, Vertex4, classify, dual, vertex_from_dict, vertex_to_dict
 
 _BRANCHES = {"pp": BRANCH_PP, "pm": BRANCH_PM, "mp": BRANCH_MP, "mm": BRANCH_MM}
+_BRANCH_NAMES = {branch: name for name, branch in _BRANCHES.items()}
+_MERGE_PAIRS = {"24": (2, 4), "13": (1, 3)}
 
 
 def _meta(args: argparse.Namespace) -> dict:
@@ -91,7 +94,11 @@ def _parse_vertex(args, parser) -> Vertex4:
         parser.error("give exactly one of --alphas or --vertex-json")
     if getattr(args, "vertex_json", None):
         with open(args.vertex_json) as fh:
-            return vertex_from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise InputError(f"--vertex-json {args.vertex_json} is not valid JSON: {exc}") from None
+        return vertex_from_dict(data)
     if not getattr(args, "alphas", None):
         parser.error("a vertex is required: --alphas a1,a2,a3,a4 or --vertex-json path")
     parts = _floats(args.alphas, "--alphas", parser)
@@ -214,13 +221,8 @@ def _cmd_trace(args, parser):
     v = _parse_vertex(args, parser)
     curve = trace_curve(v, args.driver_index, _BRANCHES[args.branch], args.samples, _tol(args))
     lines = [_csv_header(args), "driver_index,branch,rho1,rho2,rho3,rho4,residual"]
-    bl = args.branch
-    for s, r in zip(curve.samples, curve.residuals):
-        lines.append(
-            f"{curve.driver_index},{bl},"
-            + ",".join(_g(x) for x in s.rhos)
-            + f",{_g(r)}"
-        )
+    for rhos, r in zip(curve.rhos, curve.residuals):
+        lines.append(f"{curve.driver_index},{args.branch}," + ",".join(map(_g, rhos)) + f",{_g(r)}")
     _emit_text(lines, args)
 
 
@@ -237,8 +239,7 @@ def _cmd_verify_duality(args, parser):
         {
             "branches": [
                 {
-                    "branch": f"{'p' if b.branch.opposite_sign_1 > 0 else 'm'}"
-                    f"{'p' if b.branch.opposite_sign_2 > 0 else 'm'}",
+                    "branch": _BRANCH_NAMES[b.branch],
                     "n_samples": b.n_samples,
                     "max_abs_rho_mismatch": _finite_or_none(b.max_abs_rho_mismatch),
                     "sign_pattern_ok": b.sign_pattern_ok,
@@ -266,16 +267,14 @@ def _cmd_combine(args, parser):
     if args.arc_segments < 1:
         parser.error("--arc-segments must be at least 1")
     v = _parse_vertex(args, parser)
-    merge_pair = (2, 4) if args.merge_pair == "24" else (1, 3)
     tol = _tol(args)
-    cv = synchronize(v, args.variant, _angle(args, args.theta), merge_pair, tol=tol)
+    cv = synchronize(v, args.variant, _angle(args, args.theta), _MERGE_PAIRS[args.merge_pair], tol=tol)
     write_obj(combined_mesh(cv, args.radius, args.arc_segments, tol), args.output, args)
 
 
 def _cmd_split(args, parser):
     v = _parse_vertex(args, parser)
-    merge_pair = (2, 4) if args.merge_pair == "24" else (1, 3)
-    cv = synchronize(v, "rotated", _angle(args, args.theta), merge_pair, tol=_tol(args))
+    cv = synchronize(v, "rotated", _angle(args, args.theta), _MERGE_PAIRS[args.merge_pair], tol=_tol(args))
     v1, v2 = split_combined(cv)
     _emit_json({"v1": vertex_to_dict(v1), "v2": vertex_to_dict(v2)}, args)
 
@@ -291,11 +290,9 @@ def _frames(args, parser) -> list[tuple[str, float]]:
         parser.error("--frames must be at least 1")
     lo = _angle_or(args, args.rho_min, 0.05 * math.pi)
     hi = _angle_or(args, args.rho_max, 0.95 * math.pi)
-    stem, dot, ext = args.output.rpartition(".")
-    if not dot:
-        stem, ext = args.output, "obj"
+    stem, ext = os.path.splitext(args.output)
     return [
-        (f"{stem}_{k:03d}.{ext}", lo + (hi - lo) * k / max(args.frames - 1, 1))
+        (f"{stem}_{k:03d}{ext or '.obj'}", lo + (hi - lo) * k / max(args.frames - 1, 1))
         for k in range(args.frames)
     ]
 
@@ -419,13 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = new("combine", _cmd_combine, "combined non-manifold vertex OBJ")
     p.add_argument("--variant", choices=("parallel", "rotated"), default="parallel")
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--merge-pair", choices=("24", "13"), default="24")
+    p.add_argument("--merge-pair", choices=tuple(_MERGE_PAIRS), default="24")
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--arc-segments", type=int, default=8)
 
     p = new("split", _cmd_split, "flat-foldable split of the rotated combination")
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--merge-pair", choices=("24", "13"), default="24")
+    p.add_argument("--merge-pair", choices=tuple(_MERGE_PAIRS), default="24")
 
     for name, func in (("sheet", _cmd_sheet), ("stack", _cmd_stack)):
         p = new(name, func, f"folded square-twist {name} OBJ")

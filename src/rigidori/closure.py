@@ -23,7 +23,6 @@ import numpy as np
 
 from .numerics import (
     DEFAULT_TOL,
-    Rotation3,
     Tolerances,
     axis_angle_vector,
     rot_x,
@@ -72,11 +71,6 @@ class LoopEvaluator:
     def residual_vector(self, rhos) -> np.ndarray:
         """Three independent components: the axis-angle vector of the loop."""
         return axis_angle_vector(self.matrix(rhos))
-
-
-def fold_map(v: Vertex4, s: FoldState) -> Rotation3:
-    """The loop product around the vertex; identity iff the state closes."""
-    return Rotation3(LoopEvaluator(v).matrix(s.rhos))
 
 
 def closure_residual(v: Vertex4, s: FoldState) -> float:

@@ -45,7 +45,7 @@ cause is read from the tag of the breakpoint that ends it.
 
 Both relations are invariant under a_i -> pi - a_i up to sign flips of one
 opposite crease pair, which is the elliptic-hyperbolic duality; see
-verify_duality and dual_state.
+verify_duality and _DUAL_SIGNS.
 """
 
 from __future__ import annotations
@@ -678,7 +678,7 @@ class VertexKinematics:
             branch=branch,
             driver_index=driver_index,
             drivers=tuple(drivers),
-            samples=tuple(FoldState(r) for r in rows),
+            rhos=tuple(map(tuple, rows)),
             residuals=tuple(residuals.tolist()),
             tol=self.tol,
         )
@@ -715,18 +715,24 @@ class FoldingRange:
 
 @dataclass(frozen=True)
 class ConfigCurve:
-    """An ordered, closure-certified trace of one configuration branch."""
+    """An ordered, closure-certified trace of one configuration branch:
+    ``rhos`` holds the fold angles (rho1..rho4) of each sample."""
 
     vertex: Vertex4
     branch: BranchLabel
     driver_index: int
     drivers: tuple[float, ...]
-    samples: tuple[FoldState, ...]
+    rhos: tuple[tuple[float, float, float, float], ...]
     residuals: tuple[float, ...]
     tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
 
+    @property
+    def samples(self) -> tuple[FoldState, ...]:
+        """The sample rows as FoldStates, built on each read."""
+        return tuple(map(FoldState, self.rhos))
+
     def __post_init__(self):
-        if len(self.samples) != len(self.drivers) or len(self.residuals) != len(self.drivers):
+        if len(self.rhos) != len(self.drivers) or len(self.residuals) != len(self.drivers):
             raise InputError("curve arrays must have equal length")
         for r in self.residuals:
             if not r < self.tol.residual_tol:
@@ -783,19 +789,22 @@ def trace_curve(
 # duality
 
 
+#: the duality map on fold angles: the (1,3) crease pair is preserved,
+#: the (2,4) pair flips sign
+_DUAL_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+
 def dual_state(s: FoldState) -> FoldState:
-    """The matched state of the dual vertex: the (1,3) crease pair is
-    preserved, the (2,4) pair flips sign."""
-    r = s.rhos
-    return FoldState((r[0], -r[1], r[2], -r[3]))
+    """The matched state of the dual vertex (the rhos times _DUAL_SIGNS)."""
+    return FoldState(np.multiply(s.rhos, _DUAL_SIGNS))
 
 
 @dataclass(frozen=True)
 class DualityBranchReport:
     """max_abs_rho_mismatch is 0.0 when every sample, mapped to C* by
-    dual_state (which keeps each |rho_i|), closes on C*; it is inf when
+    _DUAL_SIGNS (which keeps each |rho_i|), closes on C*; it is inf when
     any mapped sample fails closure. That closure batch carries the
-    claim: with dual_state as documented, sign_pattern_ok holds by
+    claim: with the map as documented, sign_pattern_ok holds by
     construction, since pair (1,3) keeps its signs and pair (2,4) flips."""
 
     branch: BranchLabel
@@ -825,23 +834,25 @@ class DualityReport:
         return len(self.branches)
 
 
-def _sign_pattern_is_dual(s: FoldState, sd: FoldState, eps: float = 1e-7) -> bool:
-    """True when exactly one opposite crease pair keeps its signs and the
-    other flips, comparing s on C with sd on C* (up to a global flip).
+def _sign_pattern_is_dual(rhos, dual_rhos, eps: float = 1e-7) -> np.ndarray:
+    """Per row of two (..., 4) arrays, True when exactly one opposite crease
+    pair keeps its signs and the other flips, comparing rhos on C with
+    dual_rhos on C* (up to a global flip).
 
-    Creases below eps in either state are skipped; a pair with no crease
+    Creases below eps in either row are skipped; a pair with no crease
     left is a wildcard.
     """
-    pairs: tuple[set, set] = (set(), set())  # per pair: the flip flags seen
-    for i in range(4):
-        a, b = s.rhos[i], sd.rhos[i]
-        if abs(a) < eps or abs(b) < eps:
-            continue
-        pairs[i % 2].add((a > 0) != (b > 0))
+    a, b = np.asarray(rhos, dtype=float), np.asarray(dual_rhos, dtype=float)
+    seen = ~((np.abs(a) < eps) | (np.abs(b) < eps))
+    flip = (a > 0) != (b > 0)
+    # per pair (columns k and k + 2): whether a flip and a keep were seen
+    flips = [(seen & flip)[..., k::2].any(axis=-1) for k in (0, 1)]
+    keeps = [(seen & ~flip)[..., k::2].any(axis=-1) for k in (0, 1)]
     # no pair both flips and keeps, and two determinate pairs differ; a
-    # global flip of sd negates every flag and leaves both tests unchanged
-    p, q = pairs
-    return len(p) < 2 and len(q) < 2 and not (p and p == q)
+    # global flip negates every flag and leaves both tests unchanged
+    mixed = (flips[0] & keeps[0]) | (flips[1] & keeps[1])
+    same = (flips[0] | keeps[0]) & (flips[1] | keeps[1]) & (flips[0] == flips[1])
+    return ~(mixed | same)
 
 
 def verify_duality(
@@ -853,9 +864,9 @@ def verify_duality(
 ) -> DualityReport:
     """Trace every realizable branch of C and check that the dual vertex
     reproduces it with matched |rho| and the one-pair-flipped sign
-    pattern. Each traced state is mapped to C* in closed form by
-    dual_state, and the mapped states of all branches are certified
-    against the closure loop of C* in one batch, so the check is end to end."""
+    pattern. The traced rows of all branches are stacked once, mapped to
+    C* in closed form by _DUAL_SIGNS and certified against the closure
+    loop of C* in one batch, so the check is end to end."""
     kin = VertexKinematics(v, tol)
     curves = []
     for branch in branches:
@@ -863,17 +874,18 @@ def verify_duality(
             curves.append(kin.trace_curve(driver_index, branch, n_samples))
         except (InfeasibleDriverError, TraceAbortError):
             continue
-    pairs = [(s, dual_state(s)) for curve in curves for s in curve.samples]
-    dual_rhos = np.reshape([sd.rhos for _, sd in pairs], (-1, 4))
+    rhos = np.reshape([r for curve in curves for r in curve.rhos], (-1, 4))
+    dual_rhos = rhos * _DUAL_SIGNS
     closes = LoopEvaluator(dual(v)).residuals(dual_rhos) < tol.residual_tol
-    ends = np.cumsum([len(curve.samples) for curve in curves], dtype=int).tolist()
+    signs_ok = _sign_pattern_is_dual(rhos, dual_rhos)
+    ends = np.cumsum([len(curve.rhos) for curve in curves], dtype=int).tolist()
     reports = [
         DualityBranchReport(
             branch=curve.branch,
             driver_index=driver_index,
             n_samples=b - a,
             max_abs_rho_mismatch=0.0 if closes[a:b].all() else math.inf,
-            sign_pattern_ok=all(_sign_pattern_is_dual(s, sd) for s, sd in pairs[a:b]),
+            sign_pattern_ok=bool(signs_ok[a:b].all()),
         )
         for curve, a, b in zip(curves, [0] + ends, ends)
     ]

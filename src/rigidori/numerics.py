@@ -1,7 +1,8 @@
 """Rotation algebra, angle utilities, and the shared tolerance policy.
 
-Everything here is a pure function of its arguments; all values are
-immutable after construction and safe to share across threads.
+Everything here is a pure function of its arguments. Rotations are plain
+(3, 3) float arrays, fresh on every call; Tolerances is immutable and safe
+to share across threads.
 
 Conventions (used package-wide):
   * right-handed coordinate system; rotations act on column vectors by
@@ -18,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-
-_ORTHO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,50 +49,6 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-class Rotation3:
-    """A proper rotation of R^3, stored as a 3x3 orthogonal matrix.
-
-    Construction validates orthogonality (Frobenius deviation of R R^T
-    from the identity below 1e-12) and det > 0. The wrapped array is
-    read-only.
-    """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        m = np.array(matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise InputError("rotation matrix must be 3x3")
-        if np.linalg.norm(m @ m.T - np.eye(3)) >= _ORTHO_TOL:
-            raise InputError("matrix is not orthogonal within 1e-12")
-        if np.linalg.det(m) <= 0.0:
-            raise InputError("matrix must have determinant +1")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Rotation3 is immutable")
-
-    @classmethod
-    def identity(cls) -> "Rotation3":
-        return cls(np.eye(3))
-
-    def compose(self, other: "Rotation3") -> "Rotation3":
-        """self applied after other (matrix product self @ other)."""
-        return Rotation3(self.matrix @ other.matrix)
-
-    def __matmul__(self, other):
-        if isinstance(other, Rotation3):
-            return self.compose(other)
-        return self.matrix @ np.asarray(other, dtype=float)
-
-    def apply(self, vec) -> np.ndarray:
-        return self.matrix @ np.asarray(vec, dtype=float)
-
-    def __repr__(self):
-        return f"Rotation3({self.matrix.tolist()!r})"
-
-
 def rotation_matrix_about_axis(axis, angle) -> np.ndarray:
     """Raw Rodrigues rotation matrix; axis must already be unit length.
 
@@ -109,7 +64,7 @@ def rotation_matrix_about_axis(axis, angle) -> np.ndarray:
     return np.eye(3) + np.sin(ang) * K + (1.0 - np.cos(ang)) * (K @ K)
 
 
-def rotation_about_axis(axis, angle: float) -> Rotation3:
+def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Right-handed rotation by `angle` about the unit vector `axis`."""
     ax = np.asarray(axis, dtype=float)
     if ax.shape != (3,):
@@ -118,13 +73,7 @@ def rotation_about_axis(axis, angle: float) -> Rotation3:
         raise InputError("angle must be finite")
     if abs(np.linalg.norm(ax) - 1.0) > 1e-12:
         raise InputError("axis must be unit length within 1e-12")
-    return Rotation3(rotation_matrix_about_axis(ax, angle))
-
-
-def rotation_residual(r: Rotation3 | np.ndarray) -> float:
-    """Frobenius norm of (r - identity); zero iff r is the identity."""
-    m = r.matrix if isinstance(r, Rotation3) else np.asarray(r, dtype=float)
-    return float(np.linalg.norm(m - np.eye(3)))
+    return rotation_matrix_about_axis(ax, angle)
 
 
 def axis_angle_vector(m: np.ndarray) -> np.ndarray:

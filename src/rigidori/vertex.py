@@ -145,11 +145,14 @@ def vertex_to_dict(v: Vertex4) -> dict:
 def vertex_from_dict(data: dict) -> Vertex4:
     try:
         alphas = data["alphas"]
-    except (KeyError, TypeError):
-        raise InputError("vertex JSON must contain an 'alphas' list") from None
+        if not isinstance(alphas, (list, tuple)):
+            raise TypeError  # a string or an object would iterate as one
+        alphas = [float(x) for x in alphas]
+    except (KeyError, TypeError, ValueError):
+        raise InputError("vertex JSON must contain an 'alphas' list of numbers") from None
     units = data.get("units", "radians")
     if units == "degrees":
-        alphas = [math.radians(float(x)) for x in alphas]
+        alphas = [math.radians(x) for x in alphas]
     elif units != "radians":
         raise InputError(f"unknown units {units!r}")
     return Vertex4(alphas)

@@ -208,14 +208,18 @@ def test_degrees_flag_leaves_radian_defaults_alone(tmp_path):
 
 
 def test_frame_sequence_export(tmp_path):
-    code = run(
-        ["sheet", "--alphas", "45,90,135,90", "--degrees",
-         "--rows", "1", "--cols", "1", "--frames", "3",
-         "--output", str(tmp_path / "anim.obj")]
-    )
-    assert code == 0
-    names = sorted(os.listdir(tmp_path))
-    assert names == ["anim_000.obj", "anim_001.obj", "anim_002.obj"]
+    # a dot in a directory name is not the file's extension
+    for output in ("anim.obj", "out.d/anim"):
+        target = tmp_path / output
+        target.parent.mkdir(exist_ok=True)
+        code = run(
+            ["sheet", "--alphas", "45,90,135,90", "--degrees",
+             "--rows", "1", "--cols", "1", "--frames", "3",
+             "--output", str(target)]
+        )
+        assert code == 0
+        names = sorted(p.name for p in target.parent.glob("anim_*"))
+        assert names == ["anim_000.obj", "anim_001.obj", "anim_002.obj"]
 
 
 def test_obj_single_plate_and_determinism(tmp_path):
@@ -273,6 +277,19 @@ def test_vertex_json_input_round_trip(tmp_path, capsys):
     assert data["alphas"] == pytest.approx(
         [PI - 0.3, PI - 1.2, PI - 2.0, PI - 0.9], abs=1e-15
     )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"alphas": [0.3, 1.2', '{"alphas": ["a", 1, 1, 1]}', '{"alphas": 5}', '{"alphas": "1111"}'],
+    ids=["invalid-json", "non-numeric-alpha", "alphas-not-a-list", "alphas-a-string"],
+)
+def test_malformed_vertex_json_is_a_domain_error(tmp_path, capsys, text):
+    path = tmp_path / "v.json"
+    path.write_text(text)
+    assert run(["classify", "--vertex-json", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rigidori: error: ") and "Traceback" not in err
 
 
 def test_parser_is_built_once_and_runs_do_not_share_state(capsys):

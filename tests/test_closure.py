@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidori.closure import LoopEvaluator, closure_residual, fold_map, oracle_solve
+from rigidori.closure import LoopEvaluator, closure_residual, oracle_solve
 from rigidori.flatfold import MODE_1, MODE_2, fold_mode
-from rigidori.numerics import rotation_residual
 from rigidori.vertex import FoldState, Vertex4, ZERO_STATE
 
 PI = math.pi
@@ -56,10 +55,10 @@ def test_residual_lipschitz_bound():
         assert abs(r1 - r0) <= 4.0 * np.sum(np.abs(d)) + 1e-12
 
 
-def test_fold_map_determinism():
+def test_loop_matrix_determinism():
     s = FoldState((0.2, -0.4, 0.9, 0.1))
-    a = fold_map(ELLIPTIC, s).matrix
-    b = fold_map(ELLIPTIC, s).matrix
+    a = LoopEvaluator(ELLIPTIC).matrix(s.rhos)
+    b = LoopEvaluator(ELLIPTIC).matrix(s.rhos)
     assert np.array_equal(a, b)
 
 

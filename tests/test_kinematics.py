@@ -598,15 +598,54 @@ def test_dual_state_map():
 
 
 def test_sign_pattern_needs_one_flipped_and_one_kept_pair():
-    s = FoldState((0.3, -0.5, 0.7, 0.9))
-    assert _sign_pattern_is_dual(s, s) is False  # no pair flipped
-    assert _sign_pattern_is_dual(s, FoldState(tuple(-r for r in s.rhos))) is False
-    assert _sign_pattern_is_dual(s, dual_state(s)) is True
-    assert _sign_pattern_is_dual(s, FoldState((-0.3, -0.5, -0.7, 0.9))) is True  # global flip
-    assert _sign_pattern_is_dual(s, FoldState((0.3, 0.5, 0.7, 0.9))) is False  # pair split
-    # a pair with no crease above eps is a wildcard
-    flat_pair = FoldState((0.0, -0.5, 0.0, 0.9))
-    assert _sign_pattern_is_dual(flat_pair, flat_pair) is True
+    s = (0.3, -0.5, 0.7, 0.9)
+    flat_pair = (0.0, -0.5, 0.0, 0.9)  # a pair with no crease above eps is a wildcard
+    cases = [
+        (s, s, False),  # no pair flipped
+        (s, tuple(-r for r in s), False),
+        (s, dual_state(FoldState(s)).rhos, True),
+        (s, (-0.3, -0.5, -0.7, 0.9), True),  # global flip
+        (s, (0.3, 0.5, 0.7, 0.9), False),  # pair split
+        (flat_pair, flat_pair, True),
+    ]
+    rows, dual_rows, expected = map(np.array, zip(*cases))
+    assert _sign_pattern_is_dual(rows, dual_rows).tolist() == expected.tolist()
+
+
+def _set_based_sign_rule(a, b, eps=1e-7):
+    """Reference rule, one row at a time: collect each pair's flip flags."""
+    pairs = (set(), set())
+    for i in range(4):
+        if abs(a[i]) < eps or abs(b[i]) < eps:
+            continue
+        pairs[i % 2].add((a[i] > 0) != (b[i] > 0))
+    p, q = pairs
+    return len(p) < 2 and len(q) < 2 and not (p and p == q)
+
+
+def test_sign_pattern_kernel_matches_the_set_based_rule():
+    rng = np.random.default_rng(18)
+    degenerate = np.array([0.0, -0.0, 1e-8, -1e-8, 1e-7, -1e-7, PI, -PI, 0.4, -0.4, math.nan])
+    rows = np.concatenate([
+        rng.uniform(-PI, PI, size=(4000, 4)),
+        rng.choice(degenerate, size=(4000, 4)),
+    ])
+    signs = rng.choice([-1.0, 1.0], size=rows.shape)
+    dual_rows = np.concatenate([
+        rows * signs,  # same magnitudes, any signs
+        rng.choice(degenerate, size=rows.shape),  # independent degenerate rows
+    ])
+    rows = np.concatenate([rows, rows])
+    got = _sign_pattern_is_dual(rows, dual_rows)
+    want = [_set_based_sign_rule(a, b) for a, b in zip(rows.tolist(), dual_rows.tolist())]
+    assert got.tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
+def test_curve_samples_are_fold_states_of_its_rows():
+    curve = trace_curve(ELLIPTIC, 3, BRANCH_PP, 15, FAST)
+    assert curve.samples == tuple(map(FoldState, curve.rhos))
+    assert all(len(r) == 4 and type(r) is tuple for r in curve.rhos)
 
 
 def test_verify_duality_elliptic_example():
@@ -639,10 +678,11 @@ def test_wrong_dual_map_fails_the_closure_certificate(monkeypatch, capsys):
 
     v = Vertex4((1.0, 1.3, 1.1, 1.7))
     assert verify_duality(v, 1, 9, FAST).max_abs_rho_mismatch == 0.0
-    monkeypatch.setattr(kinematics, "dual_state", lambda s: s)
+    monkeypatch.setattr(kinematics, "_DUAL_SIGNS", np.ones(4))
     rep = verify_duality(v, 1, 9, FAST)
     assert rep.n_branches >= 1
     assert all(b.max_abs_rho_mismatch == math.inf for b in rep.branches)
+    assert not rep.sign_pattern_ok  # no crease pair flipped
     code = run(["verify-duality", "--alphas", "1.0,1.3,1.1,1.7", "--samples", "9",
                 "--step-max", "0.05"])
     assert code == 1 and "closure" in capsys.readouterr().err

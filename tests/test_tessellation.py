@@ -303,7 +303,7 @@ def _depth_first_positions(sheet: SquareTwistSheet, major_rho: float) -> dict:
                 if fj not in maps:
                     # the child lies right of a -> b: it turns by +rho about b -> a
                     axis = (flat[a] - flat[b]) / np.linalg.norm(flat[a] - flat[b])
-                    Rh = rotation_about_axis(axis, rho[key]).matrix
+                    Rh = rotation_about_axis(axis, rho[key])
                     maps[fj] = (R @ Rh, R @ (flat[b] - Rh @ flat[b]) + t)
                     stack.append(fj)
     out = {}
@@ -404,7 +404,7 @@ def test_wrong_hinge_angle_fails(sheet22):
 def test_rotated_lattice_step_does_not_tile(sheet22, monkeypatch):
     # pleat_v(1, 0) carries an extra 1e-6 rotation about the sheet normal
     e = [child for child, _ in PATCH_TREE].index(4)
-    turn = rotation_about_axis([0.0, 0.0, 1.0], 1e-6).matrix
+    turn = rotation_about_axis([0.0, 0.0, 1.0], 1e-6)
     exact = tessellation.rotation_matrix_about_axis
 
     def injected(axis, angle):
