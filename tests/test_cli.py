@@ -218,7 +218,7 @@ def test_frame_sequence_export(tmp_path):
              "--output", str(target)]
         )
         assert code == 0
-        names = sorted(p.name for p in target.parent.glob("anim_*"))
+        names = sorted(os.listdir(target.parent))
         assert names == ["anim_000.obj", "anim_001.obj", "anim_002.obj"]
 
 
