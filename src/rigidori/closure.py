@@ -51,22 +51,20 @@ class LoopEvaluator:
         self._rz = [rot_z(a) for a in v.alphas]
 
     def matrix(self, rhos) -> np.ndarray:
-        T = np.eye(3)
-        for rho, rz in zip(rhos, self._rz):
-            T = T @ rot_x(rho) @ rz
+        """The loop product of fold angles of shape (..., 4), batched:
+        matrices of shape (..., 3, 3)."""
+        rx = rot_x(np.asarray(rhos, dtype=float))
+        T = rx[..., 0, :, :] @ self._rz[0]
+        for k in range(1, 4):
+            T = T @ rx[..., k, :, :] @ self._rz[k]
         return T
 
     def residual(self, rhos) -> float:
         return float(np.linalg.norm(self.matrix(rhos) - np.eye(3)))
 
     def residuals(self, rhos) -> np.ndarray:
-        """``residual`` of each row of an (n, 4) array of fold angles, in
-        one batched product."""
-        rx = rot_x(np.asarray(rhos, dtype=float))
-        T = rx[:, 0] @ self._rz[0]
-        for k in range(1, 4):
-            T = T @ rx[:, k] @ self._rz[k]
-        return np.linalg.norm(T - np.eye(3), axis=(1, 2))
+        """``residual`` of each row of an (n, 4) array of fold angles."""
+        return np.linalg.norm(self.matrix(rhos) - np.eye(3), axis=(-2, -1))
 
     def residual_vector(self, rhos) -> np.ndarray:
         """Three independent components: the axis-angle vector of the loop."""

@@ -48,14 +48,15 @@ from .errors import (
     NonClosingStateError,
     UnsupportedVariantError,
 )
-from .kinematics import ALL_BRANCHES
-from .numerics import DEFAULT_TOL, Tolerances, rot_x, rot_z
+from .kinematics import _DUAL_SIGNS, ALL_BRANCHES, _admitted, _pair_signs
+from .numerics import DEFAULT_TOL, Tolerances, cross, half_tangent, rot_x, rot_z
 from .vertex import FoldState, Vertex4, dual
 
 PARALLEL = "parallel"
 ROTATED = "rotated"
 
 _X = np.array([1.0, 0.0, 0.0])
+_BRANCH_SIGNS = np.array([b.signs for b in ALL_BRANCHES], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +159,14 @@ class FoldedVertexGeometry:
 def _ray_angle(d1: np.ndarray, d2: np.ndarray) -> float:
     """Angle in [0, pi] between two rays of any length; unlike acos of the
     dot product, accurate near 0 and pi."""
-    return math.atan2(float(np.linalg.norm(np.cross(d1, d2))), float(np.dot(d1, d2)))
+    return math.atan2(float(np.linalg.norm(cross(d1, d2))), float(np.dot(d1, d2)))
 
 
 def plate_orientations(v: Vertex4, s: FoldState) -> list[np.ndarray]:
     """World orientation W_k of each plate's local frame, k = 1..4."""
     frames = [np.eye(3)]
-    for k in range(3):
-        frames.append(frames[-1] @ rot_z(v.alphas[k]) @ rot_x(s.rhos[k + 1]))
+    for rz, rx in zip(map(rot_z, v.alphas[:3]), rot_x(s.rhos[1:])):
+        frames.append(frames[-1] @ rz @ rx)
     return frames
 
 
@@ -247,14 +248,14 @@ def _matched_dual_state(s: FoldState, merge_pair: tuple[int, int]) -> FoldState:
     assignment for which a proper rotation aligns the identified creases
     AND every base sector becomes coplanar with its dual counterpart
     (the half-plane property), verified against the embedded geometry.
+    For merge pair (1, 3) this is the duality map _DUAL_SIGNS, for (2, 4)
+    its global mirror image.
     The apparent sign flip of the merged pair in the combined object is
     the dual sheet's reversed orientation in the glued frame, not a
     different fold angle.
     """
-    merged = {((merge_pair[0] - 1) % 4), ((merge_pair[1] - 1) % 4)}
-    return FoldState(
-        tuple(r if k in merged else -r for k, r in enumerate(s.rhos))
-    )
+    signs = _DUAL_SIGNS if merge_pair == (1, 3) else -_DUAL_SIGNS
+    return FoldState(np.multiply(s.rhos, signs))
 
 
 #: merge pair -> apex crease: the crease between the pair whose sectors
@@ -338,12 +339,14 @@ def synchronize(
     ):
         mags = np.roll([math.pi - at_apex, m_next, math.pi - at_far, m_prev], c).tolist()
         rows += itertools.product(*[(m, -m) if m else (m,) for m in mags])
-    closes = LoopEvaluator(base).residuals(rows) < tol.residual_tol
-    states = [FoldState(r) for r, ok in zip(rows, closes) if ok]
-    if not states:
+    rows = np.array(rows, dtype=float)
+    rows = rows[LoopEvaluator(base).residuals(rows) < tol.residual_tol]
+    if not len(rows):
         raise NonClosingStateError(f"no closure-certified base state at theta {theta:.6g}")
-    rank = {s: next(k for k, b in enumerate(ALL_BRANCHES) if b.matches(s)) for s in states}
-    base_state = min(states, key=lambda s: (rank[s], s.rhos[c], s.rhos))
+    # a row's branch is the first label that admits its pair signs
+    rank = _admitted(_pair_signs(half_tangent(rows))[:, None], _BRANCH_SIGNS).argmax(axis=1)
+    ranked = zip(rank.tolist(), rows.tolist())
+    base_state = FoldState(min(ranked, key=lambda p: (p[0], p[1][c], p[1]))[1])
 
     vd = dual(base)
     dual_st = _matched_dual_state(base_state, merge_pair)
@@ -366,7 +369,7 @@ def _orthonormal_frame(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     if n < 1e-12:
         raise MeshConsistencyError("identified creases are collinear; frame undefined")
     e2 = e2 / n
-    return np.column_stack([e1, e2, np.cross(e1, e2)])
+    return np.column_stack([e1, e2, cross(e1, e2)])
 
 
 def _alignment(cv: CombinedVertex, base_dirs, dual_dirs) -> np.ndarray:

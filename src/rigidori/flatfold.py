@@ -23,8 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateVertexError, InputError
-from .numerics import DEFAULT_TOL, Tolerances
+from .numerics import DEFAULT_TOL, FLAT_FOLD_WINDOW, Tolerances
 from .vertex import Curvature, FoldState, Vertex4, classify
 
 MODE_1 = 1
@@ -42,7 +44,8 @@ def mode_constants(alpha: float, beta: float, tol: Tolerances = DEFAULT_TOL) -> 
 
     The equivalent half-angle-tangent forms are k1 = (1 - ta*tb)/(1 + ta*tb)
     and k2 = (ta - tb)/(ta + tb) with ta = tan(alpha/2), tb = tan(beta/2);
-    they are not used for evaluation.
+    they are not used for evaluation. A numerator within angle_eps of 0
+    is 0, as at alpha + beta = pi, where cos of the rounded pi / 2 is not.
     """
     if not (0.0 < alpha < math.pi and 0.0 < beta < math.pi):
         raise InputError("alpha and beta must lie in (0, pi)")
@@ -52,19 +55,21 @@ def mode_constants(alpha: float, beta: float, tol: Tolerances = DEFAULT_TOL) -> 
         raise DegenerateVertexError("k1 is singular: cos((alpha-beta)/2) vanishes")
     if abs(den2) <= tol.angle_eps:
         raise DegenerateVertexError("k2 is singular: sin((alpha+beta)/2) vanishes")
+    num1 = math.cos(0.5 * (alpha + beta))
+    num2 = math.sin(0.5 * (alpha - beta))
     return ModeConstants(
-        k1=math.cos(0.5 * (alpha + beta)) / den1,
-        k2=math.sin(0.5 * (alpha - beta)) / den2,
+        k1=num1 / den1 if abs(num1) > tol.angle_eps else 0.0,
+        k2=num2 / den2 if abs(num2) > tol.angle_eps else 0.0,
     )
 
 
-def _coupled_angle(k: float, driver: float) -> float:
-    """2*atan(k * tan(driver/2)) with the driver = +-pi limit handled."""
-    if abs(abs(driver) - math.pi) < 1e-15:
-        if k == 0.0:
-            return 0.0
-        return math.copysign(math.pi, k * driver)
-    return 2.0 * math.atan(k * math.tan(0.5 * driver))
+def coupled_angle(k, driver: float):
+    """2 atan(k tan(driver / 2)) for one mode coefficient k or elementwise
+    for an array of them. At driver +-pi (within FLAT_FOLD_WINDOW) each
+    coupled crease flat-folds by the sign of k * driver; k = 0 keeps it flat."""
+    if abs(abs(driver) - math.pi) < FLAT_FOLD_WINDOW:
+        return math.copysign(math.pi, driver) * np.sign(k)
+    return 2.0 * np.arctan(np.multiply(k, math.tan(0.5 * driver)))
 
 
 def fold_mode(
@@ -83,10 +88,10 @@ def fold_mode(
         raise InputError("driver must lie in [-pi, pi]")
     k = mode_constants(v.alphas[0], v.alphas[1], tol)
     if mode == MODE_1:
-        coupled = _coupled_angle(-k.k1, driver)
+        coupled = coupled_angle(-k.k1, driver)
         return FoldState((driver, coupled, driver, -coupled))
     if mode == MODE_2:
-        coupled = _coupled_angle(k.k2, driver)
+        coupled = coupled_angle(k.k2, driver)
         return FoldState((coupled, driver, -coupled, driver))
     raise InputError("mode must be 1 or 2")
 

@@ -66,7 +66,7 @@ from .errors import (
     NoRealFoldError,
     TraceAbortError,
 )
-from .numerics import DEFAULT_TOL, Tolerances
+from .numerics import DEFAULT_TOL, Tolerances, half_tangent
 from .vertex import FoldState, Vertex4, dual
 
 _RATIO_ZERO_CLAMP = 1e-11
@@ -91,14 +91,13 @@ class BranchLabel:
         if self.opposite_sign_1 not in (-1, 1) or self.opposite_sign_2 not in (-1, 1):
             raise InputError("branch signs must be +1 or -1")
 
-    def matches(self, state: FoldState, eps: float = _SIGN_EPS) -> bool:
-        """Degenerate (near-zero or flat) tangents act as wildcards."""
-        t = state.half_tangents()
-        p1 = _pair_sign(t[0], t[2], eps)
-        p2 = _pair_sign(t[1], t[3], eps)
-        return (p1 == 0 or p1 == self.opposite_sign_1) and (
-            p2 == 0 or p2 == self.opposite_sign_2
-        )
+    @property
+    def signs(self) -> tuple[int, int]:
+        return self.opposite_sign_1, self.opposite_sign_2
+
+    def matches(self, state: FoldState) -> bool:
+        """Degenerate (near-zero) tangents act as wildcards."""
+        return bool(_admitted(_pair_signs(half_tangent(state.rhos)), self.signs))
 
 
 BRANCH_PP = BranchLabel(+1, +1)
@@ -112,10 +111,20 @@ MODE1_BRANCH = BRANCH_PM
 MODE2_BRANCH = BRANCH_MP
 
 
-def _pair_sign(ta: float, tb: float, eps: float = _SIGN_EPS) -> int:
-    if abs(ta) <= eps or abs(tb) <= eps:
-        return 0
-    return 1 if ta * tb > 0 else -1  # also right for infinite tangents
+def _pair_signs(t: np.ndarray) -> np.ndarray:
+    """Signs of the crease pairs (t1, t3) and (t2, t4) of half-angle
+    tangents (..., 4), shape (..., 2): +1 when a pair's tangents share a
+    sign, -1 when not, 0 when one lies within _SIGN_EPS of 0."""
+    sign = np.where(np.abs(t) > _SIGN_EPS, np.sign(t), 0.0)
+    return sign[..., :2] * sign[..., 2:]
+
+
+def _admitted(signs: np.ndarray, label_signs) -> np.ndarray:
+    """Whether label signs (..., 2) of +-1 admit pair signs (..., 2),
+    broadcast: each pair sign equals its label's or is 0, a wildcard, so
+    its product with the label's is not negative."""
+    label = np.asarray(label_signs)
+    return (signs[..., 0] * label[..., 0] >= 0) & (signs[..., 1] * label[..., 1] >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +313,6 @@ def _adjacent_roots(coefs, t_known: np.ndarray, known_is_next: bool = False):
 # candidate tables
 
 
-def _rho_to_t(rho: np.ndarray) -> np.ndarray:
-    """tan(rho / 2) elementwise; +-inf at rho = +-pi."""
-    return np.where(np.abs(np.abs(rho) - math.pi) < 1e-15, np.copysign(np.inf, rho), np.tan(0.5 * rho))
-
-
-def _pair_signs(ta: np.ndarray, tb: np.ndarray, eps: float = _SIGN_EPS) -> np.ndarray:
-    """_pair_sign elementwise."""
-    small = (np.abs(ta) <= eps) | (np.abs(tb) <= eps)
-    return np.where(small, 0, np.where((ta > 0) == (tb > 0), 1, -1))
-
-
 class _CandidateTable(NamedTuple):
     """The candidate states of one driver crease at n drivers; read-only.
 
@@ -346,8 +344,7 @@ class _CandidateTable(NamedTuple):
         (any when None), in rhos order; degenerate pair signs are wildcards."""
         on, signs = self.kept[start:stop], self.signs[start:stop]
         if branch is not None:
-            want = (branch.opposite_sign_1, branch.opposite_sign_2)
-            on = on & ((signs == 0) | (signs == want)).all(axis=-1)
+            on = on & _admitted(signs, branch.signs)
         order = self.order - 18 * start
         order = order[(order >= 0) & (order < on.size)]
         rows = order[on.ravel()[order]]
@@ -403,7 +400,7 @@ class VertexKinematics:
         d = (driver_index - 1) % 4
         drv = np.array(drivers, dtype=float)
         n = len(drv)
-        t_d = _rho_to_t(drv)
+        t_d = half_tangent(drv)
         m_sq, error, ratio = _opposite_sq(self._opp[(d + 2) % 4], t_d)
         m = np.sqrt(m_sq)  # the crease opposite the driver, up to sign
         t_opp = np.stack([m, -m], axis=1)
@@ -433,7 +430,7 @@ class VertexKinematics:
         closes = np.zeros(n * 18, dtype=bool)
         if valid.any():
             closes[valid] = self.loop.residuals(rhos[valid]) < self.tol.residual_tol
-        signs = _pair_signs(t[:, :2], t[:, 2:])
+        signs = _pair_signs(t)
 
         # the closing rows by driver, then in rhos order; each is kept
         # unless it lies within 1e-9 of an earlier kept one of its driver
@@ -638,9 +635,10 @@ class VertexKinematics:
                 if nxt is None:
                     nxt = self._refine_step(driver_index, branch, prev_drv, state, drv)
                 if nxt is None:
+                    done = [(x, r) for x, r in zip(drivers, states) if r is not None]
                     raise TraceAbortError(
                         f"continuation failed at driver {drv:.6g}",
-                        partial_curve=self._partial(driver_index, branch, drivers, states),
+                        partial_curve=self._make_curve(driver_index, branch, *zip(*done)),
                     )
                 states[idx] = nxt
                 state, prev_drv = nxt, drv
@@ -662,13 +660,6 @@ class VertexKinematics:
             else:
                 return approached
         return None
-
-    def _partial(self, driver_index, branch, drivers, states):
-        pairs = [(d, s) for d, s in zip(drivers, states) if s is not None]
-        try:
-            return self._make_curve(driver_index, branch, *zip(*pairs)) if pairs else None
-        except InputError:
-            return None
 
     def _make_curve(self, driver_index, branch, drivers, rows):
         """The curve through the sample ``rows``, residuals from one batch."""
@@ -834,16 +825,16 @@ class DualityReport:
         return len(self.branches)
 
 
-def _sign_pattern_is_dual(rhos, dual_rhos, eps: float = 1e-7) -> np.ndarray:
+def _sign_pattern_is_dual(rhos, dual_rhos) -> np.ndarray:
     """Per row of two (..., 4) arrays, True when exactly one opposite crease
     pair keeps its signs and the other flips, comparing rhos on C with
     dual_rhos on C* (up to a global flip).
 
-    Creases below eps in either row are skipped; a pair with no crease
+    Creases below 1e-7 in either row are skipped; a pair with no crease
     left is a wildcard.
     """
     a, b = np.asarray(rhos, dtype=float), np.asarray(dual_rhos, dtype=float)
-    seen = ~((np.abs(a) < eps) | (np.abs(b) < eps))
+    seen = ~((np.abs(a) < 1e-7) | (np.abs(b) < 1e-7))
     flip = (a > 0) != (b > 0)
     # per pair (columns k and k + 2): whether a flip and a keep were seen
     flips = [(seen & flip)[..., k::2].any(axis=-1) for k in (0, 1)]
@@ -860,7 +851,6 @@ def verify_duality(
     driver_index: int = 1,
     n_samples: int = 25,
     tol: Tolerances = DEFAULT_TOL,
-    branches: tuple[BranchLabel, ...] = ALL_BRANCHES,
 ) -> DualityReport:
     """Trace every realizable branch of C and check that the dual vertex
     reproduces it with matched |rho| and the one-pair-flipped sign
@@ -869,7 +859,7 @@ def verify_duality(
     loop of C* in one batch, so the check is end to end."""
     kin = VertexKinematics(v, tol)
     curves = []
-    for branch in branches:
+    for branch in ALL_BRANCHES:
         try:
             curves.append(kin.trace_curve(driver_index, branch, n_samples))
         except (InfeasibleDriverError, TraceAbortError):

@@ -48,6 +48,17 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+#: a fold angle within this of +-pi is flat-folded: its half-angle tangent is +-inf
+FLAT_FOLD_WINDOW = 1e-15
+
+
+def half_tangent(rho) -> np.ndarray:
+    """t = tan(rho / 2) elementwise, +-inf where rho is within
+    FLAT_FOLD_WINDOW of +-pi (never tan evaluated near pi / 2)."""
+    rho = np.asarray(rho, dtype=float)
+    flat = np.abs(np.abs(rho) - math.pi) < FLAT_FOLD_WINDOW
+    return np.where(flat, np.copysign(np.inf, rho), np.tan(0.5 * rho))
+
 
 def rotation_matrix_about_axis(axis, angle) -> np.ndarray:
     """Raw Rodrigues rotation matrix; axis must already be unit length.
@@ -101,6 +112,14 @@ def axis_angle_vector(m: np.ndarray) -> np.ndarray:
     return theta * axis
 
 
+def cross(a, b) -> np.ndarray:
+    """Cross product of two 3-vectors: np.cross's arithmetic without its
+    broadcasting overhead, which dominates at this size."""
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def wrap_angle(a: float) -> float:
     """Reduce an angle modulo 2*pi into (-pi, pi]."""
     if not math.isfinite(a):
@@ -114,15 +133,8 @@ def wrap_angle(a: float) -> float:
 
 
 def rot_x(angle) -> np.ndarray:
-    """Rotation about the x axis.
-
-    Batched: angles of shape (...) give matrices of shape (..., 3, 3). A
-    plain number takes the scalar path, which the single-state loop
-    residual calls in its inner loop.
-    """
-    if isinstance(angle, (int, float)):
-        c, s = math.cos(angle), math.sin(angle)
-        return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    """Rotation about the x axis; angles of shape (...) give matrices of
+    shape (..., 3, 3)."""
     ang = np.asarray(angle, dtype=float)
     c, s = np.cos(ang), np.sin(ang)
     R = np.zeros((*ang.shape, 3, 3))

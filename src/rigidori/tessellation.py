@@ -57,8 +57,8 @@ from .errors import (
     MeshConsistencyError,
     RigidFoldabilityError,
 )
-from .flatfold import mode_constants
-from .numerics import DEFAULT_TOL, Tolerances, rotation_matrix_about_axis
+from .flatfold import coupled_angle, mode_constants
+from .numerics import DEFAULT_TOL, Tolerances, cross, rotation_matrix_about_axis
 from .vertex import Curvature, Vertex4, classify
 
 Name = tuple[str, int, int]  # corner label P1..P4 with cell indices
@@ -410,11 +410,7 @@ def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedS
     if not -math.pi <= major_rho <= math.pi:
         raise InfeasibleDriverError("major_rho must lie in [-pi, pi]")
     plan = sheet.fold_plan
-    if abs(abs(major_rho) - math.pi) < 1e-15:
-        # s = +-inf: every crease is flat-folded by the sign of its coefficient
-        rho = math.copysign(math.pi, major_rho) * np.sign(plan.coef)
-    else:
-        rho = 2.0 * np.arctan(plan.coef * math.tan(0.5 * major_rho))
+    rho = coupled_angle(plan.coef, major_rho)
 
     # compose the patch hinges, each a homogeneous map x -> Rh x + th about
     # a line through its flat axis point: a child face moves by its
@@ -521,7 +517,7 @@ def _lattice_axes(fs: FoldedSheet) -> np.ndarray:
     zero fold this is the flat frame.
     """
     pts = fs.mesh.vertices[fs.sheet.fold_plan.face_corners[fs.sheet.face_kinds.index("corner")]]
-    n3 = np.cross(pts[1] - pts[0], pts[3] - pts[0])
+    n3 = cross(pts[1] - pts[0], pts[3] - pts[0])
     n3 = n3 / np.linalg.norm(n3)
     e_row = fs.lattice[0]
     e1 = e_row - np.dot(e_row, n3) * n3
@@ -530,7 +526,7 @@ def _lattice_axes(fs: FoldedSheet) -> np.ndarray:
         e1 = np.array([1.0, 0.0, 0.0])
     else:
         e1 = e1 / n1
-    return np.column_stack([e1, np.cross(n3, e1), n3])
+    return np.column_stack([e1, cross(n3, e1), n3])
 
 
 def stack_complex(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InputError
-from .numerics import DEFAULT_TOL, Tolerances
+from .numerics import DEFAULT_TOL, Tolerances, half_tangent
 
 
 class Curvature(Enum):
@@ -88,18 +88,9 @@ class FoldState:
                 raise InputError("fold angles must lie in [-pi, pi]")
         object.__setattr__(self, "rhos", r)
 
-    def rho(self, i: int) -> float:
-        return self.rhos[(i - 1) % 4]
-
     def half_tangents(self) -> tuple[float, float, float, float]:
-        """t_i = tan(rho_i / 2); +-inf at rho_i = +-pi."""
-        out = []
-        for r in self.rhos:
-            if abs(abs(r) - math.pi) < 1e-15:
-                out.append(math.copysign(math.inf, r))
-            else:
-                out.append(math.tan(0.5 * r))
-        return tuple(out)
+        """t_i = tan(rho_i / 2); +-inf at rho_i = +-pi (numerics.half_tangent)."""
+        return tuple(half_tangent(self.rhos).tolist())
 
 
 ZERO_STATE = FoldState((0.0, 0.0, 0.0, 0.0))

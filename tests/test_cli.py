@@ -344,6 +344,47 @@ def test_usage_error_exit_code(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_json_output_file_holds_the_stdout_payload(capsys, tmp_path):
+    argv = ["modes", "--alphas", "45,90,135,90", "--degrees", "--samples", "3"]
+    code, printed = run_json(capsys, argv)
+    out = tmp_path / "modes.json"
+    assert code == 0 and run([*argv, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    saved = json.loads(out.read_text())
+    assert saved["meta"]["config"].pop("output") == str(out)
+    assert saved == printed
+
+
+def test_trace_csv_goes_to_stdout_without_output(capsys, tmp_path):
+    argv = ["trace", "--alphas", "45,90,135,90", "--degrees", "--branch", "pm",
+            "--samples", "9", "--step-max", "0.05"]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    out = tmp_path / "curve.csv"
+    assert run([*argv, "--output", str(out)]) == 0
+    saved = out.read_text().splitlines()
+    assert printed[0].startswith("# rigidori") and len(printed) >= 11
+    assert printed[1:] == saved[1:]
+
+
+@pytest.mark.parametrize("command", ["sheet", "stack"])
+def test_obj_commands_require_output(command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--alphas", "45,90,135,90", "--degrees"])
+    assert exc.value.code == 2
+
+
+def test_unwritable_output_and_missing_vertex_json_are_io_errors(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir"
+    for argv in (
+        ["classify", "--alphas", "45,90,45,90", "--degrees", "--output", str(missing / "c.json")],
+        ["classify", "--vertex-json", str(missing / "v.json")],
+    ):
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("rigidori: i/o error")
+    assert not missing.exists()
+
+
 def test_conflicting_vertex_sources_rejected():
     with pytest.raises(SystemExit) as exc:
         run(["classify", "--alphas", "1,1,1,1", "--vertex-json", "x.json"])

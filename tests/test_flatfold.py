@@ -103,12 +103,15 @@ def test_half_angle_linearity(pair, drv):
 
 
 def test_zero_constant_gives_flat_coupled_pair():
-    v = Vertex4((0.7, PI - 0.7, PI - 0.7, 0.7))  # a + b = pi, k1 ~ 0
-    assert abs(mode_constants(0.7, PI - 0.7).k1) < 1e-15
+    v = Vertex4((0.7, PI - 0.7, PI - 0.7, 0.7))  # a + b = pi, so k1 = 0
+    assert mode_constants(0.7, PI - 0.7).k1 == 0.0
     s = fold_mode(v, MODE_1, 1.3)
     assert s.rhos[0] == 1.3 and s.rhos[2] == 1.3
     assert abs(s.rhos[1]) < 1e-14 and abs(s.rhos[3]) < 1e-14
     assert closure_residual(v, s) < 1e-12
+    # the mode curve tends to (+-pi, 0, +-pi, 0), flat fold included
+    for drv in (PI, -PI, PI - 1e-12, -PI + 1e-12):
+        assert fold_mode(v, MODE_1, drv).rhos == (drv, 0.0, drv, 0.0)
 
 
 def test_rejects_non_flat_foldable():

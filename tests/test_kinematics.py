@@ -642,6 +642,23 @@ def test_sign_pattern_kernel_matches_the_set_based_rule():
     assert 0 < sum(want) < len(want)
 
 
+def test_failed_continuation_keeps_the_certified_samples(monkeypatch):
+    kin = VertexKinematics(ELLIPTIC, FAST)
+    kin._sample_table(3, 15)  # the folding ranges' joins call _nearest too
+    nearest, calls = kin._nearest, []
+
+    def failing(cands, prev):
+        calls.append(prev)
+        return nearest(cands, prev) if len(calls) <= 3 else None
+
+    monkeypatch.setattr(kin, "_nearest", failing)
+    monkeypatch.setattr(kin, "_refine_step", lambda *args: None)
+    with pytest.raises(TraceAbortError) as exc:
+        kin.trace_curve(3, BRANCH_PP, 15)
+    curve = exc.value.partial_curve
+    assert len(curve.rhos) == 4 and max(curve.residuals) < FAST.residual_tol
+
+
 def test_curve_samples_are_fold_states_of_its_rows():
     curve = trace_curve(ELLIPTIC, 3, BRANCH_PP, 15, FAST)
     assert curve.samples == tuple(map(FoldState, curve.rhos))
@@ -656,7 +673,8 @@ def test_verify_duality_elliptic_example():
 
 
 def test_zero_branch_duality_report_fails():
-    rep = verify_duality(ELLIPTIC, driver_index=3, n_samples=11, tol=FAST, branches=())
+    # one sector exceeds the sum of the other three, so no branch folds
+    rep = verify_duality(Vertex4((0.3, 0.3, 0.3, 2.9)), driver_index=3, n_samples=11, tol=FAST)
     assert rep.n_branches == 0
     assert rep.max_abs_rho_mismatch == math.inf
     assert rep.sign_pattern_ok is False

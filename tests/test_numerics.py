@@ -102,6 +102,18 @@ def test_axis_angle_vector_round_trip(v, a):
     assert np.linalg.norm(back - m) < 1e-8
 
 
+def test_axis_angle_vector_of_exact_half_turns():
+    # the skew part vanishes at pi, so the axis comes from the diagonal
+    rng = np.random.default_rng(7)
+    for axis in rng.normal(size=(200, 3)):
+        axis /= np.linalg.norm(axis)
+        m = rotation_about_axis(axis, math.pi)
+        vec = axis_angle_vector(m)
+        assert abs(np.linalg.norm(vec) - math.pi) < 1e-12
+        back = rotation_about_axis(vec / np.linalg.norm(vec), np.linalg.norm(vec))
+        assert np.max(np.abs(back - m)) < 1e-12
+
+
 def test_tolerances_validation():
     with pytest.raises(InputError):
         Tolerances(angle_eps=0.0)
