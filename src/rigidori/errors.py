@@ -35,11 +35,8 @@ class BranchNotRealizableError(RigidOriError):
 
 
 class TraceAbortError(RigidOriError):
-    """Continuation failed after refinement; carries the partial curve."""
-
-    def __init__(self, message, partial_curve=None):
-        super().__init__(message)
-        self.partial_curve = partial_curve
+    """A trace sample has no certified branch state continuing its
+    neighbours; the message names its driver."""
 
 
 class NonClosingStateError(RigidOriError):

@@ -43,6 +43,14 @@ breakpoint carries the tag of its polynomial (qa, qc or disc of an
 adjacent pair, or zero and pi for driver 0 and +-pi), and a range end's
 cause is read from the tag of the breakpoint that ends it.
 
+A vertex is a spherical four-bar linkage: at each driver the opposite
+relation fixes t_opp^2, so its at most two assemblies are t_opp = +-m,
+with opposite (d, d+2) pair signs. A branch label thus admits one state
+per driver, up to the sign of a crease at +-pi. Ranges join cells across
+every breakpoint but driver 0, where negating every fold angle maps the
+branch to itself (folding_range), and a trace reads each sample's one
+state from its table (trace_curve).
+
 Both relations are invariant under a_i -> pi - a_i up to sign flips of one
 opposite crease pair, which is the elliptic-hyperbolic duality; see
 verify_duality and _DUAL_SIGNS.
@@ -360,12 +368,13 @@ _TAG_CAUSES = {"pi": "flat_folded_crease", "qa": "flat_folded_crease", "disc": "
 
 class _CellTable(NamedTuple):
     """The driver-only part of one crease's folding ranges: breakpoints, a
-    table at the cell midpoints, the breakpoints and the join probes b -+ eps
-    of each inner breakpoint b, and each breakpoint's endpoint cause."""
+    table at the cell midpoints and then the breakpoints, each breakpoint's
+    endpoint cause, and whether the unfolded state closes."""
 
     breakpoints: tuple[float, ...]
     table: _CandidateTable
     causes: tuple[str, ...]
+    unfolded_closes: bool
 
 
 class VertexKinematics:
@@ -374,11 +383,6 @@ class VertexKinematics:
     range detection and curve tracing. Per driver crease it keeps a cell
     table and, per n_samples, a table of every branch's trace samples, all
     read-only and built on first use; a race there builds one twice."""
-
-    #: per-step continuation jump cap (rad, max componentwise); a curve
-    #: hitting a flat-folded corner of [-pi, pi]^4 only "continues" by a
-    #: coordinate teleport of ~2*pi, which this rejects
-    _JUMP_CAP = 1.5
 
     def __init__(self, v: Vertex4, tol: Tolerances = DEFAULT_TOL):
         self.vertex = v
@@ -464,7 +468,16 @@ class VertexKinematics:
         if not -math.pi <= driver <= math.pi:
             raise InputError("driver must lie in [-pi, pi]")
         table = self._candidate_table(driver_index, [driver])
-        return FoldState(_least_on_branch(table, 0, table.rows(branch)[0], branch))
+        try:
+            table.check(0)
+        except NoRealFoldError as exc:
+            raise InfeasibleDriverError(str(exc)) from exc
+        if not table.kept[0].any():
+            raise BranchNotRealizableError(f"no sign assignment passes closure at driver {driver:.6g}")
+        states = table.rows(branch)[0]
+        if not states:
+            raise BranchNotRealizableError(f"branch {branch} not realizable at driver {driver:.6g}")
+        return FoldState(states[0])
 
     # -- folding range ----------------------------------------------------
 
@@ -511,10 +524,9 @@ class VertexKinematics:
         if d not in self._cells:
             bps, tags = zip(*self._breakpoints(d))
             mids = [0.5 * (lo + hi) for lo, hi in zip(bps, bps[1:])]
-            inner = [(b, min(1e-6, 0.25 * (b - a), 0.25 * (c - b))) for a, b, c in zip(bps, bps[1:], bps[2:])]
-            probes = [b - e for b, e in inner] + [b + e for b, e in inner]
-            table = self._candidate_table(driver_index, mids + list(bps) + probes)
-            self._cells[d] = _CellTable(bps, table, tuple(_TAG_CAUSES[t] for t in tags))
+            table = self._candidate_table(driver_index, mids + list(bps))
+            unfolded = bool(self.loop.residual(np.zeros(4)) < self.tol.residual_tol)
+            self._cells[d] = _CellTable(bps, table, tuple(_TAG_CAUSES[t] for t in tags), unfolded)
         return self._cells[d]
 
     def folding_range(self, driver_index: int, branch: BranchLabel) -> "FoldingRange":
@@ -522,23 +534,31 @@ class VertexKinematics:
         decomposition of [-pi, pi] at the relations' breakpoints.
 
         A cell belongs to the branch when a certified branch state exists
-        at its midpoint. Neighbouring cells join when some branch state just
-        before their shared breakpoint has a _nearest state just after it,
-        the trace's continuity rule; runs shorter than 1e-6 are isolated
-        degenerate points. Each endpoint is the breakpoint itself, or the
-        nearest point at most 1e-6 inside it, that has a certified state;
-        its cause is that of the breakpoint's tag (see FoldingRange).
-        Only the branch filter is done per call; the rest is the cell table.
+        at its midpoint; a branch label admits one state per driver, so
+        neighbouring cells join across every inner breakpoint but driver
+        0. Negating every fold angle maps the branch's state at -x to its
+        state at x, so the branch crosses 0 continuously only through a
+        state that is its own mirror image: it joins there when the
+        unfolded state closes, or when a branch state at 0 keeps each
+        crease's sign at both cell midpoints or is 0 there (_keeps_signs).
+        Runs shorter than 1e-6 are isolated degenerate points. Each
+        endpoint is the breakpoint itself, or the nearest point at most
+        1e-6 inside it, that has a certified state; its cause is that of
+        the breakpoint's tag (see FoldingRange). Only the branch filter is
+        done per call; the rest is the cell table.
         """
         cells = self._cell_table(driver_index)
         bps = cells.breakpoints
         nc = len(bps) - 1
         rows = cells.table.rows(branch)
-        mid, at, before, after = rows[:nc], rows[nc : 2 * nc + 1], rows[2 * nc + 1 : 3 * nc], rows[3 * nc :]
+        mid, at = rows[:nc], rows[nc:]
+        zero = bps.index(0.0)
         runs: list[list[int]] = []  # [first, last] member cell per run
         for k in (k for k in range(nc) if mid[k]):
-            if runs and runs[-1][1] == k - 1 and any(
-                self._nearest(after[k - 1], s) is not None for s in before[k - 1]
+            if runs and runs[-1][1] == k - 1 and (
+                k != zero
+                or cells.unfolded_closes
+                or any(_keeps_signs(s, (mid[k - 1][0], mid[k][0])) for s in at[k])
             ):
                 runs[-1][1] = k
             else:
@@ -573,18 +593,6 @@ class VertexKinematics:
             drv = next(x for x, found in zip(drivers, rows) if found)
         return drv, cells.causes[b]
 
-    def _nearest(self, cands, prev):
-        """The candidate row nearest to the row ``prev``, ties broken toward
-        the previous sign vector, then by rhos; rows more than _JUMP_CAP
-        away are rejected, and None is returned when nothing is left."""
-        def key(s):
-            dist = sum((a - b) ** 2 for a, b in zip(s, prev))
-            flips = sum(1 for a, b in zip(s, prev) if abs(a) > 1e-9 and abs(b) > 1e-9 and (a > 0) != (b > 0))
-            return (dist, flips, s)
-
-        near = (s for s in cands if max(abs(a - b) for a, b in zip(s, prev)) <= self._JUMP_CAP)
-        return min(near, key=key, default=None)
-
     # -- tracing ----------------------------------------------------------
 
     def _sample_table(self, driver_index: int, n_samples: int):
@@ -610,6 +618,13 @@ class VertexKinematics:
     def trace_curve(
         self, driver_index: int, branch: BranchLabel, n_samples: int
     ) -> "ConfigCurve":
+        """The branch's state at each sample driver. A branch label admits
+        one state per driver, so a sample inside a cell takes its first
+        branch row; further rows only flip a crease at +-pi, and rhos
+        order lists -pi first. A sample on a breakpoint (either end, or
+        driver 0) is the limit of its cells' states: it takes the row
+        nearest its neighbouring samples among those that keep each of
+        their crease signs or are 0 there (_keeps_signs)."""
         if n_samples < 2:
             raise InputError("n_samples must be at least 2")
         table, parts = self._sample_table(driver_index, n_samples)
@@ -618,48 +633,20 @@ class VertexKinematics:
             raise InfeasibleDriverError(f"empty folding range for branch {branch}: {rng.diagnostic}")
         n = len(drivers)
         rows = table.rows(branch, offset, offset + n)
-
-        # start from the interval interior: the endpoints are typically
-        # flat-folded corner states whose coordinate representative is
-        # ambiguous cold but unambiguous when approached with continuity
-        start_idx = n // 2
-        states: list[list[float] | None] = [None] * n
-        states[start_idx] = _least_on_branch(table, offset + start_idx, rows[start_idx], branch)
-
-        def march(indices):
-            state = states[start_idx]
-            prev_drv = drivers[start_idx]
-            for idx in indices:
-                drv = drivers[idx]
-                nxt = self._nearest(rows[idx], state)
-                if nxt is None:
-                    nxt = self._refine_step(driver_index, branch, prev_drv, state, drv)
-                if nxt is None:
-                    done = [(x, r) for x, r in zip(drivers, states) if r is not None]
-                    raise TraceAbortError(
-                        f"continuation failed at driver {drv:.6g}",
-                        partial_curve=self._make_curve(driver_index, branch, *zip(*done)),
-                    )
-                states[idx] = nxt
-                state, prev_drv = nxt, drv
-
-        march(range(start_idx + 1, n))
-        march(range(start_idx - 1, -1, -1))
+        states = []
+        for k, (drv, cands) in enumerate(zip(drivers, rows)):
+            state = cands[0] if cands else None
+            if k in (0, n - 1) or drv == 0.0:
+                near = [rows[j][0] for j in (k - 1, k + 1) if 0 <= j < n and rows[j]]
+                state = min(
+                    (s for s in cands if _keeps_signs(s, near)),
+                    key=lambda s: sum((a - b) ** 2 for r in near for a, b in zip(s, r)),
+                    default=None,
+                )
+            if state is None:
+                raise TraceAbortError(f"no branch state continues the trace at driver {drv:.6g}")
+            states.append(state)
         return self._make_curve(driver_index, branch, drivers, states)
-
-    def _refine_step(self, driver_index, branch, prev_drv, state, drv):
-        """Approach a failing sample through finer sub-steps, one table per depth."""
-        for depth in range(1, 7):
-            sub = 2**depth
-            mids = [prev_drv + (drv - prev_drv) * j / sub for j in range(1, sub + 1)]
-            approached = state
-            for rows in self._candidate_table(driver_index, mids).rows(branch):
-                approached = self._nearest(rows, approached)
-                if approached is None:
-                    break
-            else:
-                return approached
-        return None
 
     def _make_curve(self, driver_index, branch, drivers, rows):
         """The curve through the sample ``rows``, residuals from one batch."""
@@ -675,18 +662,10 @@ class VertexKinematics:
         )
 
 
-def _least_on_branch(table: _CandidateTable, j: int, states, branch: BranchLabel):
-    """solve_state's pick at driver j: the first of the branch ``states``."""
-    try:
-        table.check(j)
-    except NoRealFoldError as exc:
-        raise InfeasibleDriverError(str(exc)) from exc
-    driver = float(table.drivers[j])
-    if not table.kept[j].any():
-        raise BranchNotRealizableError(f"no sign assignment passes closure at driver {driver:.6g}")
-    if not states:
-        raise BranchNotRealizableError(f"branch {branch} not realizable at driver {driver:.6g}")
-    return states[0]
+def _keeps_signs(row, refs) -> bool:
+    """Whether each crease of ``row`` is 0 or has its sign in every row of
+    ``refs``: the limit of those states keeps their signs."""
+    return all(x == 0 or all(x * y > 0 for y in ys) for x, *ys in zip(row, *refs))
 
 
 @dataclass(frozen=True)
@@ -769,10 +748,12 @@ def trace_curve(
     tol: Tolerances = DEFAULT_TOL,
 ) -> ConfigCurve:
     """Monotone driver sweep across the longest interval of the folding
-    range in uniform steps of at most trace_step_max, a failed step being
-    retried through finer sub-steps; every sample closure-certified.
-    n_samples is a lower bound on the sample count. The samples come from
-    the vertex's one table over all four branches' sample drivers."""
+    range in uniform steps of at most trace_step_max, each sample the
+    branch's one closure-certified state at its driver (see
+    VertexKinematics.trace_curve); TraceAbortError names a sample driver
+    without one. n_samples is a lower bound on the sample count. The
+    samples come from the vertex's one table over all four branches'
+    sample drivers."""
     return VertexKinematics(v, tol).trace_curve(driver_index, branch, n_samples)
 
 

@@ -28,7 +28,7 @@ class Tolerances:
     angle_eps      classification threshold for angle comparisons (rad)
     residual_tol   loop-closure acceptance (Frobenius norm, dimensionless)
     solver_tol     root-finder convergence
-    trace_step_max continuation step cap for curve tracing (rad)
+    trace_step_max driver step cap for curve tracing (rad)
     """
 
     angle_eps: float = 1e-10

@@ -17,6 +17,8 @@ from rigidori.flatfold import MODE_1, MODE_2, fold_mode, mode_constants
 from rigidori.kinematics import (
     ALL_BRANCHES,
     BRANCH_MM,
+    BRANCH_MP,
+    BRANCH_PM,
     BRANCH_PP,
     MODE1_BRANCH,
     MODE2_BRANCH,
@@ -371,13 +373,13 @@ def test_range_endpoints_and_interior_carry_branch_states(v):
             for drv in drivers:
                 assert _branch_states(kin, drv, branch), (branch, drv)
             # maximal: no branch state 1e-6 outside an interior endpoint
-            # continues one 1e-6 inside it
+            # lies within 1.5 rad of one 1e-6 inside it
             for end, out in ((lo, -1e-6), (hi, 1e-6)):
                 if abs(end) < PI - 1e-6:
                     inside = _branch_states(kin, end - out, branch)
                     beyond = _branch_states(kin, end + out, branch)
                     assert not any(
-                        max(abs(x - y) for x, y in zip(s.rhos, t.rhos)) <= kin._JUMP_CAP
+                        max(abs(x - y) for x, y in zip(s.rhos, t.rhos)) <= 1.5
                         for s in inside
                         for t in beyond
                     ), (branch, end)
@@ -406,7 +408,7 @@ def _trace_outcome(kin, branch):
     try:
         return kin.trace_curve(1, branch, 9)
     except (InfeasibleDriverError, TraceAbortError) as exc:
-        return type(exc), str(exc), getattr(exc, "partial_curve", None)
+        return type(exc), str(exc)
 
 
 def _relative_discriminant(coefs, s):
@@ -445,6 +447,84 @@ def test_endpoint_causes_name_what_the_branch_state_does_there(alphas):
                     sides = (_adjacent_coefs(v, driver_index), _swapped(_adjacent_coefs(v, driver_index + 3)))
                     t_sq = math.tan(0.5 * drv) ** 2
                     assert min(_relative_discriminant(c, t_sq) for c in sides) <= 1e-6, drv
+
+
+EUCLIDEAN_40 = Vertex4(tuple(math.radians(a) for a in (40, 100, 120, 100)))
+SPECIAL_VERTICES = (SQ_TWIST.alphas, (1.0,) * 4, (PI / 2,) * 4, EUCLIDEAN_40.alphas)
+
+
+def _same_rows(a, b):
+    return len(a) == len(b) and all(any(max(abs(x - y) for x, y in zip(r, s)) <= 1e-12 for s in b) for r in a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    alphas=st.tuples(*[st.floats(0.2, PI - 0.2)] * 4),
+    driver_index=st.sampled_from((1, 2, 3, 4)),
+    x=st.floats(1e-6, PI - 1e-6),
+)
+@example(alphas=SPECIAL_VERTICES[0], driver_index=1, x=0.4)
+@example(alphas=SPECIAL_VERTICES[1], driver_index=2, x=0.4)
+@example(alphas=SPECIAL_VERTICES[2], driver_index=1, x=0.4)
+@example(alphas=SPECIAL_VERTICES[3], driver_index=1, x=0.4)
+def test_branch_rows_at_minus_x_mirror_those_at_x(alphas, driver_index, x):
+    # negating every fold angle maps the relations and closure to themselves
+    kin = VertexKinematics(Vertex4(alphas), FAST)
+    bps = kin._cell_table(driver_index).breakpoints
+    xs = [x] + [b for b in bps if 0 < b < PI] + [0.5 * (a + b) for a, b in zip(bps, bps[1:]) if a >= 0]
+    table = kin._candidate_table(driver_index, [-y for y in xs] + xs)
+    for branch in ALL_BRANCHES:
+        rows = table.rows(branch)
+        for below, above in zip(rows, rows[len(xs):]):
+            assert _same_rows(below, [[-r for r in s] for s in above]), (branch, below, above)
+
+
+@settings(max_examples=30, deadline=None)
+@given(alphas=st.tuples(*[st.floats(0.2, PI - 0.2)] * 4), driver_index=st.sampled_from((1, 2, 3, 4)))
+@example(alphas=SPECIAL_VERTICES[0], driver_index=1)
+@example(alphas=SPECIAL_VERTICES[1], driver_index=2)
+@example(alphas=SPECIAL_VERTICES[2], driver_index=1)
+@example(alphas=SPECIAL_VERTICES[3], driver_index=1)
+def test_branch_rows_at_a_cell_midpoint_agree_in_magnitude(alphas, driver_index):
+    # one state per branch and driver: further rows only flip a crease at +-pi
+    cells = VertexKinematics(Vertex4(alphas), FAST)._cell_table(driver_index)
+    nc = len(cells.breakpoints) - 1
+    for branch in ALL_BRANCHES:
+        for rows in cells.table.rows(branch)[:nc]:
+            assert all(abs(abs(x) - abs(y)) <= 1e-9 for s in rows for x, y in zip(s, rows[0])), rows
+
+
+def test_non_euclidean_range_splits_where_its_states_jump_at_zero():
+    # the states at -x and x mirror each other, and the unfolded state does
+    # not close, so the branch cannot cross driver 0 continuously
+    v = Vertex4((1.054914817990185, 1.3605886825734677, 2.4692233505753394, 1.3218573461249803))
+    rng_ = folding_range(v, 1, BRANCH_MP, FAST)
+    (lo, below), (above, hi) = rng_.intervals
+    assert below == above == 0.0 and hi == -lo == pytest.approx(1.5632681376608633)
+    assert rng_.endpoint_causes[0][1] == rng_.endpoint_causes[1][0] == "crease_through_zero"
+
+
+def test_euclidean_range_joins_through_the_unfolded_state():
+    rng_ = folding_range(EUCLIDEAN_40, 1, BRANCH_PM, FAST)
+    assert rng_.intervals == ((-PI, PI),)
+    assert rng_.endpoint_causes == (("flat_folded_crease", "flat_folded_crease"),)
+    curve = trace_curve(EUCLIDEAN_40, 1, BRANCH_PM, 9, FAST)
+    assert curve.rhos[curve.drivers.index(0.0)] == (0.0, 0.0, 0.0, 0.0)
+    assert max(max(abs(x - y) for x, y in zip(r, s)) for r, s in zip(curve.rhos, curve.rhos[1:])) < 0.2
+
+
+def test_near_degenerate_vertex_traces_to_its_flat_fold():
+    v = Vertex4((0.8804093835885269, 2.2611425099158247, 2.2611839285787396, 0.8804501436739685))
+    curve = trace_curve(v, 1, BRANCH_PM, 9, FAST)
+    assert curve.drivers[0] < -PI + 1e-5 and curve.rhos[0][1] > 2.9
+
+
+@pytest.mark.xfail(strict=True, reason="_quadratic_roots reads 0 x^2 + 0 x + 2.4e-16 as unsolvable")
+@pytest.mark.parametrize("alphas", [(PI / 2,) * 4, (1.0, 1.0, PI - 1.0, PI - 1.0)])
+def test_unfolded_state_is_a_candidate_where_it_closes(alphas):
+    kin = VertexKinematics(Vertex4(alphas))
+    assert kin.loop.residual(np.zeros(4)) < kin.tol.residual_tol
+    assert (0.0, 0.0, 0.0, 0.0) in [s.rhos for s in kin.certified_candidates(1, 0.0)]
 
 
 def test_equal_sector_range_reaches_its_flat_fold():
@@ -486,7 +566,7 @@ def test_sample_table_is_shared_and_changes_no_trace(alphas):
     [((1.0, 1.3, 1.1, 1.7), 4), ((2.0, 1.2, 2.3, 1.5), 3), ((0.3, 0.3, 0.3, 2.9), 0)],
 )
 def test_verify_duality_builds_one_cell_and_one_sample_table(monkeypatch, alphas, branches):
-    # generic vertices, where no endpoint or refinement fallback runs
+    # generic vertices, where no endpoint fallback runs
     built = []
     original = VertexKinematics._candidate_table
 
@@ -642,21 +722,16 @@ def test_sign_pattern_kernel_matches_the_set_based_rule():
     assert 0 < sum(want) < len(want)
 
 
-def test_failed_continuation_keeps_the_certified_samples(monkeypatch):
+def test_trace_aborts_at_a_sample_without_a_branch_state():
     kin = VertexKinematics(ELLIPTIC, FAST)
-    kin._sample_table(3, 15)  # the folding ranges' joins call _nearest too
-    nearest, calls = kin._nearest, []
-
-    def failing(cands, prev):
-        calls.append(prev)
-        return nearest(cands, prev) if len(calls) <= 3 else None
-
-    monkeypatch.setattr(kin, "_nearest", failing)
-    monkeypatch.setattr(kin, "_refine_step", lambda *args: None)
-    with pytest.raises(TraceAbortError) as exc:
-        kin.trace_curve(3, BRANCH_PP, 15)
-    curve = exc.value.partial_curve
-    assert len(curve.rhos) == 4 and max(curve.residuals) < FAST.residual_tol
+    table, parts = kin._sample_table(3, 15)
+    _, drivers, offset = parts[BRANCH_PP]
+    for k in (0, len(drivers) // 3, len(drivers) - 1):  # an end, an inner sample, the other end
+        kept = table.kept.copy()
+        kept[offset + k] = False  # drop every row of sample k
+        kin._samples[(2, 15)] = (table._replace(kept=kept), parts)
+        with pytest.raises(TraceAbortError, match=re.escape(f"at driver {drivers[k]:.6g}") + "$"):
+            kin.trace_curve(3, BRANCH_PP, 15)
 
 
 def test_curve_samples_are_fold_states_of_its_rows():
