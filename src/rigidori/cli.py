@@ -262,14 +262,13 @@ def _cmd_verify_duality(args, parser):
 def _cmd_combine(args, parser):
     if not args.output:
         parser.error("combine writes an OBJ file: --output is required")
-    if not args.radius > 0:
-        parser.error("--radius must be positive")
+    if not 0 < args.radius < math.inf:
+        parser.error("--radius must be positive and finite")
     if args.arc_segments < 1:
         parser.error("--arc-segments must be at least 1")
     v = _parse_vertex(args, parser)
-    tol = _tol(args)
-    cv = synchronize(v, args.variant, _angle(args, args.theta), _MERGE_PAIRS[args.merge_pair], tol=tol)
-    write_obj(combined_mesh(cv, args.radius, args.arc_segments, tol), args.output, args)
+    cv = synchronize(v, args.variant, _angle(args, args.theta), _MERGE_PAIRS[args.merge_pair], tol=_tol(args))
+    write_obj(combined_mesh(cv, args.radius, args.arc_segments), args.output, args)
 
 
 def _cmd_split(args, parser):
@@ -302,8 +301,8 @@ def _sheet(args, parser, tol: Tolerances):
     v = _parse_vertex(args, parser)
     if args.rows < 1 or args.cols < 1:
         parser.error("--rows and --cols must be at least 1")
-    if not args.pleat_length > 0:
-        parser.error("--pleat-length must be positive")
+    if not 0 < args.pleat_length < math.inf:
+        parser.error("--pleat-length must be positive and finite")
     return build_square_twist_sheet(v, args.rows, args.cols, args.pleat_length, tol)
 
 

@@ -21,7 +21,9 @@ of the base in closed form. In the
 parallel variant each sector alpha_i of C becomes coplanar with the dual
 sector pi - alpha_i, so the union is the intersection of two folded
 planes; the rotated variant identifies the pair crosswise and decomposes
-into two flat-foldable vertices instead.
+into two flat-foldable vertices instead. A combined vertex is certified
+once, in synchronize, and carries both sheets' plate frames: its
+alignment, mesh and junction dihedrals are all read from those frames.
 
 Self-intersection of the material over the folding motion is not
 detected here: depending on the base's orientation a combined vertex can
@@ -152,8 +154,6 @@ def _max_planarity(pts: np.ndarray) -> float:
 class FoldedVertexGeometry:
     crease_dirs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     plate_polys: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    plate_frames: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    source: tuple[Vertex4, FoldState]
 
 
 def _ray_angle(d1: np.ndarray, d2: np.ndarray) -> float:
@@ -162,23 +162,40 @@ def _ray_angle(d1: np.ndarray, d2: np.ndarray) -> float:
     return math.atan2(float(np.linalg.norm(cross(d1, d2))), float(np.dot(d1, d2)))
 
 
-def plate_orientations(v: Vertex4, s: FoldState) -> list[np.ndarray]:
-    """World orientation W_k of each plate's local frame, k = 1..4."""
+def plate_orientations(v: Vertex4, s: FoldState) -> tuple[np.ndarray, ...]:
+    """World orientation W_k of each plate's local frame, k = 1..4, as
+    read-only arrays; crease k points along W_k x_hat."""
     frames = [np.eye(3)]
     for rz, rx in zip(map(rot_z, v.alphas[:3]), rot_x(s.rhos[1:])):
         frames.append(frames[-1] @ rz @ rx)
-    return frames
+    for w in frames:
+        w.flags.writeable = False
+    return tuple(frames)
 
 
-def crease_directions(v: Vertex4, s: FoldState) -> list[np.ndarray]:
-    """Unit direction of each crease in the embedded folded state."""
-    return [w @ _X for w in plate_orientations(v, s)]
+def _frames_pair_angle(frames, pair: tuple[int, int]) -> float:
+    return _ray_angle(frames[(pair[0] - 1) % 4] @ _X, frames[(pair[1] - 1) % 4] @ _X)
 
 
 def crease_pair_angle(v: Vertex4, s: FoldState, pair: tuple[int, int]) -> float:
     """Unsigned angle in [0, pi] between two crease rays of a folded state."""
-    d = crease_directions(v, s)
-    return _ray_angle(d[(pair[0] - 1) % 4], d[(pair[1] - 1) % 4])
+    return _frames_pair_angle(plate_orientations(v, s), pair)
+
+
+def _plate_polys(v: Vertex4, frames, radius: float, arc_segments: int) -> list[np.ndarray]:
+    """Each plate's wedge placed by its frame: the apex, then arc_segments
+    + 1 points on the arc of the given radius from crease k to k + 1."""
+    if not 0 < radius < math.inf or arc_segments < 1:
+        raise InputError("radius must be positive and finite and arc_segments >= 1")
+    polys = []
+    for k, w in enumerate(frames):
+        thetas = [v.alphas[k] * j / arc_segments for j in range(arc_segments + 1)]
+        local = np.array(
+            [[0.0, 0.0, 0.0]]
+            + [[radius * math.cos(t), radius * math.sin(t), 0.0] for t in thetas]
+        )
+        polys.append(local @ w.T)
+    return polys
 
 
 def embed_vertex(
@@ -193,28 +210,14 @@ def embed_vertex(
     The state must close: closure residual below residual_tol, otherwise
     the state is rejected with the residual in the diagnostic.
     """
-    if radius <= 0 or arc_segments < 1:
-        raise InputError("radius must be positive and arc_segments >= 1")
+    frames = plate_orientations(v, s)
+    polys = _plate_polys(v, frames, radius, arc_segments)
     res = closure_residual(v, s)
     if res >= tol.residual_tol:
         raise NonClosingStateError(
             f"state does not close: residual {res:.3e} >= {tol.residual_tol:.1e}"
         )
-    frames = plate_orientations(v, s)
-    polys = []
-    for k, w in enumerate(frames):
-        thetas = [v.alphas[k] * j / arc_segments for j in range(arc_segments + 1)]
-        local = np.array(
-            [[0.0, 0.0, 0.0]]
-            + [[radius * math.cos(t), radius * math.sin(t), 0.0] for t in thetas]
-        )
-        polys.append(local @ w.T)
-    return FoldedVertexGeometry(
-        crease_dirs=tuple(w @ _X for w in frames),
-        plate_polys=tuple(polys),
-        plate_frames=tuple(frames),
-        source=(v, s),
-    )
+    return FoldedVertexGeometry(tuple(w @ _X for w in frames), tuple(polys))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +233,10 @@ class CombinedVertex:
     merge_pair: tuple[int, int]
     base_state: FoldState
     dual_state: FoldState
+    #: plate_orientations of each state, set only by synchronize once it has
+    #: certified both; a copy built any other way has no frames to mesh from
+    base_frames: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    dual_frames: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     @property
     def crease_map(self) -> dict[int, int]:
@@ -352,14 +359,17 @@ def synchronize(
     dual_st = _matched_dual_state(base_state, merge_pair)
     if not closure_residual(vd, dual_st) < tol.residual_tol:
         raise MeshConsistencyError("matched dual state failed closure certification")
-    th_base = crease_pair_angle(base, base_state, merge_pair)
-    th_dual = crease_pair_angle(vd, dual_st, merge_pair)
+    frames = plate_orientations(base, base_state), plate_orientations(vd, dual_st)
+    th_base, th_dual = (_frames_pair_angle(f, merge_pair) for f in frames)
     if max(abs(th_base - theta), abs(th_dual - theta), abs(th_base - th_dual)) > 1e-9:
         raise MeshConsistencyError(
             f"synchronizing angle mismatch: requested {theta:.12g}, "
             f"base {th_base:.12g}, dual {th_dual:.12g}"
         )
-    return CombinedVertex(base, vd, variant, th_base, merge_pair, base_state, dual_st)
+    cv = CombinedVertex(base, vd, variant, th_base, merge_pair, base_state, dual_st)
+    object.__setattr__(cv, "base_frames", frames[0])
+    object.__setattr__(cv, "dual_frames", frames[1])
+    return cv
 
 
 def _orthonormal_frame(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -372,24 +382,17 @@ def _orthonormal_frame(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.column_stack([e1, e2, cross(e1, e2)])
 
 
-def _alignment(cv: CombinedVertex, base_dirs, dual_dirs) -> np.ndarray:
-    """Proper rotation taking the dual's identified crease directions onto
-    the base's, checked to make them coincide within 1e-9."""
+def dual_alignment(cv: CombinedVertex) -> np.ndarray:
+    """Proper rotation placing the dual geometry so the identified creases
+    coincide with the base's, checked to within 1e-9."""
     base_of = {k: m for m, k in cv.crease_map.items()}  # dual crease -> base crease
-    sources = [dual_dirs[k - 1] for k in cv.merge_pair]
-    targets = [base_dirs[base_of[k] - 1] for k in cv.merge_pair]
+    sources = [cv.dual_frames[k - 1] @ _X for k in cv.merge_pair]
+    targets = [cv.base_frames[base_of[k] - 1] @ _X for k in cv.merge_pair]
     R = _orthonormal_frame(*targets) @ _orthonormal_frame(*sources).T
     for src, tgt in zip(sources, targets):
         if np.linalg.norm(R @ src - tgt) > 1e-9:
             raise MeshConsistencyError("identified creases fail to coincide within 1e-9")
     return R
-
-
-def dual_alignment(cv: CombinedVertex) -> np.ndarray:
-    """Proper rotation placing the dual geometry so the identified creases
-    coincide with the base's."""
-    base = crease_directions(cv.base, cv.base_state)
-    return _alignment(cv, base, crease_directions(cv.dual_vertex, cv.dual_state))
 
 
 @functools.lru_cache(maxsize=16)
@@ -416,48 +419,42 @@ def _combined_topology(arc_segments: int, merged: tuple[tuple[int, int], ...]):
     return kept, tuple(map(tuple, faces.tolist())), {arc_segments + 2: faces}
 
 
-def combined_mesh(
-    cv: CombinedVertex,
-    radius: float = 1.0,
-    arc_segments: int = 8,
-    tol: Tolerances = DEFAULT_TOL,
-) -> FoldedMesh:
+def combined_mesh(cv: CombinedVertex, radius: float = 1.0, arc_segments: int = 8) -> FoldedMesh:
     """Both folded geometries in one frame, identified creases coincident;
     the merged creases become non-manifold edges with four incident faces.
     The topology is fixed: 1 + 6 + 8 (arc_segments - 1) vertices in plate
     order (apex, crease tips, arc points) at their first plate's points;
-    plates that only touch, as at a flat fold, keep distinct vertices."""
-    ge = embed_vertex(cv.base, cv.base_state, radius, arc_segments, tol)
-    gh = embed_vertex(cv.dual_vertex, cv.dual_state, radius, arc_segments, tol)
-    R = _alignment(cv, ge.crease_dirs, gh.crease_dirs)
+    plates that only touch, as at a flat fold, keep distinct vertices.
+    No closure check: cv's frames were certified by synchronize."""
+    base_polys = _plate_polys(cv.base, cv.base_frames, radius, arc_segments)
+    dual_polys = _plate_polys(cv.dual_vertex, cv.dual_frames, radius, arc_segments)
+    R = dual_alignment(cv)
     kept, faces, face_index = _combined_topology(arc_segments, tuple(cv.crease_map.items()))
-    pts = np.concatenate([*ge.plate_polys, *(p @ R.T for p in gh.plate_polys)])
+    pts = np.concatenate([*base_polys, *(p @ R.T for p in dual_polys)])
     return FoldedMesh(pts[kept], faces, face_index)
 
 
-def junction_dihedrals(cv: CombinedVertex, tol: Tolerances = DEFAULT_TOL) -> list[float]:
+def junction_dihedrals(cv: CombinedVertex) -> list[float]:
     """Dihedral angles between each base sector and its dual counterpart
     across the merged creases (parallel variant: all equal pi, i.e. each
     base sector and the dual sector form a half-plane)."""
-    ge = embed_vertex(cv.base, cv.base_state, tol=tol)
-    gh = embed_vertex(cv.dual_vertex, cv.dual_state, tol=tol)
-    R = _alignment(cv, ge.crease_dirs, gh.crease_dirs)
+    R = dual_alignment(cv)
     i, j = cv.merge_pair
     out = []
     # plate k spans creases k, k+1; merged crease index m is shared with
     # base plate m-1 and m, and likewise in the dual
     for m in (i, j):
         for plate in ((m - 2) % 4, (m - 1) % 4):
-            axis = ge.crease_dirs[(m - 1) % 4]
-            u_e = _plate_interior_dir(ge, plate, axis)
-            u_h = R @ _plate_interior_dir(gh, plate, np.linalg.solve(R, axis))
+            axis = cv.base_frames[(m - 1) % 4] @ _X
+            u_e = _plate_interior_dir(cv.base, cv.base_frames, plate, axis)
+            dual_axis = np.linalg.solve(R, axis)
+            u_h = R @ _plate_interior_dir(cv.dual_vertex, cv.dual_frames, plate, dual_axis)
             out.append(_ray_angle(u_e, u_h))
     return out
 
 
-def _plate_interior_dir(geom: FoldedVertexGeometry, plate: int, axis: np.ndarray) -> np.ndarray:
-    v, _ = geom.source
-    mid = geom.plate_frames[plate] @ rot_z(0.5 * v.alphas[plate]) @ _X
+def _plate_interior_dir(v: Vertex4, frames, plate: int, axis: np.ndarray) -> np.ndarray:
+    mid = frames[plate] @ rot_z(0.5 * v.alphas[plate]) @ _X
     u = mid - np.dot(mid, axis) * axis
     n = np.linalg.norm(u)
     if n < 1e-12:

@@ -301,12 +301,12 @@ def _swapped(coefs):
     return cA, c2, c1, c3, c4, c5
 
 
-def _adjacent_roots(coefs, t_known: np.ndarray, known_is_next: bool = False):
+def _adjacent_roots(coefs, t_known: np.ndarray):
     """_quadratic_roots for t_{i+1} given t_i = t_known, elementwise (for
-    t_i given t_{i+1} = t_known when ``known_is_next``) from the corrected
+    t_i given t_{i+1}, pass _swapped coefficients) from the corrected
     adjacent relation; infinite t_known via the leading-coefficient limit.
     The coefficients may be arrays that broadcast against t_known."""
-    cA, c1, c2, c3, c4, c5 = _swapped(coefs) if known_is_next else coefs
+    cA, c1, c2, c3, c4, c5 = coefs
     at_inf = np.isinf(t_known)
     t = np.where(at_inf, 0.0, t_known)
     s2 = t * t

@@ -38,10 +38,13 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("angle_eps", "residual_tol", "solver_tol", "trace_step_max"):
-            if not getattr(self, name) > 0.0:
-                raise InputError(f"{name} must be strictly positive")
-        if not self.angle_eps < 1e-6:
-            raise InputError("angle_eps must be below 1e-6")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InputError(f"{name} must be strictly positive and finite")
+        # a loose residual_tol certifies states that do not close; at the
+        # largest residual, 2 sqrt 2, it certifies every state
+        for name in ("angle_eps", "residual_tol"):
+            if not getattr(self, name) < 1e-6:
+                raise InputError(f"{name} must be below 1e-6")
         if self.trace_step_max > 0.05:
             raise InputError("trace_step_max must not exceed 0.05")
 

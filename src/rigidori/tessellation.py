@@ -183,8 +183,8 @@ def build_square_twist_sheet(
     """
     if rows < 1 or cols < 1:
         raise InputError("rows and cols must be at least 1")
-    if pleat_length <= 0:
-        raise InputError("pleat_length must be positive")
+    if not 0 < pleat_length < math.inf:
+        raise InputError("pleat_length must be positive and finite")
     alpha, gen = _normalize_generator(v, tol)
     D = pleat_length
     lat_r = np.array([1.0 + D * math.sin(alpha), -D * math.cos(alpha)])

@@ -319,6 +319,19 @@ def test_domain_error_exit_code(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["verify-duality", "--samples", "9", "--residual-tol", "inf"], "residual_tol"),
+    (["range", "--branch", "pp", "--residual-tol", "3"], "residual_tol"),
+    (["range", "--branch", "pp", "--step-max", "nan"], "trace_step_max"),
+])
+def test_vacuous_tolerances_exit_1_with_the_input_error(capsys, argv, name):
+    # a residual_tol at or above 2 sqrt 2 would certify every state
+    code = run([*argv, "--alphas", "1.0,1.3,1.1,1.7"])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.startswith(f"rigidori: error: {name} must be") and out.err.count("\n") == 1
+
+
 def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["solve", "--alphas", "45,90,45,90"])  # missing --driver
@@ -337,6 +350,7 @@ def test_usage_error_exit_code(tmp_path):
         ["sheet", *sheet, *out, "--rows", "0"],
         ["sheet", *sheet, *out, "--pleat-length", "0"],
         ["sheet", *sheet, *out, "--pleat-length", "nan"],
+        ["sheet", *sheet, *out, "--pleat-length", "inf"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -428,6 +442,7 @@ ELLIPTIC = ["--alphas", "45,90,45,90", "--degrees"]
     ["combine", *ELLIPTIC, "--theta", "90", "--output", "c.obj", "--arc-segments", "0"],
     # theta 9 rad is unreachable; the missing --output is reported before solving
     ["combine", *ELLIPTIC, "--theta", "9"],
+    ["combine", *ELLIPTIC, "--theta", "90", "--output", "c.obj", "--radius", "inf"],
 ])
 def test_bad_sample_and_mesh_options_are_usage_errors(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -82,6 +83,15 @@ def test_plate_polygons_planar_and_through_origin():
         n = np.cross(poly[1] - poly[0], poly[-1] - poly[0])
         n /= np.linalg.norm(n)
         assert max(abs(np.dot(p - poly[0], n)) for p in poly) < 1e-10
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+def test_radius_must_be_positive_and_finite(radius):
+    cv = synchronize(SQ_TWIST, "parallel", crease_pair_angle(SQ_TWIST, ZERO_STATE, (2, 4)))
+    with pytest.raises(InputError, match="radius"):
+        embed_vertex(SQ_TWIST, ZERO_STATE, radius=radius)
+    with pytest.raises(InputError, match="radius"):
+        combined_mesh(cv, radius=radius)
 
 
 def theta_interval():
@@ -299,6 +309,39 @@ def test_dual_alignment_maps_creases_exactly():
     cv = synchronize(ELLIPTIC, "parallel", 0.6 * lo + 0.4 * hi)
     R = dual_alignment(cv)
     assert abs(np.linalg.det(R) - 1.0) < 1e-12
+
+
+def test_combined_vertex_is_certified_once_and_carries_its_frames(monkeypatch):
+    # synchronize builds each sheet's plate frames and certifies the dual
+    # state; the mesh, alignment and dihedrals read the frames it keeps
+    from rigidori import embedding
+
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(embedding, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(embedding, name, wrapper)
+
+    th = crease_pair_angle(SQ_TWIST, fold_mode(SQ_TWIST, MODE_1, 1.0), (2, 4))
+    counted("plate_orientations")
+    counted("closure_residual")
+    cv = synchronize(SQ_TWIST, "parallel", th)
+    combined_mesh(cv)
+    junction_dihedrals(cv)
+    dual_alignment(cv)
+    assert calls == {"plate_orientations": 2, "closure_residual": 1}
+    for frames in (cv.base_frames, cv.dual_frames):
+        assert len(frames) == 4 and not any(w.flags.writeable for w in frames)
+    assert "frames" not in repr(cv)
+    # a copy with another state has no certified frames, so it cannot mesh
+    moved = dataclasses.replace(cv, base_state=fold_mode(SQ_TWIST, MODE_1, 0.5))
+    with pytest.raises(AttributeError):
+        combined_mesh(moved)
 
 
 def _distance_weld(polygons, weld_tol: float = 1e-8) -> FoldedMesh:

@@ -170,7 +170,7 @@ def test_adjacent_roots_recover_either_tangent_of_the_pair():
                 coefs = _adjacent_coefs(v, i)
                 roots, valid, _ = _adjacent_roots(coefs, np.array([ti, tj]))
                 nxt = roots[0][valid[0]]
-                roots, valid, _ = _adjacent_roots(coefs, np.array([ti, tj]), known_is_next=True)
+                roots, valid, _ = _adjacent_roots(_swapped(coefs), np.array([ti, tj]))
                 prev = roots[1][valid[1]]
                 assert min(abs(x - tj) for x in nxt) < 1e-9 * max(1.0, abs(tj))
                 assert min(abs(x - ti) for x in prev) < 1e-9 * max(1.0, abs(ti))
@@ -257,6 +257,18 @@ def test_candidate_table_rows_match_single_driver_calls(alphas, driver_index, ex
             assert len(rows[b][j]) == len(expected), (drv, b)
             for got, want in zip(rows[b][j], expected):
                 assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12, (drv, b)
+
+
+def test_candidates_within_1e9_of_an_earlier_one_are_dropped():
+    # at driver 1e-12 on the equal-sector vertex a linear root at
+    # 3.14159265358794 and the +-inf slots at +-pi give 9 closing rows;
+    # only 4 distinct states remain
+    kin = VertexKinematics(Vertex4((1.0,) * 4))
+    assert kin._candidate_table(1, [1e-12]).closes.sum() == 9
+    states = [np.array(s.rhos) for s in kin.certified_candidates(1, 1e-12)]
+    assert len(states) == 4
+    for a, b in itertools.combinations(states, 2):
+        assert np.abs(a - b).max() > 1e-9
 
 
 @pytest.mark.parametrize("alphas, driver_index, driver, crease", [

@@ -121,6 +121,14 @@ def test_tolerances_validation():
         Tolerances(angle_eps=1e-5)
     with pytest.raises(InputError):
         Tolerances(trace_step_max=0.06)
+    for name in ("angle_eps", "residual_tol", "solver_tol", "trace_step_max"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InputError, match=name):
+                Tolerances(**{name: bad})
+    # every rotation's residual is at most 2 sqrt 2, so 3 would certify any state
+    for bad in (1e-6, 3.0):
+        with pytest.raises(InputError, match="residual_tol"):
+            Tolerances(residual_tol=bad)
     t = Tolerances()
     assert t.angle_eps == 1e-10 and t.residual_tol == 1e-9
     assert t.solver_tol == 1e-12 and t.trace_step_max == 0.01

@@ -89,6 +89,12 @@ def test_generator_must_be_flat_foldable_square_shape():
         build_square_twist_sheet(Vertex4((0.6, 0.8, PI - 0.6, PI - 0.8)), 1, 1)
 
 
+@pytest.mark.parametrize("pleat_length", [0.0, math.inf, math.nan])
+def test_pleat_length_must_be_positive_and_finite(pleat_length):
+    with pytest.raises(InputError, match="pleat_length"):
+        build_square_twist_sheet(Vertex4((PI / 4, PI / 2, 3 * PI / 4, PI / 2)), 1, 1, pleat_length)
+
+
 def test_flat_and_flat_folded_limits(sheet22):
     m0 = fold_sheet(sheet22, 0.0)
     assert np.ptp(m0.vertices[:, 2]) < 1e-12
