@@ -34,22 +34,22 @@ at one driver crease read one table over all their samples (_sample_table).
 
 Folding ranges are closed form: the adjacent relation is quadratic in
 each tangent with coefficients affine in s = t_d^2, so every driver at
-which a fold state appears, merges or flat-folds is a real root of a
-polynomial of degree <= 2 in s (VertexKinematics._breakpoints). Between
-neighbouring roots the branch's states vary continuously without a sign
-change, so one certified check per cell decides the range; the checks
-of every branch share one table per driver crease (_cell_table). Each
-breakpoint carries the tag of its polynomial (qa, qc or disc of an
-adjacent pair, or zero and pi for driver 0 and +-pi), and a range end's
-cause is read from the tag of the breakpoint that ends it.
+which a fold state appears, merges or flat-folds is +-2 atan(sqrt(s))
+for a real root s of a polynomial of degree <= 2
+(VertexKinematics._breakpoints). Between neighbouring roots the branch's
+states vary continuously without a sign change, so one certified check
+per cell decides the range; the checks of every branch share one table
+per driver crease (_cell_table). Each breakpoint carries the tag of its
+polynomial (qa, qc or disc of an adjacent pair, or zero and pi for
+driver 0 and +-pi), and a range end's cause is read from the tag of the
+breakpoint that ends it. Negating every fold angle fixes every sector
+rotation of the loop, so ranges are computed on [0, pi] and mirrored.
 
 A vertex is a spherical four-bar linkage: at each driver the opposite
 relation fixes t_opp^2, so its at most two assemblies are t_opp = +-m,
 with opposite (d, d+2) pair signs. A branch label thus admits one state
-per driver, up to the sign of a crease at +-pi. Ranges join cells across
-every breakpoint but driver 0, where negating every fold angle maps the
-branch to itself (folding_range), and a trace reads each sample's one
-state from its table (trace_curve).
+per driver, up to the sign of a crease at +-pi, and a trace reads each
+sample's one state from its table (trace_curve).
 
 Both relations are invariant under a_i -> pi - a_i up to sign flips of one
 opposite crease pair, which is the elliptic-hyperbolic duality; see
@@ -332,7 +332,6 @@ class _CandidateTable(NamedTuple):
     ``error`` and ``ratio`` the opposite relation's failure per driver.
     """
 
-    drivers: np.ndarray
     rhos: np.ndarray
     closes: np.ndarray
     kept: np.ndarray
@@ -367,9 +366,9 @@ _TAG_CAUSES = {"pi": "flat_folded_crease", "qa": "flat_folded_crease", "disc": "
 
 
 class _CellTable(NamedTuple):
-    """The driver-only part of one crease's folding ranges: breakpoints, a
-    table at the cell midpoints and then the breakpoints, each breakpoint's
-    endpoint cause, and whether the unfolded state closes."""
+    """The driver-only part of one crease's folding ranges on [0, pi]: the
+    breakpoints, a table at the cell midpoints and then the breakpoints,
+    each breakpoint's endpoint cause, and whether the unfolded state closes."""
 
     breakpoints: tuple[float, ...]
     table: _CandidateTable
@@ -451,9 +450,9 @@ class VertexKinematics:
             kept[order[k]] = not any(near[lag, k] and kept[order[k - lag]] for lag in lags)
         rhos, closes, kept = rhos.reshape(n, 18, 4), closes.reshape(n, 18), kept.reshape(n, 18)
         signs = signs.reshape(n, 18, 2)
-        for arr in (drv, rhos, closes, kept, signs, order, error, ratio):
+        for arr in (rhos, closes, kept, signs, order, error, ratio):
             arr.flags.writeable = False
-        return _CandidateTable(drv, rhos, closes, kept, signs, order, error, ratio, (d + 2) % 4 + 1)
+        return _CandidateTable(rhos, closes, kept, signs, order, error, ratio, (d + 2) % 4 + 1)
 
     def certified_candidates(self, driver_index: int, driver: float) -> list[FoldState]:
         """All closure-certified states with the given driver angle, in
@@ -482,10 +481,11 @@ class VertexKinematics:
     # -- folding range ----------------------------------------------------
 
     def _breakpoints(self, d: int) -> list[tuple[float, str]]:
-        """Sorted (driver, tag) pairs of crease d (0-based) at which a fold
-        state can appear, merge or flat-fold: (0, zero), (+-pi, pi) and
-        +-2 atan(sqrt(s)) for the real roots s >= 0 of polynomials in
-        s = t_d^2 of degree <= 2, tagged by their polynomial.
+        """Sorted (driver, tag) pairs in [0, pi] of crease d (0-based) at
+        which a fold state can appear, merge or flat-fold: (0, zero),
+        (pi, pi) and 2 atan(sqrt(s)) for the real roots s >= 0 of
+        polynomials in s = t_d^2 of degree <= 2, tagged by their
+        polynomial. Those in [-pi, 0] are their mirror images.
 
         For each adjacent pair at the driver these are the coefficients
         qa and qc (the neighbour's tangent at inf or 0) and the
@@ -507,16 +507,15 @@ class VertexKinematics:
             ]
         p0, p1, p2 = np.array(polys).T
         roots, valid, _ = _quadratic_roots(p2, p1, p0)
-        out = {0.0: "zero", math.pi: "pi", -math.pi: "pi"}
+        out = {0.0: "zero", math.pi: "pi"}
         for k, j in zip(*np.nonzero(valid)):
             s = float(roots[k, j])
             if not math.isfinite(s) or s < -1e-12:
                 continue
-            b = 2.0 * math.atan(math.sqrt(s)) if s >= 1e-12 else 0.0
             tag = ("qa", "qc", "disc")[k % 3]
-            for x in (b, -b):
-                x = next((y for y in out if abs(x - y) <= 1e-9), x)
-                out[x] = min(out.get(x, tag), tag, key=list(_TAG_CAUSES).index)
+            x = 2.0 * math.atan(math.sqrt(s)) if s >= 1e-12 else 0.0
+            x = next((y for y in out if abs(x - y) <= 1e-9), x)
+            out[x] = min(out.get(x, tag), tag, key=list(_TAG_CAUSES).index)
         return sorted(out.items())
 
     def _cell_table(self, driver_index: int) -> _CellTable:
@@ -530,46 +529,51 @@ class VertexKinematics:
         return self._cells[d]
 
     def folding_range(self, driver_index: int, branch: BranchLabel) -> "FoldingRange":
-        """Maximal driver intervals of the branch, from an exact cell
-        decomposition of [-pi, pi] at the relations' breakpoints.
+        """Maximal driver intervals of the branch: the runs of an exact
+        cell decomposition of [0, pi] at the relations' breakpoints, and
+        their mirror images, since negating every fold angle maps the
+        branch's states at x to those at -x.
 
         A cell belongs to the branch when a certified branch state exists
         at its midpoint; a branch label admits one state per driver, so
-        neighbouring cells join across every inner breakpoint but driver
-        0. Negating every fold angle maps the branch's state at -x to its
-        state at x, so the branch crosses 0 continuously only through a
-        state that is its own mirror image: it joins there when the
-        unfolded state closes, or when a branch state at 0 keeps each
-        crease's sign at both cell midpoints or is 0 there (_keeps_signs).
-        Runs shorter than 1e-6 are isolated degenerate points. Each
-        endpoint is the breakpoint itself, or the nearest point at most
-        1e-6 inside it, that has a certified state; its cause is that of
-        the breakpoint's tag (see FoldingRange). Only the branch filter is
-        done per call; the rest is the cell table.
+        neighbouring cells join across every inner breakpoint. The run
+        from driver 0 joins its mirror only through a state that is its
+        own mirror image: when the unfolded state closes, or when a branch
+        state at 0 keeps each crease's sign, or is 0, in the first branch
+        row r at the first midpoint and in r's mirror (_keeps_signs); the
+        mirror negates every crease but one at exactly +-pi, as rhos order
+        lists -pi first. Runs narrower than 1e-6 are isolated degenerate
+        points. Each end in (0, pi] is the breakpoint itself, or the
+        nearest point at most 1e-6 inside it, that has a certified state;
+        its cause is that of the breakpoint's tag (see FoldingRange). A
+        mirrored end is 0.0 - x. Only the branch filter is done per call.
         """
         cells = self._cell_table(driver_index)
         bps = cells.breakpoints
         nc = len(bps) - 1
         rows = cells.table.rows(branch)
         mid, at = rows[:nc], rows[nc:]
-        zero = bps.index(0.0)
         runs: list[list[int]] = []  # [first, last] member cell per run
         for k in (k for k in range(nc) if mid[k]):
-            if runs and runs[-1][1] == k - 1 and (
-                k != zero
-                or cells.unfolded_closes
-                or any(_keeps_signs(s, (mid[k - 1][0], mid[k][0])) for s in at[k])
-            ):
+            if runs and runs[-1][1] == k - 1:
                 runs[-1][1] = k
             else:
                 runs.append([k, k])
-        intervals, causes = [], []
+        r = mid[0][0] if mid[0] else ()  # the branch's state at the first midpoint, and its mirror
+        mirror = [x if abs(x) == math.pi else -x for x in r]
+        joined = bool(r) and (cells.unfolded_closes or any(_keeps_signs(s, (r, mirror)) for s in at[0]))
+        intervals, causes = [], []  # in driver order: each mirror goes in front
         for first, last in runs:
-            lo, hi = bps[first], bps[last + 1]
-            if hi - lo < 1e-6:  # isolated degenerate point, not a branch arc
-                continue
-            lo, cause_lo = self._endpoint(driver_index, branch, cells, first, +1.0, at[first])
+            through = joined and first == 0
+            if bps[last + 1] - (-bps[last + 1] if through else bps[first]) < 1e-6:
+                continue  # isolated degenerate point, not a branch arc
             hi, cause_hi = self._endpoint(driver_index, branch, cells, last, -1.0, at[last + 1])
+            if through:
+                lo, cause_lo = 0.0 - hi, cause_hi
+            else:
+                lo, cause_lo = self._endpoint(driver_index, branch, cells, first, +1.0, at[first])
+                intervals.insert(0, (0.0 - hi, 0.0 - lo))
+                causes.insert(0, (cause_hi, cause_lo))
             intervals.append((lo, hi))
             causes.append((cause_lo, cause_hi))
         diagnostic = ""
@@ -618,11 +622,13 @@ class VertexKinematics:
     def trace_curve(
         self, driver_index: int, branch: BranchLabel, n_samples: int
     ) -> "ConfigCurve":
-        """The branch's state at each sample driver. A branch label admits
-        one state per driver, so a sample inside a cell takes its first
-        branch row; further rows only flip a crease at +-pi, and rhos
-        order lists -pi first. A sample on a breakpoint (either end, or
-        driver 0) is the limit of its cells' states: it takes the row
+        """The branch's state at each sample driver across the range's
+        longest interval, the first of equal ones: on a range split at 0,
+        the one in [-pi, 0], whose negated rows trace the other. A branch
+        label admits one state per driver, so a sample inside a cell takes
+        its first branch row; further rows only flip a crease at +-pi, and
+        rhos order lists -pi first. A sample on a breakpoint (either end,
+        or driver 0) is the limit of its cells' states: it takes the row
         nearest its neighbouring samples among those that keep each of
         their crease signs or are 0 there (_keeps_signs)."""
         if n_samples < 2:
@@ -646,20 +652,9 @@ class VertexKinematics:
             if state is None:
                 raise TraceAbortError(f"no branch state continues the trace at driver {drv:.6g}")
             states.append(state)
-        return self._make_curve(driver_index, branch, drivers, states)
-
-    def _make_curve(self, driver_index, branch, drivers, rows):
-        """The curve through the sample ``rows``, residuals from one batch."""
-        residuals = self.loop.residuals(rows)
-        return ConfigCurve(
-            vertex=self.vertex,
-            branch=branch,
-            driver_index=driver_index,
-            drivers=tuple(drivers),
-            rhos=tuple(map(tuple, rows)),
-            residuals=tuple(residuals.tolist()),
-            tol=self.tol,
-        )
+        residuals = tuple(self.loop.residuals(states).tolist())
+        return ConfigCurve(vertex=self.vertex, branch=branch, driver_index=driver_index, drivers=tuple(drivers),
+                           rhos=tuple(map(tuple, states)), residuals=residuals, tol=self.tol)
 
 
 def _keeps_signs(row, refs) -> bool:
@@ -751,9 +746,10 @@ def trace_curve(
     range in uniform steps of at most trace_step_max, each sample the
     branch's one closure-certified state at its driver (see
     VertexKinematics.trace_curve); TraceAbortError names a sample driver
-    without one. n_samples is a lower bound on the sample count. The
-    samples come from the vertex's one table over all four branches'
-    sample drivers."""
+    without one. On a range split at 0 the sweep covers the interval in
+    [-pi, 0]; the negated rows trace its mirror image. n_samples is a
+    lower bound on the sample count. The samples come from the vertex's
+    one table over all four branches' sample drivers."""
     return VertexKinematics(v, tol).trace_curve(driver_index, branch, n_samples)
 
 
@@ -837,7 +833,9 @@ def verify_duality(
     reproduces it with matched |rho| and the one-pair-flipped sign
     pattern. The traced rows of all branches are stacked once, mapped to
     C* in closed form by _DUAL_SIGNS and certified against the closure
-    loop of C* in one batch, so the check is end to end."""
+    loop of C* in one batch, so the check is end to end. A trace covers
+    its range's longest interval; the map commutes with negating every
+    fold angle, so the negated rows, which trace its mirror, map alike."""
     kin = VertexKinematics(v, tol)
     curves = []
     for branch in ALL_BRANCHES:

@@ -452,11 +452,15 @@ def test_bad_sample_and_mesh_options_are_usage_errors(tmp_path, monkeypatch, arg
     assert os.listdir(tmp_path) == []
 
 
+def _readme_block(heading):
+    """The first fenced block after a README heading, with its info string."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    return readme.read_text().split(heading, 1)[1].split("```")[1]
+
+
 def _readme_commands():
     """The argv of each command in the README's "Command line" block."""
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
-    lines = block.replace("\\\n", " ").splitlines()
+    lines = _readme_block("## Command line").replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.strip()]
 
 
@@ -471,3 +475,15 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
             causes = {c for pair in json.loads(out)["endpoint_causes"] for c in pair}
             assert causes
             assert causes <= {"flat_folded_crease", "crease_through_zero", "driver_limit"}
+
+
+def test_readme_library_example_runs(capsys):
+    code = _readme_block("## Library example").removeprefix("python\n")
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    curvature, verdict = capsys.readouterr().out.splitlines()
+    assert curvature == "Curvature.ELLIPTIC"
+    assert verdict == "0.0 True"
+    # the split range's longest interval is the first, [-pi, 0]
+    drivers = namespace["curve"].drivers
+    assert drivers[0] == -math.pi and drivers[-1] == 0.0

@@ -32,7 +32,14 @@ from rigidori.kinematics import (
     trace_curve,
     verify_duality,
 )
-from rigidori.kinematics import _adjacent_coefs, _adjacent_roots, _sign_pattern_is_dual, _swapped
+from rigidori.kinematics import (
+    _DUAL_SIGNS,
+    FoldingRange,
+    _adjacent_coefs,
+    _adjacent_roots,
+    _sign_pattern_is_dual,
+    _swapped,
+)
 from rigidori.numerics import Tolerances
 from rigidori.vertex import FoldState, Vertex4, dual
 
@@ -240,7 +247,8 @@ def test_candidate_table_rows_match_single_driver_calls(alphas, driver_index, ex
     # adjacent pairs at driver +-pi hold identically, so both creases
     # beside the driver fall back to the opposite crease
     kin = VertexKinematics(Vertex4(alphas))
-    drivers = [b for b, _ in kin._breakpoints((driver_index - 1) % 4)] + [0.0, PI, -PI] + extra
+    bps = [b for b, _ in kin._breakpoints((driver_index - 1) % 4)]  # those in [0, pi]
+    drivers = bps + [-b for b in bps] + [0.0, PI, -PI] + extra
     table = kin._candidate_table(driver_index, drivers)
     rows = {b: table.rows(b) for b in (None,) + ALL_BRANCHES}
     for j, drv in enumerate(drivers):
@@ -446,8 +454,8 @@ def test_endpoint_causes_name_what_the_branch_state_does_there(alphas):
         bps = [b for b, _ in kin._breakpoints(driver_index - 1)]
         for ends, causes in zip(rng_.intervals, rng_.endpoint_causes):
             for drv, cause in zip(ends, causes):
-                # an end that is no breakpoint has no cause to check
-                assume(min(abs(drv - b) for b in bps) <= 1e-6)
+                # an end that is no breakpoint, nor the mirror image of one, has no cause to check
+                assume(min(abs(abs(drv) - b) for b in bps) <= 1e-6)
                 states = [s.rhos for s in kin.certified_candidates(driver_index, drv) if branch.matches(s)]
                 assert states, (driver_index, branch, drv)
                 if cause == "flat_folded_crease":
@@ -504,6 +512,76 @@ def test_branch_rows_at_a_cell_midpoint_agree_in_magnitude(alphas, driver_index)
     for branch in ALL_BRANCHES:
         for rows in cells.table.rows(branch)[:nc]:
             assert all(abs(abs(x) - abs(y)) <= 1e-9 for s in rows for x, y in zip(s, rows[0])), rows
+
+
+def _mirror(rng_):
+    """The folding range's image under x -> -x: intervals negated and
+    reversed, and the two causes of each swapped."""
+    return FoldingRange(
+        tuple((0.0 - hi, 0.0 - lo) for lo, hi in reversed(rng_.intervals)),
+        tuple((hi, lo) for lo, hi in reversed(rng_.endpoint_causes)),
+        rng_.diagnostic,
+    )
+
+
+# (1, 1, 1, 1), (0.25, ...) and (2, 2, 2.1411, 2.1411) have ranges that
+# cross 0 through states with two creases flat-folded, such as (0, +-pi, 0, +-pi)
+FLAT_FOLD_JOIN_VERTICES = ((1.0,) * 4, (0.25,) * 4, (2.0, 2.0, 2.1411, 2.1411))
+
+
+@settings(max_examples=40, deadline=None)
+@given(alphas=st.tuples(*[st.floats(0.2, PI - 0.2)] * 4))
+@example(alphas=SPECIAL_VERTICES[0])
+@example(alphas=SPECIAL_VERTICES[1])
+@example(alphas=SPECIAL_VERTICES[2])
+@example(alphas=SPECIAL_VERTICES[3])
+@example(alphas=FLAT_FOLD_JOIN_VERTICES[1])
+@example(alphas=FLAT_FOLD_JOIN_VERTICES[2])
+def test_every_folding_range_is_its_own_mirror_image(alphas):
+    # negating every fold angle fixes each sector rotation of the loop
+    kin = VertexKinematics(Vertex4(alphas), FAST)
+    for driver_index, branch in itertools.product((1, 2, 3, 4), ALL_BRANCHES):
+        rng_ = kin.folding_range(driver_index, branch)
+        assert rng_ == _mirror(rng_), (driver_index, branch)
+
+
+def test_equal_sector_ranges_cross_zero_only_through_a_mirror_image_state():
+    # mp and mm cross driver 0 through (0, -pi, 0, -+pi), which is its own
+    # mirror image; pp reaches (0, +-pi, 0, +-pi) at 0 too, but its states
+    # at -x and x differ in every crease's sign, so it splits there. Joining
+    # iff the unfolded state closes splits mp and mm; joining iff every
+    # crease at 0 is 0 or +-pi joins pp.
+    kin = VertexKinematics(Vertex4(FLAT_FOLD_JOIN_VERTICES[0]), FAST)
+    at_zero = kin.certified_candidates(1, 0.0)
+    for branch, flat in ((BRANCH_MP, (0.0, -PI, 0.0, -PI)), (BRANCH_MM, (0.0, -PI, 0.0, PI))):
+        ((lo, hi),) = kin.folding_range(1, branch).intervals
+        assert lo == -hi and hi == pytest.approx(PI, abs=1e-9)
+        assert flat in [s.rhos for s in at_zero if branch.matches(s)]
+    (lo, below), (above, hi) = kin.folding_range(1, BRANCH_PP).intervals
+    assert below == above == 0.0 and lo == -hi and hi == pytest.approx(PI, abs=1e-9)
+    assert {s.rhos[1] for s in at_zero if BRANCH_PP.matches(s)} == {-PI, PI}
+
+
+@pytest.mark.parametrize("v", [ELLIPTIC, EUCLIDEAN_40, Vertex4(FLAT_FOLD_JOIN_VERTICES[2])]
+                         + RANGE_VERTICES[2:8], ids=str)
+def test_negated_trace_closes_on_c_and_maps_to_c_star(v):
+    # a trace covers the range's longest interval; its negated rows are the
+    # branch's states on the mirror interval, on C and, mapped, on C*
+    kin = VertexKinematics(v, FAST)
+    loop, dual_loop = LoopEvaluator(v), LoopEvaluator(dual(v))
+    traced = 0
+    for branch in ALL_BRANCHES:
+        curve = _trace_outcome(kin, branch)
+        if isinstance(curve, tuple):
+            continue
+        negated = -np.array(curve.rhos)
+        assert (loop.residuals(negated) < FAST.residual_tol).all(), branch
+        assert (dual_loop.residuals(negated * _DUAL_SIGNS) < FAST.residual_tol).all(), branch
+        assert all(branch.matches(FoldState(r)) for r in negated)
+        lo, hi = -curve.drivers[-1], -curve.drivers[0]
+        assert any(a - 1e-12 <= lo and hi <= b + 1e-12 for a, b in kin.folding_range(1, branch).intervals)
+        traced += 1
+    assert traced == sum(bool(kin.folding_range(1, b)) for b in ALL_BRANCHES) > 0
 
 
 def test_non_euclidean_range_splits_where_its_states_jump_at_zero():
