@@ -56,4 +56,4 @@ class RigidFoldabilityError(RigidOriError):
 
 
 class GluingError(RigidOriError):
-    """Crease-row registration residual too large to glue layers."""
+    """A glued crease row misses its partner in the next layer."""

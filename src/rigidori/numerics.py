@@ -93,26 +93,23 @@ def rotation_about_axis(axis, angle: float) -> np.ndarray:
 def axis_angle_vector(m: np.ndarray) -> np.ndarray:
     """Rotation vector (axis times angle) of a rotation matrix.
 
-    Robust over the full angle range, including near pi where the skew
-    part degenerates.
+    Accurate over the full angle range. Past a quarter-turn the axis comes
+    from (M + M^T) / 2 - cos(theta) I = (1 - cos(theta)) u u^T, whose
+    largest-diagonal column stays well scaled up to the half-turn, and the
+    skew part only orients it.
     """
     skew = 0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
     sin_t = np.linalg.norm(skew)
     cos_t = max(-1.0, min(1.0, 0.5 * (np.trace(m) - 1.0)))
     theta = math.atan2(sin_t, cos_t)
+    if cos_t < 0.0:
+        B = 0.5 * (m + m.T) - cos_t * np.eye(3)
+        axis = B[:, int(np.argmax(np.diag(B)))]
+        axis = axis / np.linalg.norm(axis)
+        return theta * (-axis if np.dot(axis, skew) < 0 else axis)
     if sin_t > 1e-9:
         return theta / sin_t * skew
-    if cos_t > 0.0:
-        return skew  # theta ~ 0, first order
-    # theta ~ pi: axis from the dominant diagonal of (M + I) / 2
-    B = 0.5 * (m + np.eye(3))
-    k = int(np.argmax(np.diag(B)))
-    axis = B[:, k] / math.sqrt(max(B[k, k], 1e-30))
-    axis /= np.linalg.norm(axis)
-    # orient consistently with the skew part when it is nonzero at all
-    if sin_t > 0 and np.dot(axis, skew) < 0:
-        axis = -axis
-    return theta * axis
+    return skew  # theta ~ 0, first order
 
 
 def cross(a, b) -> np.ndarray:

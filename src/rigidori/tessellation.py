@@ -31,12 +31,18 @@ Every corner's placements by all of its faces must agree within 1e-8, so
 every face cycle of the sheet is checked, not only the patch's, and every
 interior vertex's loop closure is certified in one batch.
 
-Stacking glues the mountain crease row of each layer to the valley
-crease row of the next (the rows are the zigzag paths of major creases
+Stacking glues the mountain crease rows of each layer to the valley
+crease rows of the next (the rows are the zigzag paths of major creases
 through P3/P4 and P1/P2 corners respectively); each glued vertex pair
-realizes the combined vertex of the generator and its dual. The rotated
-variant reverses the row correspondence, which makes successive sheets
-interpenetrate by design.
+realizes the combined vertex of the generator and its dual. The layer
+motion has a closed form. The parallel variant translates each layer by
+the folded rise from P1(0, 0) to P4(0, 0), which carries every valley row
+onto its mountain row, so every row glues. The rotated variant reverses
+the row correspondence: the crease pattern's half-turn about a square
+centre negates every fold angle, so the half-turn about the normal of
+mountain row 0's plane carries valley row 0, reversed, onto it. Only row
+0 glues, and successive sheets interpenetrate by design. A glued row that
+misses its partner by more than 1e-8 raises.
 """
 
 from __future__ import annotations
@@ -70,8 +76,6 @@ Name = tuple[str, int, int]  # corner label P1..P4 with cell indices
 
 @dataclass(frozen=True)
 class SheetVertex:
-    name: Name
-    position: tuple[float, float]
     mode: int
     # crease keys in package order c1..c4 for this vertex's own labeling
     creases: tuple[frozenset, frozenset, frozenset, frozenset]
@@ -121,7 +125,6 @@ class SquareTwistSheet:
     rows: int
     cols: int
     pleat_length: float
-    twist_angle: float
     corners: dict[Name, tuple[float, float]]
     faces: tuple[tuple[Name, ...], ...]
     face_kinds: tuple[str, ...]
@@ -248,14 +251,13 @@ def build_square_twist_sheet(
             for p, (mode, star) in stars.items():
                 name = (p, i, j)
                 creases = tuple(frozenset((name, (q, i + di, j + dj))) for q, di, dj in star)
-                vertices[name] = SheetVertex(name, pos(name), mode, creases)
+                vertices[name] = SheetVertex(mode, creases)
 
     sheet = SquareTwistSheet(
         generator=gen,
         rows=rows,
         cols=cols,
         pleat_length=D,
-        twist_angle=alpha,
         corners=corners,
         faces=tuple(faces),
         face_kinds=tuple(kinds),
@@ -495,18 +497,6 @@ class CwComplex:
     bbox: tuple[float, float, float]
 
 
-def _kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Least-squares proper rigid motion src -> dst and its residual."""
-    cs, cd = src.mean(axis=0), dst.mean(axis=0)
-    H = (src - cs).T @ (dst - cd)
-    U, _, Vt = np.linalg.svd(H)
-    S = np.diag([1.0, 1.0, np.sign(np.linalg.det(Vt.T @ U.T))])
-    R = Vt.T @ S @ U.T
-    t = cd - R @ cs
-    res = float(np.max(np.linalg.norm(src @ R.T + t - dst, axis=1)))
-    return R, t, res
-
-
 def _lattice_axes(fs: FoldedSheet) -> np.ndarray:
     """Orthonormal frame carried along from the flat layout's axes.
 
@@ -537,48 +527,56 @@ def stack_complex(
     tol: Tolerances = DEFAULT_TOL,
 ) -> CwComplex:
     """Stack folded copies of the sheet, gluing each layer's mountain
-    crease rows to the next layer's valley rows by least-squares rigid
-    registration of the row polylines (accepted only at machine-precision
-    residual). Each glued vertex pair realizes the combined vertex of the
-    generator with its dual."""
+    crease rows to the next layer's valley rows. Each glued vertex pair
+    realizes the combined vertex of the generator with its dual.
+
+    The layer motion is exact, not fitted. ``parallel`` translates by the
+    folded rise from P1(0, 0) to P4(0, 0) and glues every row. ``rotated``
+    turns by the half-turn about the normal of mountain row 0's plane and
+    glues row 0 alone, reversed. A glued row that misses its partner by
+    more than 1e-8 raises GluingError naming the row.
+    """
     if layers < 1:
         raise InputError("layers must be at least 1")
     if variant not in (PARALLEL, ROTATED):
         raise InputError(f"variant must be '{PARALLEL}' or '{ROTATED}'")
     fs = _fold(sheet, major_rho, tol)
+    plan, pos = sheet.fold_plan, fs.mesh.vertices
     axes = _lattice_axes(fs)
+    # valley row to mountain row: P1(0, 0) to P4(0, 0)
+    rise = pos[plan.mountain_rows[0, 0]] - pos[plan.valley_rows[0, 0]]
     meshes, glue_pairs, glue_residual = [fs.mesh], [], 0.0
     if layers > 1:
         # mountain rows of the lower layer receive valley rows of the
-        # upper; at negative drivers the roles swap, the registration is
-        # identical. Row 0 is registered, every row is tested against it
-        plan = sheet.fold_plan
-        a_rows = plan.mountain_rows
-        b_rows = plan.valley_rows if variant == PARALLEL else plan.valley_rows[:, ::-1]
-        A, B = fs.mesh.vertices[a_rows], fs.mesh.vertices[b_rows]
-        R, t, res = _kabsch(B[0], A[0])
-        if res > 1e-8:
-            raise GluingError(f"crease-row registration residual {res:.3e} exceeds 1e-8")
-
-        # rows that actually coincide under the registration; the parallel
-        # variant preserves the row lattice so every row glues, the rotated
-        # variant reverses it so only the registered row overlaps on a
-        # finite sheet
-        dev = np.max(np.linalg.norm(B @ R.T + t - A, axis=2), axis=1)
-        glued = np.flatnonzero(dev <= 1e-8)
-        if not len(glued):
-            raise GluingError("no crease row coincides under the registration")
+        # upper; at negative drivers the roles swap, the motion is the same
+        if variant == PARALLEL:
+            # every cell is a translate and its central square is rigid, so
+            # each mountain row is its valley row moved by the rise
+            a_rows, b_rows = plan.mountain_rows, plan.valley_rows
+            R, t = np.eye(3), rise
+        else:
+            # the crease pattern's half-turn about a square centre (P1 <-> P3,
+            # P2 <-> P4) negates every fold angle, so it maps the folded sheet
+            # to its point reflection and each valley row, reversed, onto a
+            # mountain row. On the plane of mountain row 0 (the row
+            # translation and a square edge) the half-turn about the plane's
+            # normal does the same; the other rows overlap nothing
+            a_rows, b_rows = plan.mountain_rows[:1], plan.valley_rows[:1, ::-1]
+            n = cross(fs.lattice[0], pos[a_rows[0, 1]] - pos[a_rows[0, 0]])
+            R = 2.0 * np.outer(n, n) / np.dot(n, n) - np.eye(3)
+            t = pos[a_rows[0, 0]] - R @ pos[b_rows[0, 0]]
+        dev = np.max(np.linalg.norm(pos[b_rows] @ R.T + t - pos[a_rows], axis=2), axis=1)
+        row = int(np.argmax(dev))  # a NaN is the maximum
+        if not dev[row] <= 1e-8:
+            raise GluingError(f"crease row {row} misses its partner by {dev[row]:.3e} (limit 1e-8)")
         names = list(sheet.corners)
-        pairs = [
-            (names[a], names[b])
-            for a, b in zip(a_rows[glued].ravel().tolist(), b_rows[glued].ravel().tolist())
-        ]
+        pairs = [(names[a], names[b]) for a, b in zip(a_rows.ravel().tolist(), b_rows.ravel().tolist())]
         Rk, tk = np.eye(3), np.zeros(3)
         for layer in range(1, layers):
             Rk, tk = R @ Rk, R @ tk + t
             meshes.append(fs.mesh.transformed(Rk, tk))
             glue_pairs += [((layer - 1, na), (layer, nb)) for na, nb in pairs]
-        glue_residual = float(dev[glued].max())
+        glue_residual = float(dev[row])
     return CwComplex(
         sheet=sheet,
         layers=layers,
@@ -588,11 +586,11 @@ def stack_complex(
         glue_map=tuple(glue_pairs),
         glue_residual=glue_residual,
         lattice_axes=axes,
-        bbox=_lattice_bbox(fs, axes, layers),
+        bbox=_lattice_bbox(fs, axes, rise, layers),
     )
 
 
-def _lattice_bbox(fs: FoldedSheet, axes: np.ndarray, layers: int):
+def _lattice_bbox(fs: FoldedSheet, axes: np.ndarray, rise: np.ndarray, layers: int):
     """Block dimensions of the complex from its lattice periods.
 
     The structure is a sheared 3D lattice, so a raw point bounding box
@@ -600,12 +598,11 @@ def _lattice_bbox(fs: FoldedSheet, axes: np.ndarray, layers: int):
     boundaries; the intrinsic dimensions are the in-plane cell periods
     times the cell counts, and the per-layer rise along the corner-plate
     normal times the layer count. At zero fold these reduce to the flat
-    block dimensions with zero height.
+    block dimensions with zero height. ``rise`` is the folded step from
+    P1(0, 0) to P4(0, 0), valley row to mountain row.
     """
-    sheet, plan, pos = fs.sheet, fs.sheet.fold_plan, fs.mesh.vertices
+    sheet = fs.sheet
     v_row, v_col = fs.lattice
-    # valley row to mountain row: P1(0, 0) to P4(0, 0)
-    rise = pos[plan.mountain_rows[0, 0]] - pos[plan.valley_rows[0, 0]]
     n3 = axes[:, 2]
     return (
         float(sheet.cols * np.linalg.norm(v_row)),

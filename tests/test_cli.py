@@ -4,6 +4,7 @@ import os
 import pathlib
 import shlex
 
+import numpy as np
 import pytest
 
 from rigidori.cli import build_parser, run, write_obj
@@ -183,6 +184,27 @@ def test_sheet_stack_auxetic(tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[1] == "rho,bbox_x,bbox_y,bbox_z,regime"
     assert len(lines) == 6
+
+
+def test_rotated_one_column_stack_writes_the_library_layers(tmp_path):
+    from rigidori.tessellation import build_square_twist_sheet, stack_complex
+    from rigidori.vertex import Vertex4
+
+    alphas = (PI / 4, PI / 2, 3 * PI / 4, PI / 2)
+    obj = tmp_path / "stack.obj"
+    code = run(
+        ["stack", "--alphas", ",".join(map(repr, alphas)),
+         "--rows", "5", "--cols", "1", "--layers", "3", "--variant", "rotated",
+         "--rho", "1.0", "--output", str(obj)]
+    )
+    assert code == 0
+    cx = stack_complex(build_square_twist_sheet(Vertex4(alphas), 5, 1), 3, 1.0, "rotated")
+    written = [
+        [float(x) for x in line.split()[1:]]
+        for line in obj.read_text().splitlines() if line.startswith("v ")
+    ]
+    # %.17g round-trips every double, so the layers come back exactly
+    assert np.array_equal(np.array(written), np.concatenate([m.vertices for m in cx.meshes]))
 
 
 def test_degrees_flag_leaves_radian_defaults_alone(tmp_path):

@@ -114,6 +114,20 @@ def test_axis_angle_vector_of_exact_half_turns():
         assert np.max(np.abs(back - m)) < 1e-12
 
 
+def test_axis_angle_vector_just_below_half_turns():
+    # the skew part is only 1e-8 to 1e-10 here, so an axis read from it
+    # carries its rounding divided by its norm
+    rng = np.random.default_rng(11)
+    angles = [*(math.pi - np.logspace(-10, -8, 21)), math.pi]
+    for axis in rng.normal(size=(300, 3)):
+        axis /= np.linalg.norm(axis)
+        for a in angles:
+            m = rotation_about_axis(axis, a)
+            vec = axis_angle_vector(m)
+            back = rotation_about_axis(vec / np.linalg.norm(vec), np.linalg.norm(vec))
+            assert np.max(np.abs(back - m)) < 1e-14
+
+
 def test_tolerances_validation():
     with pytest.raises(InputError):
         Tolerances(angle_eps=0.0)

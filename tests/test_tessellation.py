@@ -195,7 +195,15 @@ def test_rotated_variant_builds_and_flexes():
         assert cx.glue_residual < 1e-8
 
 
-@pytest.mark.parametrize("rho", [1.0, -2.0, 3.0])
+def _rigid_fit(src: np.ndarray, dst: np.ndarray):
+    """Least-squares proper rigid motion (R, t) taking src onto dst."""
+    cs, cd = src.mean(axis=0), dst.mean(axis=0)
+    U, _, Vt = np.linalg.svd((src - cs).T @ (dst - cd))
+    R = Vt.T @ np.diag([1.0, 1.0, np.sign(np.linalg.det(Vt.T @ U.T))]) @ U.T
+    return R, cd - R @ cs
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, -2.0, 3.0])
 def test_one_column_sheets_share_the_lattice_frame(sheet22, rho):
     # every sheet has the folded row translation, so a one-column sheet
     # carries the frame of a wider sheet of the same generator
@@ -203,6 +211,56 @@ def test_one_column_sheets_share_the_lattice_frame(sheet22, rho):
     for rows, cols in ((1, 1), (2, 1), (5, 1)):
         axes = stack_complex(build_square_twist_sheet(GEN, rows, cols), 1, rho).lattice_axes
         assert np.abs(axes - ref).max() <= 1e-12
+    # and its layers turn as the wider sheet's do, although its glued rows
+    # are two points each
+    narrow, wide = build_square_twist_sheet(GEN, 5, 1), build_square_twist_sheet(GEN, 5, 5)
+    for variant in ("parallel", "rotated"):
+        turns = [
+            _rigid_fit(*(m.vertices for m in stack_complex(sheet, 2, rho, variant).meshes))[0]
+            for sheet in (narrow, wide)
+        ]
+        assert np.abs(turns[0] - turns[1]).max() <= 1e-12
+
+
+def test_layer_motion_is_the_least_squares_fit_of_the_glued_rows():
+    gen = Vertex4((0.6, PI / 2, PI - 0.6, PI / 2))
+    sheets = [build_square_twist_sheet(GEN, r, c) for r, c in ((2, 2), (1, 2), (12, 12))]
+    sheets.append(build_square_twist_sheet(gen, 3, 5, pleat_length=0.8))
+    for sheet in sheets:
+        for variant in ("parallel", "rotated"):
+            for rho in (-2.9, -0.6, 0.3, 1.0, 2.5):
+                cx = stack_complex(sheet, 2, rho, variant)
+                pos = _positions(_fold(sheet, rho, DEFAULT_TOL))
+                upper = np.array([pos[nb] for _, (_, nb) in cx.glue_map])
+                lower = np.array([pos[na] for (_, na), _ in cx.glue_map])
+                R, t = _rigid_fit(upper, lower)
+                fitted = cx.meshes[0].vertices @ R.T + t
+                assert np.abs(cx.meshes[1].vertices - fitted).max() <= 1e-12
+
+
+def test_one_column_parallel_stack_glues_every_row_under_rounding_noise(monkeypatch):
+    # positions a rounding step away from the exact fold must glue the
+    # same rows: a two-point crease row does not fix a registration
+    import dataclasses
+
+    from rigidori.embedding import FoldedMesh
+
+    sheet = build_square_twist_sheet(GEN, 5, 1)
+    exact = tessellation._fold
+    rng = np.random.default_rng(5)
+
+    def noisy(sheet, major_rho, tol):
+        fs = exact(sheet, major_rho, tol)
+        m = fs.mesh
+        scale = np.abs(m.vertices).max()
+        pts = m.vertices + 1e-16 * scale * rng.standard_normal(m.vertices.shape)
+        return dataclasses.replace(fs, mesh=FoldedMesh(pts, m.faces, m.face_index))
+
+    monkeypatch.setattr(tessellation, "_fold", noisy)
+    for rho in np.linspace(0.05 * PI, 0.95 * PI, 47):
+        cx = stack_complex(sheet, 2, rho)
+        assert len(cx.glue_map) == 2 * sheet.rows * sheet.cols
+        assert cx.glue_residual <= 1e-8
 
 
 def test_auxetic_regimes_windows(sheet22):
@@ -437,20 +495,24 @@ def test_shifted_valley_row_does_not_glue(sheet22, monkeypatch):
     import dataclasses
 
     exact = tessellation._fold
-    valley = sheet22.fold_plan.valley_rows[0]
+    valley = sheet22.fold_plan.valley_rows
 
     def shifted(sheet, major_rho, tol):
         fs = exact(sheet, major_rho, tol)
         pts = fs.mesh.vertices.copy()
-        pts[valley[1:]] += 1e-6  # the row's first corner stays
+        pts[valley[row, 1:]] += shift  # the row's first corner stays
         # the shift bends the row's faces, so the points ride on a stand-in
         # for the mesh, which FoldedMesh would reject
         return dataclasses.replace(fs, mesh=types.SimpleNamespace(vertices=pts))
 
     monkeypatch.setattr(tessellation, "_fold", shifted)
-    for variant in ("parallel", "rotated"):
-        with pytest.raises(GluingError):
-            stack_complex(sheet22, 2, 1.0, variant=variant)
+    # the rotated variant glues row 0 alone, so row 1 is free to move; a
+    # NaN misses by more than any bound
+    both = ("parallel", "rotated")
+    for row, shift, failing in ((0, 1e-6, both), (1, 1e-6, both[:1]), (1, math.nan, both[:1])):
+        for variant in failing:
+            with pytest.raises(GluingError, match=f"crease row {row} misses"):
+                stack_complex(sheet22, 2, 1.0, variant=variant)
 
 
 def test_folded_vertices_are_read_only(sheet22):
