@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--driver", type=float, required=True)
     p.add_argument("--branch", choices=sorted(_BRANCHES), default="pm")
 
-    p = new("oracle", _cmd_oracle, "closure-oracle Levenberg-Marquardt solve")
+    p = new("oracle", _cmd_oracle, "closure-oracle Newton solve")
     p.add_argument("--driver-index", type=int, default=1, choices=(1, 2, 3, 4))
     p.add_argument("--driver", type=float, required=True)
     p.add_argument("--guess", required=True, help="initial rho1..rho4, comma separated")

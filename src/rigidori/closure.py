@@ -32,9 +32,7 @@ from .numerics import (
 from .vertex import FoldState, Vertex4
 
 _MAX_ITER = 50
-#: initial Levenberg-Marquardt damping, relative to the largest diagonal
-#: entry of J^T J
-_LM_DAMPING = 1e-3
+_FD_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -72,32 +70,6 @@ class LoopEvaluator:
         """Three independent components: the axis-angle vector of the loop."""
         return axis_angle_vector(self.matrix(rhos))
 
-    def residual_jacobian(self, rhos) -> tuple[np.ndarray, np.ndarray]:
-        """``residual_vector`` of one state of four fold angles and its
-        closed-form 3 x 4 Jacobian.
-
-        Turning crease k turns the loop product T about P_k e_x, where P_k
-        is the product of the factors before crease k: dT T^T = [P_k e_x]x
-        d(rho_k). The log map carries that spatial angular velocity w into
-        d(phi) = (I - [phi]x / 2 + c [phi]x^2) w with
-        c = (1 - (theta / 2) cot(theta / 2)) / theta^2, which is 1/12 at
-        theta = 0 and finite up to the half-turn.
-        """
-        rx = rot_x(np.asarray(rhos, dtype=float))
-        P = np.eye(3)
-        W = np.empty((3, 4))
-        for k in range(4):
-            W[:, k] = P[:, 0]
-            P = P @ rx[k] @ self._rz[k]
-        phi = axis_angle_vector(P)
-        theta = float(np.linalg.norm(phi))
-        half = 0.5 * theta
-        c = 1.0 / 12.0 if theta < 1e-4 else (1.0 - half / math.tan(half)) / theta**2
-        K = np.array(
-            [[0.0, -phi[2], phi[1]], [phi[2], 0.0, -phi[0]], [-phi[1], phi[0], 0.0]]
-        )
-        return phi, (np.eye(3) - 0.5 * K + c * (K @ K)) @ W
-
 
 def closure_residual(v: Vertex4, s: FoldState) -> float:
     """Frobenius distance of the loop product from the identity."""
@@ -111,52 +83,55 @@ def oracle_solve(
     initial_guess: FoldState,
     tol: Tolerances = DEFAULT_TOL,
 ) -> ClosureReport:
-    """Levenberg-Marquardt on the three free fold angles with the driver
-    fixed.
+    """Damped Newton on the three free fold angles with the driver fixed.
 
     The residual vector is the axis-angle vector of the loop product (3
-    components against 3 unknowns), with the closed-form Jacobian of
-    ``LoopEvaluator.residual_jacobian``. The damping starts at 1e-3 of the
-    largest diagonal entry of J^T J and follows the gain ratio of each step
-    (Nielsen's update). Near a branch crossing, where J is nearly singular,
-    the damped steps stay short, and the solve reaches the closing state
-    nearest the guess. An undamped Newton step there can jump to the other
-    branch. At most 50 iterations, rejected steps included; non-convergence
-    is reported, never raised.
+    components against 3 unknowns). Steps are halved until the residual
+    decreases; at most 50 iterations. Non-convergence is reported, never
+    raised.
     """
     d = (driver_index - 1) % 4
-    free = [i for i in range(4) if i != d]
     ev = LoopEvaluator(v)
-    rhos = np.array(initial_guess.rhos, dtype=float)
-    rhos[d] = driver
-    f, J = ev.residual_jacobian(rhos)
-    J = J[:, free]
-    mu = _LM_DAMPING * float(np.max(np.sum(J * J, axis=0)))
-    nu = 2.0
+    free = [i for i in range(4) if i != d]
+
+    def assemble(x):
+        rhos = [0.0] * 4
+        rhos[d] = driver
+        for j, i in enumerate(free):
+            rhos[i] = x[j]
+        return rhos
+
+    x = np.array([initial_guess.rhos[i] for i in free], dtype=float)
+    f = ev.residual_vector(assemble(x))
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
-        cost = float(f @ f)
-        if math.sqrt(cost) < tol.solver_tol:
+        norm_f = np.linalg.norm(f)
+        if norm_f < tol.solver_tol:
             break
-        g = J.T @ f
-        step = np.linalg.solve(J.T @ J + mu * np.eye(3), -g)
-        # decrease of |f|^2 that the linear model predicts for this step
-        predicted = float(step @ (mu * step - g))
-        if not predicted > 0.0:
-            break  # a stationary point of |f|^2 that does not close
-        trial = rhos.copy()
-        trial[free] += step
-        f_trial, J_trial = ev.residual_jacobian(trial)
-        gain = (cost - float(f_trial @ f_trial)) / predicted
-        if gain > 0.0:
-            rhos, f, J = trial, f_trial, J_trial[:, free]
-            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            nu = 2.0
-        else:
-            mu *= nu
-            nu *= 2.0
+        J = np.empty((3, 3))
+        for j in range(3):
+            xp = x.copy()
+            xp[j] += _FD_STEP
+            J[:, j] = (ev.residual_vector(assemble(xp)) - f) / _FD_STEP
+        try:
+            step = np.linalg.solve(J, -f)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(J, -f, rcond=None)[0]
+        # damping: halve until the residual norm decreases
+        scale = 1.0
+        improved = False
+        for _ in range(30):
+            x_new = x + scale * step
+            f_new = ev.residual_vector(assemble(x_new))
+            if np.linalg.norm(f_new) < norm_f:
+                x, f = x_new, f_new
+                improved = True
+                break
+            scale *= 0.5
+        if not improved:
+            break
 
-    rhos = [r if abs(r) <= math.pi else wrap_angle(r) for r in rhos.tolist()]
+    rhos = [r if abs(r) <= math.pi else wrap_angle(r) for r in assemble(x)]
     residual = ev.residual(rhos)
     return ClosureReport(
         state=FoldState(rhos),
