@@ -16,8 +16,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .closure import closure_residual, oracle_solve
 from .embedding import FoldedMesh, combined_mesh, split_combined, synchronize
@@ -78,15 +76,18 @@ def _g(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_obj(mesh: FoldedMesh, path: str, args=None) -> None:
-    """Wavefront OBJ: `v x y z` then 1-based `f i j ...` lines, vertices
-    printed to 17 significant digits, deterministic construction order.
-    Non-manifold edge sharing is inherent in the indexing."""
+def write_obj(meshes: tuple[FoldedMesh, ...], path: str, args=None) -> None:
+    """Wavefront OBJ of the meshes in order, indices offset by the vertices
+    before each: `v x y z` to 17 significant digits, then 1-based `f i j ...`
+    lines. Deterministic; non-manifold edge sharing is in the indexing."""
     head = _csv_header(args) + "\n" if args is not None else ""
-    coords = ("v %.17g %.17g %.17g\n" * len(mesh.vertices)) % tuple(mesh.vertices.ravel().tolist())
-    faces = "".join("f " + " ".join([str(i + 1) for i in f]) + "\n" for f in mesh.faces)
+    coords, faces, start = [], [], 1
+    for m in meshes:
+        coords.append(("v %.17g %.17g %.17g\n" * len(m.vertices)) % tuple(m.vertices.ravel().tolist()))
+        faces += ["f " + " ".join([str(i + start) for i in f]) + "\n" for f in m.faces]
+        start += len(m.vertices)
     with open(path, "w") as fh:
-        fh.write(head + coords + faces)
+        fh.write(head + "".join(coords) + "".join(faces))
 
 
 def _parse_vertex(args, parser) -> Vertex4:
@@ -268,7 +269,7 @@ def _cmd_combine(args, parser):
         parser.error("--arc-segments must be at least 1")
     v = _parse_vertex(args, parser)
     cv = synchronize(v, args.variant, _angle(args, args.theta), _MERGE_PAIRS[args.merge_pair], tol=_tol(args))
-    write_obj(combined_mesh(cv, args.radius, args.arc_segments), args.output, args)
+    write_obj((combined_mesh(cv, args.radius, args.arc_segments),), args.output, args)
 
 
 def _cmd_split(args, parser):
@@ -311,7 +312,7 @@ def _cmd_sheet(args, parser):
     tol = _tol(args)
     sheet = _sheet(args, parser, tol)
     for path, rho in frames:
-        write_obj(fold_sheet(sheet, rho, tol), path, args)
+        write_obj((fold_sheet(sheet, rho, tol),), path, args)
 
 
 def _cmd_stack(args, parser):
@@ -321,10 +322,7 @@ def _cmd_stack(args, parser):
     tol = _tol(args)
     sheet = _sheet(args, parser, tol)
     for path, rho in frames:
-        cx = stack_complex(sheet, args.layers, rho, args.variant, tol)
-        offsets = np.cumsum([0] + [len(m.vertices) for m in cx.meshes]).tolist()
-        faces = tuple(tuple(i + o for i in f) for m, o in zip(cx.meshes, offsets) for f in m.faces)
-        write_obj(FoldedMesh(np.concatenate([m.vertices for m in cx.meshes]), faces), path, args)
+        write_obj(stack_complex(sheet, args.layers, rho, args.variant, tol).meshes, path, args)
 
 
 def _cmd_auxetic(args, parser):

@@ -76,13 +76,14 @@ class FoldedMesh:
     ``faces`` unless a caller that holds it for the same faces passes it.
     Construction validates face indices, finite coordinates and the
     planarity of every face of four or more corners within 1e-9 (see
-    _max_planarity). Meshes are equal when their vertex values and faces
-    are equal.
+    _max_planarity), kept as ``planarity`` (for a rotated copy, see
+    ``transformed``). Meshes are equal when vertex values and faces are.
     """
 
     vertices: np.ndarray
     faces: tuple[tuple[int, ...], ...]
     face_index: dict[int, np.ndarray] | None = field(default=None, repr=False)
+    planarity: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.array(self.vertices, dtype=float) if len(self.vertices) else np.empty((0, 3))
@@ -106,9 +107,12 @@ class FoldedMesh:
             raise InputError("face indices out of range")
         if not np.isfinite(pts).all():
             raise MeshConsistencyError("vertex coordinates are not finite")
-        for m, idx in faces.items():
-            if m > 3 and not _max_planarity(pts[idx]) <= 1e-9:
-                raise MeshConsistencyError("face deviates from planarity beyond 1e-9")
+        if self.planarity is None:
+            measures = [_max_planarity(pts[idx]) for m, idx in faces.items() if m > 3]
+            worst = max(measures, default=0.0, key=lambda v: math.inf if math.isnan(v) else v)
+            object.__setattr__(self, "planarity", worst)
+        if not self.planarity <= 1e-9:
+            raise MeshConsistencyError("face deviates from planarity beyond 1e-9")
 
     def __eq__(self, other):
         if not isinstance(other, FoldedMesh):
@@ -116,8 +120,22 @@ class FoldedMesh:
         return self.faces == other.faces and np.array_equal(self.vertices, other.vertices)
 
     def transformed(self, rotation: np.ndarray, translation=np.zeros(3)) -> "FoldedMesh":
-        pts = self.vertices @ np.asarray(rotation, dtype=float).T + translation
-        return FoldedMesh(pts, self.faces, self.face_index)
+        """This mesh moved by x -> R x + t, checked like any mesh. A rotation R
+        (|R^T R - I|_F <= 1e-12) with one shift t carries (1 + 1e-12) planarity
+        + e over if that is within 1e-9: planarity bounds each face's sigma_min,
+        which rounding (gamma_4, Higham 2002, sec. 3.1) moves by at most e =
+        2.01 eps sqrt(3 m) (sqrt(3) X + T) on m corners, X and T the largest
+        source coordinate and shift (Weyl). Other maps are measured afresh."""
+        R = np.asarray(rotation, dtype=float)
+        size = math.sqrt(3) * np.abs(self.vertices).max(initial=0.0) + np.abs(translation).max()
+        e = 2.01 * np.finfo(float).eps * math.sqrt(3 * max(self.face_index, default=0)) * size
+        carried = (1 + 1e-12) * self.planarity + e
+        carry = carried <= 1e-9 and np.ndim(translation) < 2 and np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-12
+        mesh = object.__new__(FoldedMesh)  # no __init__ argument can skip a check
+        vars(mesh).update(vertices=self.vertices @ R.T + translation, faces=self.faces,
+                          face_index=self.face_index, planarity=carried if carry else None)
+        mesh.__post_init__()
+        return mesh
 
 
 def _max_planarity(pts: np.ndarray) -> float:

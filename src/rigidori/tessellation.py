@@ -28,8 +28,8 @@ folded sheet is periodic: the patch's neighbours in cells (1, 0) and
 in one broadcast as its kind's cell-(0, 0) motion plus its cell's
 translation. A lattice step with a rotational part above 1e-8 raises.
 Every corner's placements by all of its faces must agree within 1e-8, so
-every face cycle of the sheet is checked, not only the patch's, and every
-interior vertex's loop closure is certified in one batch.
+every face cycle of the sheet is checked, not only the patch's, and each
+distinct interior vertex loop is certified once, in one batch.
 
 Stacking glues the mountain crease rows of each layer to the valley
 crease rows of the next (the rows are the zigzag paths of major creases
@@ -105,7 +105,8 @@ class FoldPlan:
     """
 
     coef: np.ndarray  # (C,) crease half-tangent per unit driver half-tangent
-    vertex_creases: np.ndarray  # (V, 4) crease indices in package order c1..c4
+    loop_creases: np.ndarray  # (L, 4) creases c1..c4 of one vertex per distinct coef row
+    vertex_loop: np.ndarray  # (V,) each vertex's coef row in loop_creases; equal rows fold alike
     patch_hinge: np.ndarray  # (5,) crease of each PATCH_TREE hinge
     axis_point: np.ndarray  # (5, 3) a flat point on the hinge
     axis: np.ndarray  # (5, 3) unit hinge direction; the child turns by +rho
@@ -144,6 +145,13 @@ class SquareTwistSheet:
     def _mesh_faces(self) -> tuple[tuple[int, ...], ...]:
         """The faces of every folded mesh: the plan's face corners as tuples."""
         return tuple(map(tuple, self.fold_plan.face_corners.tolist()))
+
+    @functools.cached_property
+    def _glue_names(self) -> dict[str, tuple[tuple[Name, Name], ...]]:
+        """(mountain, valley) corner pairs each variant glues: all rows, or row 0, valley reversed."""
+        rows = [p for j in range(self.rows) for p in zip(self.mountain_path(j), self.valley_path(j))]
+        row0_reversed = zip(self.mountain_path(0), self.valley_path(0)[::-1])
+        return {PARALLEL: tuple(rows), ROTATED: tuple(row0_reversed)}
 
     def valley_path(self, j: int) -> list[Name]:
         """Major-crease row through the P1/P2 corners of grid row j."""
@@ -199,35 +207,24 @@ def build_square_twist_sheet(
         xy = i * lat_r + j * lat_u + np.array(offs[p])
         return (float(xy[0]), float(xy[1]))
 
+    # each plate kind over its cells, corners as (corner, di, dj) cell
+    # offsets; the pleats join cells (i, j-1) and (i, j), or (i-1, j) and (i, j)
+    plates = (
+        ("square", cols, rows, (("P1", 0, 0), ("P2", 0, 0), ("P3", 0, 0), ("P4", 0, 0))),
+        ("pleat_h", cols, rows + 1, (("P4", 0, -1), ("P3", 0, -1), ("P2", 0, 0), ("P1", 0, 0))),
+        ("pleat_v", cols + 1, rows, (("P2", -1, 0), ("P1", 0, 0), ("P4", 0, 0), ("P3", -1, 0))),
+        ("corner", cols + 1, rows + 1, (("P1", 0, 0), ("P2", -1, 0), ("P3", -1, -1), ("P4", 0, -1))),
+    )
     faces: list[tuple[Name, ...]] = []
     kinds: list[str] = []
-    for i in range(cols):
-        for j in range(rows):
-            faces.append((("P1", i, j), ("P2", i, j), ("P3", i, j), ("P4", i, j)))
-            kinds.append("square")
-    for i in range(cols):  # horizontal pleats between (i, j-1) and (i, j)
-        for j in range(rows + 1):
-            faces.append(
-                (("P4", i, j - 1), ("P3", i, j - 1), ("P2", i, j), ("P1", i, j))
-            )
-            kinds.append("pleat_h")
-    for i in range(cols + 1):  # vertical pleats between (i-1, j) and (i, j)
-        for j in range(rows):
-            faces.append(
-                (("P2", i - 1, j), ("P1", i, j), ("P4", i, j), ("P3", i - 1, j))
-            )
-            kinds.append("pleat_v")
-    for i in range(cols + 1):  # corner plates
-        for j in range(rows + 1):
-            faces.append(
-                (("P1", i, j), ("P2", i - 1, j), ("P3", i - 1, j - 1), ("P4", i, j - 1))
-            )
-            kinds.append("corner")
+    for kind, ni, nj, star in plates:
+        for i in range(ni):
+            for j in range(nj):
+                faces.append(tuple([(p, i + di, j + dj) for p, di, dj in star]))
+                kinds.append(kind)
 
-    corners: dict[Name, tuple[float, float]] = {}
-    for f in faces:
-        for name in f:
-            corners.setdefault(name, pos(name))
+    # every corner once, in order of first appearance
+    corners = {name: pos(name) for name in dict.fromkeys(n for f in faces for n in f)}
 
     edge_count: dict[frozenset, int] = {}
     for f in faces:
@@ -269,7 +266,7 @@ def build_square_twist_sheet(
     # freeze the MV assignment from a reference propagation; this also
     # certifies rigid-foldability of the layout once at build time
     sheet = dataclasses.replace(sheet, mv_coefficients=_propagate(sheet, 1.0))
-    sheet.fold_plan  # built now, so the first fold does not pay for it
+    sheet.fold_plan, sheet._glue_names  # built now, so the first fold does not pay for them
     return sheet
 
 
@@ -368,11 +365,15 @@ def _fold_plan(sheet: SquareTwistSheet) -> FoldPlan:
     def rows(path) -> np.ndarray:
         return np.array([[corner_index[n] for n in path(j)] for j in range(sheet.rows)])
 
+    coef = np.array([sheet.mv_coefficients[key] for key in sheet.creases])
+    creases = np.array([[crease_index[key] for key in rec.creases] for rec in sheet.vertices.values()])
+    coef_rows = list(map(tuple, coef[creases].tolist()))
+    vertex_of = {row: v for v, row in enumerate(coef_rows)}  # each distinct row -> a vertex with it
+    loop_of = {row: k for k, row in enumerate(vertex_of)}
     plan = FoldPlan(
-        coef=np.array([sheet.mv_coefficients[key] for key in sheet.creases]),
-        vertex_creases=np.array(
-            [[crease_index[key] for key in rec.creases] for rec in sheet.vertices.values()]
-        ),
+        coef=coef,
+        loop_creases=creases[list(vertex_of.values())],
+        vertex_loop=np.array([loop_of[row] for row in coef_rows]),
         patch_hinge=hinge,
         axis_point=flat[b_idx],
         axis=axis,
@@ -447,8 +448,8 @@ def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedS
             f"internal face-cycle inconsistency: corner spread {worst_spread:.3e}"
         )
 
-    # per-vertex loop closure certificates
-    res = LoopEvaluator(sheet.generator).residuals(rho[plan.vertex_creases])
+    # per-vertex loop closure certificates, one per distinct loop
+    res = LoopEvaluator(sheet.generator).residuals(rho[plan.loop_creases])[plan.vertex_loop]
     worst = int(np.argmax(res))
     if not res[worst] < tol.residual_tol:
         name = list(sheet.vertices)[worst]
@@ -475,7 +476,7 @@ def fold_sheet(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances = DEFA
     cell (0, 0) plus its cell's folded lattice translation. The lattice
     motion must be a pure translation, every corner's placements must
     agree, and every interior vertex loop is certified against the closure
-    oracle before the mesh is returned.
+    oracle before the mesh is returned, each distinct loop once.
     """
     return _fold(sheet, major_rho, tol).mesh
 
@@ -569,13 +570,11 @@ def stack_complex(
         row = int(np.argmax(dev))  # a NaN is the maximum
         if not dev[row] <= 1e-8:
             raise GluingError(f"crease row {row} misses its partner by {dev[row]:.3e} (limit 1e-8)")
-        names = list(sheet.corners)
-        pairs = [(names[a], names[b]) for a, b in zip(a_rows.ravel().tolist(), b_rows.ravel().tolist())]
         Rk, tk = np.eye(3), np.zeros(3)
         for layer in range(1, layers):
             Rk, tk = R @ Rk, R @ tk + t
             meshes.append(fs.mesh.transformed(Rk, tk))
-            glue_pairs += [((layer - 1, na), (layer, nb)) for na, nb in pairs]
+            glue_pairs += [((layer - 1, na), (layer, nb)) for na, nb in sheet._glue_names[variant]]
         glue_residual = float(dev[row])
     return CwComplex(
         sheet=sheet,

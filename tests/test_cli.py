@@ -207,6 +207,30 @@ def test_rotated_one_column_stack_writes_the_library_layers(tmp_path):
     assert np.array_equal(np.array(written), np.concatenate([m.vertices for m in cx.meshes]))
 
 
+@pytest.mark.parametrize("variant", ["parallel", "rotated"])
+def test_stack_obj_is_the_concatenated_layer_mesh(tmp_path, variant):
+    from rigidori.tessellation import build_square_twist_sheet, stack_complex
+    from rigidori.vertex import Vertex4
+
+    alphas = (PI / 4, PI / 2, 3 * PI / 4, PI / 2)
+    obj = tmp_path / "stack.obj"
+    code = run(
+        ["stack", "--alphas", ",".join(map(repr, alphas)), "--rows", "3", "--cols", "2",
+         "--layers", "3", "--variant", variant, "--rho", "1.0", "--output", str(obj)]
+    )
+    assert code == 0
+    cx = stack_complex(build_square_twist_sheet(Vertex4(alphas), 3, 2), 3, 1.0, variant)
+    offsets = np.cumsum([0] + [len(m.vertices) for m in cx.meshes]).tolist()
+    faces = tuple(tuple(i + o for i in f) for m, o in zip(cx.meshes, offsets) for f in m.faces)
+    whole = FoldedMesh(np.concatenate([m.vertices for m in cx.meshes]), faces)
+    layers, concatenated = tmp_path / "layers.obj", tmp_path / "whole.obj"
+    write_obj(cx.meshes, str(layers))
+    write_obj((whole,), str(concatenated))
+    assert layers.read_bytes() == concatenated.read_bytes()
+    # the command writes the same body after its header line
+    assert obj.read_bytes().split(b"\n", 1)[1] == concatenated.read_bytes()
+
+
 def test_degrees_flag_leaves_radian_defaults_alone(tmp_path):
     csv = tmp_path / "a.csv"
     code = run(
@@ -250,8 +274,8 @@ def test_obj_single_plate_and_determinism(tmp_path):
         ((0, 1, 2, 3),),
     )
     p1, p2 = tmp_path / "a.obj", tmp_path / "b.obj"
-    write_obj(mesh, str(p1))
-    write_obj(mesh, str(p2))
+    write_obj((mesh,), str(p1))
+    write_obj((mesh,), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
     lines = p1.read_text().splitlines()
     assert sum(1 for l in lines if l.startswith("v ")) == 4
@@ -266,7 +290,7 @@ def test_obj_vertex_lines_match_per_value_formatting(tmp_path):
     )
     faces = ((0, 1, 2, 3), (0, 4, 5), (0, 1, 2, 3, 6))
     path = tmp_path / "m.obj"
-    write_obj(FoldedMesh(pts, faces), str(path))
+    write_obj((FoldedMesh(pts, faces),), str(path))
     expect = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in pts]
     expect += ["f " + " ".join(str(i + 1) for i in f) for f in faces]
     assert path.read_bytes() == ("\n".join(expect) + "\n").encode()

@@ -18,6 +18,7 @@ from rigidori.embedding import (
     split_combined,
     synchronize,
 )
+from rigidori import embedding
 from rigidori.embedding import _max_planarity
 from rigidori.closure import closure_residual
 from rigidori.errors import (
@@ -30,7 +31,7 @@ from rigidori.errors import (
 )
 from rigidori.flatfold import MODE_1, fold_mode
 from rigidori.kinematics import ALL_BRANCHES, BRANCH_PP, VertexKinematics
-from rigidori.numerics import Tolerances
+from rigidori.numerics import Tolerances, rotation_about_axis
 from rigidori.vertex import Curvature, FoldState, Vertex4, ZERO_STATE, classify, dual
 
 PI = math.pi
@@ -545,7 +546,7 @@ def test_mesh_from_tuples_holds_a_read_only_array():
     assert copied.vertices[0, 0] == 0.0
 
 
-def test_transformed_layers_are_validated():
+def test_transformed_layers_are_validated(monkeypatch):
     square = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0))
     mesh = FoldedMesh(square, ((0, 1, 2, 3),))
     moved = mesh.transformed(np.eye(3), np.array([1.0, 2.0, 3.0]))
@@ -553,3 +554,27 @@ def test_transformed_layers_are_validated():
     for bad in (np.nan, np.inf):
         with pytest.raises(MeshConsistencyError):
             mesh.transformed(np.eye(3), np.array([0.0, bad, 0.0]))
+    # a saddle bent to a planarity of 0.8e-9: its Newell normal stays on z
+    saddle = FoldedMesh(np.array(square) + [[0, 0, 4e-10], [0, 0, -4e-10]] * 2, ((0, 1, 2, 3),))
+    assert saddle.planarity == pytest.approx(8e-10, rel=1e-9)
+    calls = []
+    measure = embedding._max_planarity
+    monkeypatch.setattr(embedding, "_max_planarity", lambda pts: calls.append(1) or measure(pts))
+    # a rotation carries the planarity over: nothing is measured
+    turn = rotation_about_axis(np.array([1.0, 2.0, -0.5]) / math.sqrt(5.25), 2.0)
+    copy = saddle.transformed(turn, [3.0, -2.0, 5.0])
+    assert not calls and saddle.planarity < copy.planarity < saddle.planarity + 1e-13
+    # a stretch is no rotation: measured afresh, the doubled bend is rejected
+    with pytest.raises(MeshConsistencyError):
+        saddle.transformed(np.diag([1.0, 1.0, 2.0]))
+    assert len(calls) == 1
+    # an exact shift by 2**16 carries the bound below 1e-9; by 2**17 the
+    # rounding bound (about 2e-10) lifts it above, and the copy is measured
+    calls.clear()
+    assert saddle.transformed(np.eye(3), [2.0**16, 0.0, 0.0]).planarity < 1e-9 and not calls
+    far = saddle.transformed(np.eye(3), [2.0**17, 0.0, 0.0])
+    assert len(calls) == 1 and far.planarity == saddle.planarity
+    # a shift per point is no rigid motion: the bend it makes is measured
+    with pytest.raises(MeshConsistencyError):
+        saddle.transformed(np.eye(3), [[0.0, 0.0, 0.0]] * 3 + [[0.0, 0.0, 1e-6]])
+    assert len(calls) == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rigidori import tessellation
+from rigidori.closure import LoopEvaluator
 from rigidori.errors import GluingError, InputError, MeshConsistencyError, RigidFoldabilityError
 from rigidori.flatfold import MODE_1, MODE_2, fold_mode
 from rigidori.numerics import DEFAULT_TOL, rotation_about_axis
@@ -445,13 +446,14 @@ def test_fold_plan_arrays_are_read_only(sheet22):
         assert [names[n] for n in plan.valley_rows[j]] == sheet22.valley_path(j)
 
 
-def _with_plan(sheet: SquareTwistSheet, **changes) -> SquareTwistSheet:
-    """A copy of the sheet whose fold plan has the given arrays replaced."""
+def _with_coefficient(sheet: SquareTwistSheet, c: int, factor: float) -> SquareTwistSheet:
+    """A copy of the sheet with crease c's frozen coefficient scaled; the
+    copy builds its own fold plan, distinct loops included."""
     import dataclasses
 
-    copy = dataclasses.replace(sheet)
-    copy.__dict__["fold_plan"] = dataclasses.replace(sheet.fold_plan, **changes)
-    return copy
+    key = sheet.creases[c]
+    coefs = {**sheet.mv_coefficients, key: factor * sheet.mv_coefficients[key]}
+    return dataclasses.replace(sheet, mv_coefficients=coefs)
 
 
 def test_wrong_hinge_angle_fails(sheet22):
@@ -459,10 +461,49 @@ def test_wrong_hinge_angle_fails(sheet22):
     # any other crease breaks its vertices' closure
     plan = sheet22.fold_plan
     for c in (*plan.patch_hinge.tolist(), len(plan.coef) // 2, len(plan.coef) - 1):
-        coef = plan.coef.copy()
-        coef[c] *= 1.01
         with pytest.raises(MeshConsistencyError):
-            _fold(_with_plan(sheet22, coef=coef), 1.0, DEFAULT_TOL)
+            _fold(_with_coefficient(sheet22, c, 1.01), 1.0, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("shape", ["1x1", "3x5", "12x12"])
+def test_distinct_loops_give_every_vertex_its_own_residual(shape):
+    rows, cols = map(int, shape.split("x"))
+    gen = Vertex4((0.6, PI / 2, PI - 0.6, PI / 2)) if shape == "3x5" else GEN
+    sheet = build_square_twist_sheet(gen, rows, cols)
+    index = {key: c for c, key in enumerate(sheet.creases)}
+    creases = np.array([[index[key] for key in rec.creases] for rec in sheet.vertices.values()])
+    if shape == "12x12":
+        assert len(sheet.fold_plan.loop_creases) < len(sheet.vertices)
+    for rho in PLAN_DRIVERS:
+        fs = _fold(sheet, rho, DEFAULT_TOL)
+        every = LoopEvaluator(sheet.generator).residuals(fs.rho[creases])
+        assert fs.residuals.tobytes() == every.tobytes()
+
+
+@pytest.mark.parametrize("shape", ["2x2", "12x12"])
+def test_one_wrong_crease_fails_closure_at_its_vertex(shape, sheet22):
+    # a crease outside the patch tree moves no face, so only the closure
+    # certificate of its vertices can catch it, shared loops or not
+    rows, cols = map(int, shape.split("x"))
+    sheet = sheet22 if shape == "2x2" else build_square_twist_sheet(GEN, rows, cols)
+    free = sorted(set(range(len(sheet.creases))) - set(sheet.fold_plan.patch_hinge.tolist()))
+    for c in free if shape == "2x2" else free[len(free) // 2 :: len(free) // 4]:
+        with pytest.raises(MeshConsistencyError, match="fails closure") as err:
+            _fold(_with_coefficient(sheet, c, 1.01), 1.0, DEFAULT_TOL)
+        named = [n for n, rec in sheet.vertices.items() if f"vertex {n} fails" in str(err.value)]
+        assert len(named) == 1 and sheet.creases[c] in sheet.vertices[named[0]].creases
+
+
+def test_stack_measures_the_planarity_of_its_source_layer_alone(sheet22, monkeypatch):
+    from rigidori import embedding
+
+    calls = []
+    measure = embedding._max_planarity
+    monkeypatch.setattr(embedding, "_max_planarity", lambda pts: calls.append(1) or measure(pts))
+    for variant in ("parallel", "rotated"):
+        calls.clear()
+        cx = stack_complex(sheet22, 3, 1.0, variant)
+        assert len(calls) == 1 and all(m.planarity < 1e-12 for m in cx.meshes)
 
 
 def test_rotated_lattice_step_does_not_tile(sheet22, monkeypatch):
