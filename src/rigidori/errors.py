@@ -52,7 +52,8 @@ class UnsupportedVariantError(RigidOriError):
 
 
 class RigidFoldabilityError(RigidOriError):
-    """Fold-angle propagation reached a crease with conflicting values."""
+    """A sheet's closed-form crease coefficients conflict, miss a crease
+    or cannot be driven (zero mode constant)."""
 
 
 class GluingError(RigidOriError):

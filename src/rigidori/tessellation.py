@@ -13,16 +13,20 @@ the plane by pure translation along the orthogonal lattice vectors
     R = (1 + D sin a, -D cos a),      U = (D cos a, 1 + D sin a).
 
 Every interior vertex is a rotated copy of the generator; corners P1 and
-P3 of each square fold in mode 2, P2 and P4 in mode 1, which is the one
-mode assignment that propagates a single degree of freedom consistently
-through the whole sheet (all crease half-tangents are +-s or +-k1*s for
-s = tan(major_rho / 2)).
+P3 of each square fold in mode 2, P2 and P4 in mode 1. In closed form, a
+vertex's creases c1..c4 have half-tangents s times its row, for
+s = tan(major_rho / 2) and k = k1 of the generator (k2 = -k1 here):
 
-Because every half-tangent is linear in s, the mode relations are walked
-once, at build time, from s = 1; that reference propagation freezes each
-crease's coefficient and certifies the layout. Folding scales the frozen
-coefficients (rho = 2 atan(coef * s)) and composes the hinges of a patch
-of faces around cell (0, 0). Every interior vertex folds alike, so the
+    P1 (mode 2)  (-k,  1,  k,  1)      P3 (mode 2)  ( k, -1, -k, -1)
+    P2 (mode 1)  ( 1, -k,  1,  k)      P4 (mode 1)  (-1,  k, -1, -k)
+
+that is, the mode pattern times +1 at P1/P2 and -1 at P3/P4. This is the
+one mode assignment under which the two vertices of every crease agree,
+so a single degree of freedom folds the whole sheet. The rows freeze each
+crease's coefficient at build time, exactly +-1 or +-k, so every interior
+vertex loop is one of four. Folding scales the frozen coefficients
+(rho = 2 atan(coef * s)) and composes the hinges of a patch of faces
+around cell (0, 0). Every interior vertex folds alike, so the
 folded sheet is periodic: the patch's neighbours in cells (1, 0) and
 (0, 1) give the two folded lattice translations, and every face is placed
 in one broadcast as its kind's cell-(0, 0) motion plus its cell's
@@ -131,7 +135,6 @@ class SquareTwistSheet:
     face_kinds: tuple[str, ...]
     creases: tuple[frozenset, ...]
     vertices: dict[Name, SheetVertex]
-    driver_crease: frozenset
     mv_coefficients: dict[frozenset, float]
 
     @functools.cached_property
@@ -189,7 +192,7 @@ def build_square_twist_sheet(
 
     Every interior vertex (the central-square corners) realizes the
     generator's sector angles; the mountain/valley assignment is frozen
-    from a reference propagation at construction time, together with the
+    from the closed-form mode rows at construction time, together with the
     fold plan that every later fold reuses.
     """
     if rows < 1 or cols < 1:
@@ -260,75 +263,42 @@ def build_square_twist_sheet(
         face_kinds=tuple(kinds),
         creases=tuple(crease_set),
         vertices=vertices,
-        driver_crease=frozenset((("P1", 0, 0), ("P2", -1, 0))),
         mv_coefficients={},
     )
-    # freeze the MV assignment from a reference propagation; this also
-    # certifies rigid-foldability of the layout once at build time
-    sheet = dataclasses.replace(sheet, mv_coefficients=_propagate(sheet, 1.0))
+    sheet = dataclasses.replace(sheet, mv_coefficients=_crease_coefficients(sheet))
     sheet.fold_plan, sheet._glue_names  # built now, so the first fold does not pay for them
     return sheet
 
 
 # ---------------------------------------------------------------------------
-# fold-angle propagation (build time)
+# crease coefficients (build time)
 
 
-def _mode_state_from_crease(mode: int, k1: float, k2: float, local: int, t: float):
-    """Full half-tangent 4-tuple of a vertex given one crease value.
-
-    mode 1: (x, -k1 x, x, k1 x); mode 2: (k2 y, y, -k2 y, y). A crease
-    whose mode coefficient vanishes cannot determine the state, which
-    raises RigidFoldabilityError.
+def _crease_coefficients(sheet: SquareTwistSheet) -> dict[frozenset, float]:
+    """Half-tangent of every crease per unit driver half-tangent, in
+    ``sheet.creases`` order, from the closed-form rows of its interior
+    vertices (module docstring). RigidFoldabilityError is raised where the
+    two vertices of a crease disagree, where a crease meets no interior
+    vertex, and at k = 0: the creases k multiplies would never fold, and
+    the one driver would no longer determine the sheet.
     """
-    pattern = (1.0, -k1, 1.0, k1) if mode == 1 else (k2, 1.0, -k2, 1.0)
-    c = pattern[local]
-    if c == 0.0:
-        raise RigidFoldabilityError(
-            f"mode {mode} relations cannot be solved from crease c{local + 1} "
-            f"(zero mode constant)"
-        )
-    x = t / c
-    return tuple(p * x for p in pattern)
-
-
-def _propagate(sheet: SquareTwistSheet, s: float) -> dict[frozenset, float]:
-    """Half-tangent of every crease from the driver value s, by walking
-    the mode relations vertex to vertex, in time linear in the sheet
-    size. Conflicting assignments raise RigidFoldabilityError naming the
-    crease."""
-    k = mode_constants(sheet.generator.alphas[0], sheet.generator.alphas[1])
-    at_crease: dict[frozenset, list[Name]] = {}
+    k = mode_constants(sheet.generator.alphas[0], math.pi / 2).k1
+    if k == 0.0:
+        raise RigidFoldabilityError("zero mode constant: the driver does not determine the sheet")
+    patterns = {1: (1.0, -k, 1.0, k), 2: (-k, 1.0, k, 1.0)}
+    coef: dict[frozenset, float] = {}
     for name, rec in sheet.vertices.items():
-        for key in rec.creases:
-            at_crease.setdefault(key, []).append(name)
-    t_of: dict[frozenset, float] = {sheet.driver_crease: s}
-    solved: set[Name] = set()
-    queue = list(at_crease.get(sheet.driver_crease, ()))
-    while queue:
-        name = queue.pop()
-        if name in solved:
-            continue
-        solved.add(name)
-        rec = sheet.vertices[name]
-        local, key = next((i, c) for i, c in enumerate(rec.creases) if c in t_of)
-        state = _mode_state_from_crease(rec.mode, k.k1, k.k2, local, t_of[key])
-        for key, val in zip(rec.creases, state):
-            if key in t_of:
-                old = t_of[key]
-                if abs(2.0 * math.atan(val) - 2.0 * math.atan(old)) > 1e-9:
-                    raise RigidFoldabilityError(
-                        f"inconsistent fold angle reaching crease {sorted(key)}: "
-                        f"{2 * math.atan(old):.12g} vs {2 * math.atan(val):.12g}"
-                    )
-            else:
-                t_of[key] = val
-                queue.extend(other for other in at_crease[key] if other not in solved)
-    # creases not reached by any interior vertex never fold
+        sign = 1.0 if name[0] in ("P1", "P2") else -1.0
+        for key, c in zip(rec.creases, patterns[rec.mode]):
+            c *= sign
+            if coef.setdefault(key, c) != c:
+                raise RigidFoldabilityError(
+                    f"inconsistent coefficient at crease {sorted(key)}: {coef[key]!r} vs {c!r}"
+                )
     for key in sheet.creases:
-        if key not in t_of:
-            raise RigidFoldabilityError(f"crease {sorted(key)} not reached by propagation")
-    return t_of
+        if key not in coef:
+            raise RigidFoldabilityError(f"crease {sorted(key)} meets no interior vertex")
+    return {key: coef[key] for key in sheet.creases}
 
 
 def _fold_plan(sheet: SquareTwistSheet) -> FoldPlan:

@@ -8,7 +8,7 @@ import pytest
 from rigidori import tessellation
 from rigidori.closure import LoopEvaluator
 from rigidori.errors import GluingError, InputError, MeshConsistencyError, RigidFoldabilityError
-from rigidori.flatfold import MODE_1, MODE_2, fold_mode
+from rigidori.flatfold import MODE_1, MODE_2, fold_mode, mode_constants
 from rigidori.numerics import DEFAULT_TOL, rotation_about_axis
 from rigidori.tessellation import (
     PATCH,
@@ -23,11 +23,16 @@ from rigidori.tessellation import (
     fold_sheet,
     stack_complex,
 )
-from rigidori.tessellation import _fold, _propagate
+from rigidori.tessellation import _crease_coefficients, _fold
 from rigidori.vertex import Vertex4, dual
 
 PI = math.pi
 GEN = Vertex4((PI / 4, PI / 2, 3 * PI / 4, PI / 2))
+
+
+def _twist(a: float) -> Vertex4:
+    """The square-twist generator (a, pi/2, pi - a, pi/2)."""
+    return Vertex4((a, PI / 2, PI - a, PI / 2))
 
 
 def _positions(fs) -> dict:
@@ -73,13 +78,19 @@ def test_pattern_tiles_by_translation(sheet22):
             )
 
 
-def test_mv_assignment_structure(sheet22):
-    k1 = math.tan(PI / 8)
-    counts = Counter(round(v, 10) for v in sheet22.mv_coefficients.values())
-    assert set(counts) == {1.0, -1.0, round(k1, 10), round(-k1, 10)}
-    # as many mountain (negative) as valley (positive) creases
-    signs = Counter(np.sign(list(sheet22.mv_coefficients.values())).tolist())
-    assert signs[-1.0] == signs[1.0]
+def test_mv_assignment_structure():
+    # every coefficient is exactly +-1 or +-k1, so each vertex row is one
+    # of four, on every sheet size and twist angle
+    sheets = [(a, build_square_twist_sheet(_twist(a), 12, 12)) for a in (PI / 4, 0.3, 1.2, math.radians(70))]
+    sheets.append((0.6, build_square_twist_sheet(_twist(0.6), 3, 5, pleat_length=0.8)))
+    for a, sheet in sheets:
+        k1 = mode_constants(a, PI / 2).k1
+        coefs = list(sheet.mv_coefficients.values())
+        assert set(coefs) == {1.0, -1.0, k1, -k1}
+        assert len(sheet.fold_plan.loop_creases) == 4
+        # as many mountain (negative) as valley (positive) creases
+        signs = Counter(np.sign(coefs).tolist())
+        assert signs[-1.0] == signs[1.0]
 
 
 def test_generator_must_be_flat_foldable_square_shape():
@@ -111,13 +122,18 @@ def test_interior_vertices_close_at_eleven_drivers(sheet22):
 
 
 def test_local_states_match_generator_modes(sheet22):
-    angles = _crease_angles(_fold(sheet22, 1.1, DEFAULT_TOL))
-    for name, rec in sheet22.vertices.items():
-        rhos = tuple(angles[k] for k in rec.creases)
-        mode = MODE_2 if rec.mode == 2 else MODE_1
-        drv = rhos[1] if rec.mode == 2 else rhos[0]
-        expect = fold_mode(sheet22.generator, mode, drv)
-        assert max(abs(a - b) for a, b in zip(rhos, expect.rhos)) < 1e-12
+    # every vertex of the folded sheet sits on its generator mode, driven
+    # by its own driver crease
+    cases = [(sheet22, (1.1,))] + [(_planned_sheet(shape), PLAN_DRIVERS) for shape in ("12x12", "3x5")]
+    for sheet, drivers in cases:
+        for rho in drivers:
+            angles = _crease_angles(_fold(sheet, rho, DEFAULT_TOL))
+            for name, rec in sheet.vertices.items():
+                rhos = tuple(angles[k] for k in rec.creases)
+                mode = MODE_2 if rec.mode == 2 else MODE_1
+                drv = rhos[1] if rec.mode == 2 else rhos[0]
+                expect = fold_mode(sheet.generator, mode, drv)
+                assert max(abs(a - b) for a, b in zip(rhos, expect.rhos)) < 1e-12, (name, rho)
 
 
 def test_folded_periodicity(sheet22):
@@ -140,11 +156,14 @@ def test_propagation_conflict_detected(sheet22):
     rec = broken_vertices[("P2", 0, 0)]
     broken_vertices[("P2", 0, 0)] = dataclasses.replace(rec, mode=2)
     broken = dataclasses.replace(sheet22, vertices=broken_vertices)
-    with pytest.raises(RigidFoldabilityError):
-        _propagate(broken, 1.0)
-    # a = pi/2 zeroes k2 exactly: a crease with a zero mode coefficient
-    # cannot carry the driver on to its vertex
-    with pytest.raises(RigidFoldabilityError):
+    with pytest.raises(RigidFoldabilityError, match="inconsistent .* crease"):
+        _crease_coefficients(broken)
+    # a crease of P1(0, 0) alone, to P2(-1, 0) on the boundary, has no row
+    lonely = {n: rec for n, rec in sheet22.vertices.items() if n != ("P1", 0, 0)}
+    with pytest.raises(RigidFoldabilityError, match="meets no interior vertex"):
+        _crease_coefficients(dataclasses.replace(sheet22, vertices=lonely))
+    # a = pi/2 zeroes k1 exactly: the creases it multiplies never fold
+    with pytest.raises(RigidFoldabilityError, match="zero mode constant"):
         build_square_twist_sheet(Vertex4((PI / 2,) * 4), 1, 1)
 
 
@@ -291,23 +310,15 @@ def test_general_alpha_generator_folds():
 PLAN_DRIVERS = (0.0, 1e-9, -1e-9, 0.4, -1.3, 2.8, -3.1, PI, -PI)
 
 
+def _planned_sheet(shape: str) -> SquareTwistSheet:
+    if shape == "12x12":
+        return build_square_twist_sheet(GEN, 12, 12)
+    return build_square_twist_sheet(_twist(0.6), 3, 5, pleat_length=0.8)
+
+
 @pytest.fixture(scope="module", params=["12x12", "3x5"])
 def planned_sheet(request):
-    if request.param == "12x12":
-        return build_square_twist_sheet(GEN, 12, 12)
-    gen = Vertex4((0.6, PI / 2, PI - 0.6, PI / 2))
-    return build_square_twist_sheet(gen, 3, 5, pleat_length=0.8)
-
-
-def test_fold_scales_frozen_coefficients(planned_sheet):
-    # the fold plan's closed form agrees with walking the mode relations
-    for rho in PLAN_DRIVERS:
-        s = math.copysign(math.inf, rho) if abs(rho) == PI else math.tan(0.5 * rho)
-        walked = _propagate(planned_sheet, s)
-        angles = _crease_angles(_fold(planned_sheet, rho, DEFAULT_TOL))
-        assert angles.keys() == walked.keys()
-        for key, t in walked.items():
-            assert abs(angles[key] - 2.0 * math.atan(t)) < 1e-12
+    return _planned_sheet(request.param)
 
 
 def test_placed_faces_keep_flat_lengths(planned_sheet):
