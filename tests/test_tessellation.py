@@ -121,19 +121,21 @@ def test_interior_vertices_close_at_eleven_drivers(sheet22):
         assert fs.residuals.max() < 1e-9
 
 
+def _assert_on_generator_modes(sheet: SquareTwistSheet, rho: float) -> None:
+    """Every vertex of the folded sheet sits on its generator mode, driven
+    by its own driver crease."""
+    angles = _crease_angles(_fold(sheet, rho, DEFAULT_TOL))
+    assert list(angles) == list(sheet.creases)
+    for name, rec in sheet.vertices.items():
+        rhos = tuple(angles[k] for k in rec.creases)
+        mode = MODE_2 if rec.mode == 2 else MODE_1
+        drv = rhos[1] if rec.mode == 2 else rhos[0]
+        expect = fold_mode(sheet.generator, mode, drv)
+        assert max(abs(a - b) for a, b in zip(rhos, expect.rhos)) < 1e-12, (name, rho)
+
+
 def test_local_states_match_generator_modes(sheet22):
-    # every vertex of the folded sheet sits on its generator mode, driven
-    # by its own driver crease
-    cases = [(sheet22, (1.1,))] + [(_planned_sheet(shape), PLAN_DRIVERS) for shape in ("12x12", "3x5")]
-    for sheet, drivers in cases:
-        for rho in drivers:
-            angles = _crease_angles(_fold(sheet, rho, DEFAULT_TOL))
-            for name, rec in sheet.vertices.items():
-                rhos = tuple(angles[k] for k in rec.creases)
-                mode = MODE_2 if rec.mode == 2 else MODE_1
-                drv = rhos[1] if rec.mode == 2 else rhos[0]
-                expect = fold_mode(sheet.generator, mode, drv)
-                assert max(abs(a - b) for a, b in zip(rhos, expect.rhos)) < 1e-12, (name, rho)
+    _assert_on_generator_modes(sheet22, 1.1)
 
 
 def test_folded_periodicity(sheet22):
@@ -310,15 +312,18 @@ def test_general_alpha_generator_folds():
 PLAN_DRIVERS = (0.0, 1e-9, -1e-9, 0.4, -1.3, 2.8, -3.1, PI, -PI)
 
 
-def _planned_sheet(shape: str) -> SquareTwistSheet:
-    if shape == "12x12":
+@pytest.fixture(scope="module", params=["12x12", "3x5"])
+def planned_sheet(request):
+    if request.param == "12x12":
         return build_square_twist_sheet(GEN, 12, 12)
     return build_square_twist_sheet(_twist(0.6), 3, 5, pleat_length=0.8)
 
 
-@pytest.fixture(scope="module", params=["12x12", "3x5"])
-def planned_sheet(request):
-    return _planned_sheet(request.param)
+def test_fold_scales_frozen_coefficients(planned_sheet):
+    # scaling the frozen coefficients puts every vertex on its generator
+    # mode, through the flat state and out to the flat-folded limits
+    for rho in PLAN_DRIVERS:
+        _assert_on_generator_modes(planned_sheet, rho)
 
 
 def test_placed_faces_keep_flat_lengths(planned_sheet):
