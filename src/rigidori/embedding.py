@@ -50,15 +50,14 @@ from .errors import (
     NonClosingStateError,
     UnsupportedVariantError,
 )
-from .kinematics import _DUAL_SIGNS, ALL_BRANCHES, _admitted, _pair_signs
-from .numerics import DEFAULT_TOL, Tolerances, cross, half_tangent, rot_x, rot_z
+from .kinematics import _DUAL_SIGNS, _LABEL_SIGNS, _admitted, _pair_signs
+from .numerics import DEFAULT_TOL, Tolerances, cross, rot_x, rot_z
 from .vertex import FoldState, Vertex4, dual
 
 PARALLEL = "parallel"
 ROTATED = "rotated"
 
 _X = np.array([1.0, 0.0, 0.0])
-_BRANCH_SIGNS = np.array([b.signs for b in ALL_BRANCHES], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +368,7 @@ def synchronize(
     if not len(rows):
         raise NonClosingStateError(f"no closure-certified base state at theta {theta:.6g}")
     # a row's branch is the first label that admits its pair signs
-    rank = _admitted(_pair_signs(half_tangent(rows))[:, None], _BRANCH_SIGNS).argmax(axis=1)
+    rank = _admitted(_pair_signs(rows)[:, None], _LABEL_SIGNS).argmax(axis=1)
     ranked = zip(rank.tolist(), rows.tolist())
     base_state = FoldState(min(ranked, key=lambda p: (p[0], p[1][c], p[1]))[1])
 

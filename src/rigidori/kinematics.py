@@ -25,12 +25,16 @@ The "corrected slot" term is quadratic in t_i; written with t_{i+1}^2
 there instead, the relation contradicts both the closed-form flat-foldable
 modes and the closure oracle (see adjacent_origin_slopes and the tests).
 The uncorrected variant stays available behind ``corrected=False`` for
-comparison. The analytic relations alone admit spurious sign
-combinations, so every candidate state is certified against the closure
-loop, which is the only gate. The coefficients are fixed per vertex, so
-candidates are solved and certified for a whole driver array at once
-(VertexKinematics._candidate_table), and the traces of all four branches
-at one driver crease read one table over all their samples (_sample_table).
+comparison. A vertex is a spherical four-bar linkage (Chiang, Kinematics
+of Spherical Mechanisms, 1988; Izmestiev, IMRN 2017): at a driver the
+opposite relation fixes t_opp = +-m, one assembly each, with opposite
+(d, d+2) pair signs, so a branch label admits one state per driver, up to
+the sign of a crease at +-pi; each crease beside the driver is the common
+root of its two adjacent relations. The coefficients are fixed per
+vertex, so the states of a whole driver array are solved in closed form
+and certified against the closure loop, the only gate, at once
+(VertexKinematics._candidate_table); the traces of all four branches at
+one driver crease read one table over all their samples (_sample_table).
 
 Folding ranges are closed form: the adjacent relation is quadratic in
 each tangent with coefficients affine in s = t_d^2, so every driver at
@@ -44,12 +48,6 @@ polynomial (qa, qc or disc of an adjacent pair, or zero and pi for
 driver 0 and +-pi), and a range end's cause is read from the tag of the
 breakpoint that ends it. Negating every fold angle fixes every sector
 rotation of the loop, so ranges are computed on [0, pi] and mirrored.
-
-A vertex is a spherical four-bar linkage: at each driver the opposite
-relation fixes t_opp^2, so its at most two assemblies are t_opp = +-m,
-with opposite (d, d+2) pair signs. A branch label thus admits one state
-per driver, up to the sign of a crease at +-pi, and a trace reads each
-sample's one state from its table (trace_curve).
 
 Both relations are invariant under a_i -> pi - a_i up to sign flips of one
 opposite crease pair, which is the elliptic-hyperbolic duality; see
@@ -77,9 +75,8 @@ from .errors import (
 from .numerics import DEFAULT_TOL, Tolerances, half_tangent
 from .vertex import FoldState, Vertex4, dual
 
-_RATIO_ZERO_CLAMP = 1e-11
 _COEF_EPS = 1e-13
-_SIGN_EPS = 1e-8  # fold tangents below this count as degenerate for labeling
+_SIGN_EPS = 2e-8  # fold angles below this (tangents below 1e-8) count as degenerate for labeling
 
 
 @dataclass(frozen=True)
@@ -104,8 +101,8 @@ class BranchLabel:
         return self.opposite_sign_1, self.opposite_sign_2
 
     def matches(self, state: FoldState) -> bool:
-        """Degenerate (near-zero) tangents act as wildcards."""
-        return bool(_admitted(_pair_signs(half_tangent(state.rhos)), self.signs))
+        """Degenerate (near-zero) fold angles act as wildcards."""
+        return bool(_admitted(_pair_signs(np.array(state.rhos)), self.signs))
 
 
 BRANCH_PP = BranchLabel(+1, +1)
@@ -113,17 +110,18 @@ BRANCH_PM = BranchLabel(+1, -1)
 BRANCH_MP = BranchLabel(-1, +1)
 BRANCH_MM = BranchLabel(-1, -1)
 ALL_BRANCHES = (BRANCH_PP, BRANCH_PM, BRANCH_MP, BRANCH_MM)
+_LABEL_SIGNS = np.array([b.signs for b in ALL_BRANCHES])
 
 #: Branch labels of the two flat-foldable modes (regression-locked).
 MODE1_BRANCH = BRANCH_PM
 MODE2_BRANCH = BRANCH_MP
 
 
-def _pair_signs(t: np.ndarray) -> np.ndarray:
-    """Signs of the crease pairs (t1, t3) and (t2, t4) of half-angle
-    tangents (..., 4), shape (..., 2): +1 when a pair's tangents share a
-    sign, -1 when not, 0 when one lies within _SIGN_EPS of 0."""
-    sign = np.where(np.abs(t) > _SIGN_EPS, np.sign(t), 0.0)
+def _pair_signs(rho: np.ndarray) -> np.ndarray:
+    """Signs of the crease pairs (1, 3) and (2, 4) of fold angles
+    (..., 4), shape (..., 2): +1 when a pair's angles share a sign, -1
+    when not, 0 when one lies within _SIGN_EPS of 0."""
+    sign = np.where(np.abs(rho) > _SIGN_EPS, np.sign(rho), 0.0)
     return sign[..., :2] * sign[..., 2:]
 
 
@@ -166,7 +164,6 @@ def _opposite_sq(coefs, t_opp: np.ndarray):
     vanishing = np.abs(den) < _COEF_EPS
     ratio = np.where(vanishing, np.nan, num / np.where(vanishing, 1.0, den))
     ratio = np.where(np.abs(ratio) < 1e-13, 0.0, ratio)  # fp noise at exact zeros of num
-    ratio = np.where((ratio < 0.0) & (ratio > -_RATIO_ZERO_CLAMP), 0.0, ratio)
     code = np.where(ratio < 0.0, _NO_REAL_FOLD, 0)
     if vanishing.any():
         code[vanishing & (num <= 0)] = _NO_REAL_FOLD
@@ -210,9 +207,7 @@ def _adjacent_coefs(v: Vertex4, i: int) -> tuple[float, float, float, float, flo
     )
 
 
-def adjacent_residual(
-    v: Vertex4, i: int, t_i: float, t_next: float, corrected: bool = True
-) -> float:
+def adjacent_residual(v: Vertex4, i: int, t_i: float, t_next: float, corrected: bool = True) -> float:
     """LHS - RHS of the adjacent-crease relation for the pair (i, i+1).
 
     Zero (to scale) iff the pair is kinematically consistent. With
@@ -234,9 +229,7 @@ def adjacent_residual(
     return lhs - rhs
 
 
-def adjacent_origin_slopes(
-    v: Vertex4, i: int = 1, corrected: bool = True
-) -> tuple[float, float]:
+def adjacent_origin_slopes(v: Vertex4, i: int = 1, corrected: bool = True) -> tuple[float, float]:
     """Slopes t_{i+1}/t_i of the adjacent relation's zero set through the
     unfolded state (meaningful for Euclidean vertices).
 
@@ -278,8 +271,7 @@ def _quadratic_roots(qa: np.ndarray, qb: np.ndarray, qc: np.ndarray):
     constant = linear & (aqb < tiny)
     free = constant & (aqc < tiny)
     disc = qb * qb - 4.0 * qa * qc
-    double = (np.abs(disc) < 1e-12 * scale * scale) | (disc < 0) & (disc > -1e-10 * scale * scale)
-    disc = np.where(double, 0.0, disc)
+    disc = np.where(_double(disc, scale), 0.0, disc)
     real = ~linear & (disc >= 0.0)
     r = np.sqrt(np.where(real, disc, 0.0))
     q = np.where(qb >= 0, -0.5 * (qb + r), -0.5 * (qb - r))
@@ -301,20 +293,41 @@ def _swapped(coefs):
     return cA, c2, c1, c3, c4, c5
 
 
-def _adjacent_roots(coefs, t_known: np.ndarray):
-    """_quadratic_roots for t_{i+1} given t_i = t_known, elementwise (for
-    t_i given t_{i+1}, pass _swapped coefficients) from the corrected
-    adjacent relation; infinite t_known via the leading-coefficient limit.
-    The coefficients may be arrays that broadcast against t_known."""
+def _adjacent_quadratic(coefs, s, c):
+    """The corrected adjacent relation as a quadratic form (qa, qb, qc) in
+    (sin, cos) of rho_{i+1} / 2, given (s, c) of rho_i / 2 (pass _swapped
+    coefficients for the reverse), elementwise; +-pi is c = 0."""
     cA, c1, c2, c3, c4, c5 = coefs
-    at_inf = np.isinf(t_known)
-    t = np.where(at_inf, 0.0, t_known)
-    s2 = t * t
-    # factored like _breakpoints: cA (1 + s) - c1 - c3 s cancels near +-pi
-    qa = np.where(at_inf, cA - c3, (cA - c1) + (cA - c3) * s2)
-    qb = np.where(at_inf, 0.0, -c5 * t)
-    qc = np.where(at_inf, cA - c2, (cA - c4) + (cA - c2) * s2)
-    return _quadratic_roots(qa, qb, qc)
+    ss, cc = s * s, c * c
+    # factored like _breakpoints: cA (1 + t^2) - c1 - c3 t^2 cancels near +-pi
+    return (cA - c1) * cc + (cA - c3) * ss, -c5 * s * c, (cA - c4) * cc + (cA - c2) * ss
+
+
+def _double(disc, scale):
+    """Whether a discriminant is a double root's: within 1e-12 scale^2 of 0, or above -1e-10 scale^2."""
+    return (np.abs(disc) < 1e-12 * scale * scale) | (disc < 0) & (disc > -1e-10 * scale * scale)
+
+
+def _form_roots(qa, qb, qc):
+    """The fold angles of both roots of qa s^2 + qb s c + qc c^2 = 0 in
+    (sin, cos) of their halves, elementwise, NaN where there is none: by
+    the stable quadratic formula s : c = q : qa and qc : q, so c = 0 is +-pi.
+    Coefficients below _COEF_EPS of the largest are 0; a _double discriminant
+    is 0 unless qa or qc is; roots within 1e-9 are one, the first."""
+    scale = np.maximum(np.maximum(np.abs(qa), np.abs(qb)), np.abs(qc))
+    qa, qb, qc = (np.where(np.abs(k) < _COEF_EPS * scale, 0.0, k) for k in (qa, qb, qc))
+    disc = qb * qb - 4.0 * qa * qc
+    disc = np.where(_double(disc, scale) & (qa * qc != 0), 0.0, disc)
+    with np.errstate(divide="ignore", invalid="ignore"):  # s : 0 is +-pi, 0 : 0 none
+        q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
+        first, second = 2.0 * np.arctan(q / qa), 2.0 * np.arctan(qc / q)
+    first = np.where(np.isnan(first), second, first)
+    return first, np.where(_gap(first, second) < 1e-9, np.nan, second)
+
+
+def _gap(a, b):
+    """|a - b| as fold angles, modulo 2 pi, elementwise."""
+    return np.abs(np.remainder(a - b + math.pi, 2.0 * math.pi) - math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +335,17 @@ def _adjacent_roots(coefs, t_known: np.ndarray):
 
 
 class _CandidateTable(NamedTuple):
-    """The candidate states of one driver crease at n drivers; read-only.
-
-    ``rhos`` is (n, 18, 4): both signs of the opposite crease times three
-    root slots of each adjacent relation. ``closes`` marks the rows that
-    pass closure, ``order`` lists them (flat row indices) by driver, then
-    in rhos order, ``kept`` drops each one within 1e-9 of an earlier kept
-    one, ``signs`` holds the pair signs of (t1, t3) and (t2, t4), and
-    ``error`` and ``ratio`` the opposite relation's failure per driver.
+    """The closure-certified states of one driver crease at n drivers, read-
+    only: ``rhos`` (k, 4) by driver and then in rhos (lexicographic) order,
+    -pi before pi, driver j's in rows starts[j]:starts[j + 1]; ``residuals``,
+    their closure certificates; ``admits`` (k, 4), whether each label of
+    ALL_BRANCHES admits each; and the opposite relation's failure per driver.
     """
 
     rhos: np.ndarray
-    closes: np.ndarray
-    kept: np.ndarray
-    signs: np.ndarray
-    order: np.ndarray
+    residuals: np.ndarray
+    admits: np.ndarray
+    starts: np.ndarray
     error: np.ndarray
     ratio: np.ndarray
     crease: int  # the opposite crease's number in error messages
@@ -346,18 +355,21 @@ class _CandidateTable(NamedTuple):
         if self.error[j]:
             raise _opposite_error(self.crease, self.error[j], self.ratio[j])
 
-    def rows(self, branch: BranchLabel | None = None, start: int = 0, stop: int | None = None):
-        """Per driver start..stop-1 (all by default), the kept rows on ``branch``
-        (any when None), in rhos order; degenerate pair signs are wildcards."""
-        on, signs = self.kept[start:stop], self.signs[start:stop]
+    def index(self, branch: BranchLabel | None = None, start: int = 0, stop: int | None = None):
+        """Per driver start..stop-1 (all by default), the numbers of its rows
+        on ``branch`` (any when None); degenerate pair signs are wildcards."""
+        bounds = self.starts[start : None if stop is None else stop + 1]
+        k = np.arange(bounds[0], bounds[-1])
         if branch is not None:
-            on = on & _admitted(signs, branch.signs)
-        order = self.order - 18 * start
-        order = order[(order >= 0) & (order < on.size)]
-        rows = order[on.ravel()[order]]
-        flat = self.rhos[start:stop].reshape(-1, 4)[rows].tolist()
-        ends = np.cumsum(np.bincount(rows // 18, minlength=len(on))).tolist()
-        return [flat[a:b] for a, b in zip([0] + ends, ends)]
+            k = k[self.admits[k, ALL_BRANCHES.index(branch)]]
+        ends = np.searchsorted(k, bounds[1:]).tolist()
+        k = k.tolist()
+        return [k[a:b] for a, b in zip([0] + ends, ends)]
+
+    def rows(self, branch: BranchLabel | None = None, start: int = 0, stop: int | None = None):
+        """The rows that ``index`` numbers, as lists of four fold angles."""
+        flat = self.rhos.tolist()
+        return [[flat[i] for i in ix] for ix in self.index(branch, start, stop)]
 
 
 #: endpoint cause of each breakpoint tag, in the priority that keeps one tag where roots merge
@@ -395,64 +407,67 @@ class VertexKinematics:
     # -- candidate enumeration ------------------------------------------
 
     def _candidate_table(self, driver_index: int, drivers) -> _CandidateTable:
-        """The candidate states at every given driver, in one batch: the
-        opposite crease takes both signs of the opposite relation, each
-        crease beside the driver the roots of its corrected adjacent
-        relation with the driver. The closure loop is the only gate: all
-        rows are certified against residual_tol in one evaluation."""
+        """The closure-certified states at every given driver, in one batch:
+        two assemblies t_opp = +-m; each crease beside the driver is a common
+        root of its relations p (with the driver) and q (with the opposite
+        crease), quadratic forms in its half angle, so its (sin^2, sin cos,
+        cos^2) is proportional to p x q. Rounding moves that angle by about
+        w = 1e-16 (|p| + |q|) / |p x q|; it picks the one root of p within 1e4 w,
+        else is used itself. Both roots of p are candidates where it cannot tell
+        them apart; of q where |p| < _COEF_EPS; 0 and pi where |q| is too. A
+        crease within 2e-12 of 0 is 0; one beside the driver within 2e-12 of
+        +-pi is listed as -pi and pi. One closure batch certifies all rows."""
         d = (driver_index - 1) % 4
+        nxt, opp, far = (d + 1) % 4, (d + 2) % 4, (d + 3) % 4
         drv = np.array(drivers, dtype=float)
         n = len(drv)
-        t_d = half_tangent(drv)
-        m_sq, error, ratio = _opposite_sq(self._opp[(d + 2) % 4], t_d)
-        m = np.sqrt(m_sq)  # the crease opposite the driver, up to sign
-        t_opp = np.stack([m, -m], axis=1)
-        opp_ok = np.stack([error == 0, (error == 0) & (m != 0)], axis=1)
-        # the next and the far crease at once; a pair unconstrained on a
-        # degenerate vertex falls back to its relation with the opposite one
-        adj = self._adj
-        beside = np.array([adj[d], _swapped(adj[(d + 3) % 4])]).T[..., None]
-        roots, ok, free = _adjacent_roots(beside, t_d)
-        roots, ok = roots[:, :, None], ok[:, :, None]  # (side, n, 1, 3)
+        m_sq, error, ratio = _opposite_sq(self._opp[opp], half_tangent(drv))
+        half = np.where(error == 0, np.arctan(np.sqrt(m_sq)), np.nan)[:, None] * [1.0, -1.0]
+        half[m_sq == 0, 1] = np.nan  # the opposite crease's half angle per (driver, assembly)
+        adj = self._adj  # (coefficient, side, driver, assembly) for the next and the far crease
+        beside = np.array([adj[d], _swapped(adj[far])]).T[..., None, None]
+        across = np.array([_swapped(adj[nxt]), adj[opp]]).T[..., None, None]
+        p = np.array(_adjacent_quadratic(beside, np.sin(0.5 * drv)[:, None], np.cos(0.5 * drv)[:, None]))
+        q = np.array(_adjacent_quadratic(across, np.sin(half), np.cos(half)))
+        x = np.array([p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]])
+        size_p, size_q, size_x = (np.sqrt((a * a).sum(0)) for a in (p, q, x))
+        sign = np.where(x[0] + x[2] < 0.0, -1.0, 1.0)
+        common, roots = np.arctan2(2.0 * sign * x[1], sign * (x[2] - x[0])), np.array(_form_roots(*p))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            window = 1e-12 * (size_p + size_q) / size_x
+        near, double = _gap(roots, common) < window, np.isnan(roots[1])
+        shared = near[0] & np.where(double, window > 1e-6, near[1])
+        one = (near[0] != near[1]) & ~double
+        rho = np.where(shared, roots[0], np.where(one, np.where(near[1], roots[1], roots[0]), common))
+        alt = np.where(shared, roots[1], np.nan)
+        free = size_p < _COEF_EPS
         if free.any():
-            fallback = np.array([_swapped(adj[(d + 1) % 4]), adj[(d + 2) % 4]]).T[..., None, None]
-            alt, alt_ok, _ = _adjacent_roots(fallback, t_opp)
-            roots = np.where(free[:, :, None, None], alt, roots)
-            ok = np.where(free[:, :, None, None], alt_ok, ok)
-        (nxt, far), (nxt_ok, far_ok) = roots, ok
+            free = np.broadcast_to(free, rho.shape)
+            both = np.array(_form_roots(*q[:, free]))
+            both[:, (size_q < _COEF_EPS)[free]] = [[0.0], [math.pi]]
+            rho[free], alt[free] = both
 
-        # rows (n, opposite sign, next root, far root, crease)
-        t = np.empty((n, 2, 3, 3, 4))
-        t[..., d] = t_d[:, None, None, None]
-        t[..., (d + 1) % 4] = nxt[:, :, :, None]
-        t[..., (d + 2) % 4] = t_opp[:, :, None, None]
-        t[..., (d + 3) % 4] = far[:, :, None, :]
-        t = np.where(np.abs(t) < 1e-12, 0.0, t).reshape(n * 18, 4)
-        valid = (opp_ok[:, :, None, None] & nxt_ok[:, :, :, None] & far_ok[:, :, None, :]).ravel()
-        rhos = 2.0 * np.arctan(t)  # atan(+-inf) = +-pi/2, so +-pi comes out exact
-        closes = np.zeros(n * 18, dtype=bool)
-        if valid.any():
-            closes[valid] = self.loop.residuals(rhos[valid]) < self.tol.residual_tol
-        signs = _pair_signs(t)
-
-        # the closing rows by driver, then in rhos order; each is kept
-        # unless it lies within 1e-9 of an earlier kept one of its driver
-        order = np.flatnonzero(closes)
-        r0, r1, r2, r3 = rhos[order].T
-        order = order[np.lexsort((r3, r2, r1, r0, order // 18))]
-        owner, ranked, kept = order // 18, rhos[order], closes.copy()
-        lags = range(1, int(np.bincount(owner).max(initial=0)))
-        near = np.zeros((len(lags) + 1, len(order)), dtype=bool)  # [lag, k]: k near k - lag
-        for lag in lags:
-            near[lag, lag:] = owner[lag:] == owner[:-lag]
-            near[lag, lag:] &= np.abs(ranked[lag:] - ranked[:-lag]).max(axis=1) < 1e-9
-        for k in np.flatnonzero(near.any(axis=0)).tolist():
-            kept[order[k]] = not any(near[lag, k] and kept[order[k - lag]] for lag in lags)
-        rhos, closes, kept = rhos.reshape(n, 18, 4), closes.reshape(n, 18), kept.reshape(n, 18)
-        signs = signs.reshape(n, 18, 2)
-        for arr in (rhos, closes, kept, signs, order, error, ratio):
+        snap = np.array([rho, alt])
+        snap = np.where(np.abs(np.abs(snap) - math.pi) < 2e-12, np.copysign(math.pi, snap), snap)
+        rows, (rho, alt) = np.empty((n, 2, 4)), np.where(np.abs(snap) < 2e-12, 0.0, snap)
+        rows[..., d], rows[..., opp] = np.where(np.abs(drv) < 2e-12, 0.0, drv)[:, None], 2.0 * half
+        rows[..., nxt], rows[..., far] = rho
+        rows, src = rows.reshape(-1, 4), np.arange(2 * n)  # src: each row's (driver, assembly)
+        for col, other in zip((nxt, far), alt.reshape(2, -1)):
+            rows, src = _fork(rows, src, col, other[src])
+        for col in (nxt, far):
+            rows, src = _fork(rows, src, col, np.where(np.abs(rows[:, col]) == math.pi, -rows[:, col], np.nan))
+        rows, src = rows[~np.isnan(rows).any(1)], src[~np.isnan(rows).any(1)]
+        residuals = self.loop.residuals(rows)
+        closes = residuals < self.tol.residual_tol
+        rows, residuals, owner = rows[closes], residuals[closes], src[closes] // 2
+        order = np.lexsort((*rows.T[::-1], owner))
+        rows, residuals, owner = rows[order], residuals[order], owner[order]
+        admits = _admitted(_pair_signs(rows)[:, None], _LABEL_SIGNS)
+        arrays = (rows, residuals, admits, np.searchsorted(owner, np.arange(n + 1)), error, ratio)
+        for arr in arrays:
             arr.flags.writeable = False
-        return _CandidateTable(rhos, closes, kept, signs, order, error, ratio, (d + 2) % 4 + 1)
+        return _CandidateTable(*arrays, opp + 1)
 
     def certified_candidates(self, driver_index: int, driver: float) -> list[FoldState]:
         """All closure-certified states with the given driver angle, in
@@ -471,7 +486,7 @@ class VertexKinematics:
             table.check(0)
         except NoRealFoldError as exc:
             raise InfeasibleDriverError(str(exc)) from exc
-        if not table.kept[0].any():
+        if table.starts[1] == 0:
             raise BranchNotRealizableError(f"no sign assignment passes closure at driver {driver:.6g}")
         states = table.rows(branch)[0]
         if not states:
@@ -619,9 +634,7 @@ class VertexKinematics:
             self._samples[key] = (table, parts)
         return self._samples[key]
 
-    def trace_curve(
-        self, driver_index: int, branch: BranchLabel, n_samples: int
-    ) -> "ConfigCurve":
+    def trace_curve(self, driver_index: int, branch: BranchLabel, n_samples: int) -> "ConfigCurve":
         """The branch's state at each sample driver across the range's
         longest interval, the first of equal ones: on a range split at 0,
         the one in [-pi, 0], whose negated rows trace the other. A branch
@@ -638,23 +651,31 @@ class VertexKinematics:
         if not rng.intervals:
             raise InfeasibleDriverError(f"empty folding range for branch {branch}: {rng.diagnostic}")
         n = len(drivers)
-        rows = table.rows(branch, offset, offset + n)
-        states = []
-        for k, (drv, cands) in enumerate(zip(drivers, rows)):
-            state = cands[0] if cands else None
+        index = table.index(branch, offset, offset + n)
+        picked = []
+        for k, (drv, cands) in enumerate(zip(drivers, index)):
+            pick = cands[0] if cands else None
             if k in (0, n - 1) or drv == 0.0:
-                near = [rows[j][0] for j in (k - 1, k + 1) if 0 <= j < n and rows[j]]
-                state = min(
-                    (s for s in cands if _keeps_signs(s, near)),
-                    key=lambda s: sum((a - b) ** 2 for r in near for a, b in zip(s, r)),
-                    default=None,
-                )
-            if state is None:
+                near = table.rhos[[index[j][0] for j in (k - 1, k + 1) if 0 <= j < n and index[j]]].tolist()
+                rows = dict(zip(cands, table.rhos[cands].tolist()))
+                pick = min((i for i in cands if _keeps_signs(rows[i], near)), default=None,
+                           key=lambda i: sum((a - b) ** 2 for r in near for a, b in zip(rows[i], r)))
+            if pick is None:
                 raise TraceAbortError(f"no branch state continues the trace at driver {drv:.6g}")
-            states.append(state)
-        residuals = tuple(self.loop.residuals(states).tolist())
+            picked.append(pick)
         return ConfigCurve(vertex=self.vertex, branch=branch, driver_index=driver_index, drivers=tuple(drivers),
-                           rhos=tuple(map(tuple, states)), residuals=residuals, tol=self.tol)
+                           rhos=tuple(map(tuple, table.rhos[picked].tolist())),
+                           residuals=tuple(table.residuals[picked].tolist()), tol=self.tol)
+
+
+def _fork(rows, src, col, alt):
+    """(rows, src), then a copy of each row whose alt is a number, alt in column col."""
+    pick = np.flatnonzero(~np.isnan(alt))
+    if not pick.size:
+        return rows, src
+    extra = rows[pick]
+    extra[:, col] = alt[pick]
+    return np.concatenate([rows, extra]), np.concatenate([src, src[pick]])
 
 
 def _keeps_signs(row, refs) -> bool:
@@ -681,7 +702,7 @@ class FoldingRange:
 @dataclass(frozen=True)
 class ConfigCurve:
     """An ordered, closure-certified trace of one configuration branch:
-    ``rhos`` holds the fold angles (rho1..rho4) of each sample."""
+    ``rhos`` holds each sample's fold angles, ``residuals`` their table's certificates."""
 
     vertex: Vertex4
     branch: BranchLabel
@@ -714,42 +735,24 @@ class ConfigCurve:
 # module-level convenience wrappers (one-shot calls)
 
 
-def solve_state(
-    v: Vertex4,
-    driver_index: int,
-    driver: float,
-    branch: BranchLabel,
-    tol: Tolerances = DEFAULT_TOL,
-) -> FoldState:
+def solve_state(v: Vertex4, driver_index: int, driver: float, branch: BranchLabel,
+                tol: Tolerances = DEFAULT_TOL) -> FoldState:
     """The unique closure-certified state on `branch` with the given
     driver angle at crease `driver_index`."""
     return VertexKinematics(v, tol).solve_state(driver_index, driver, branch)
 
 
-def folding_range(
-    v: Vertex4,
-    driver_index: int,
-    branch: BranchLabel,
-    tol: Tolerances = DEFAULT_TOL,
-) -> FoldingRange:
+def folding_range(v: Vertex4, driver_index: int, branch: BranchLabel, tol: Tolerances = DEFAULT_TOL) -> FoldingRange:
     return VertexKinematics(v, tol).folding_range(driver_index, branch)
 
 
-def trace_curve(
-    v: Vertex4,
-    driver_index: int,
-    branch: BranchLabel,
-    n_samples: int,
-    tol: Tolerances = DEFAULT_TOL,
-) -> ConfigCurve:
-    """Monotone driver sweep across the longest interval of the folding
-    range in uniform steps of at most trace_step_max, each sample the
-    branch's one closure-certified state at its driver (see
-    VertexKinematics.trace_curve); TraceAbortError names a sample driver
-    without one. On a range split at 0 the sweep covers the interval in
-    [-pi, 0]; the negated rows trace its mirror image. n_samples is a
-    lower bound on the sample count. The samples come from the vertex's
-    one table over all four branches' sample drivers."""
+def trace_curve(v: Vertex4, driver_index: int, branch: BranchLabel, n_samples: int,
+                tol: Tolerances = DEFAULT_TOL) -> ConfigCurve:
+    """Monotone driver sweep, at least n_samples in steps of at most
+    trace_step_max, across the longest interval of the folding range (the
+    one in [-pi, 0] on a range split at 0), each sample the branch's one
+    certified state at its driver (VertexKinematics.trace_curve), with the
+    table's residual; TraceAbortError names a sample driver without one."""
     return VertexKinematics(v, tol).trace_curve(driver_index, branch, n_samples)
 
 
@@ -823,12 +826,8 @@ def _sign_pattern_is_dual(rhos, dual_rhos) -> np.ndarray:
     return ~(mixed | same)
 
 
-def verify_duality(
-    v: Vertex4,
-    driver_index: int = 1,
-    n_samples: int = 25,
-    tol: Tolerances = DEFAULT_TOL,
-) -> DualityReport:
+def verify_duality(v: Vertex4, driver_index: int = 1, n_samples: int = 25,
+                   tol: Tolerances = DEFAULT_TOL) -> DualityReport:
     """Trace every realizable branch of C and check that the dual vertex
     reproduces it with matched |rho| and the one-pair-flipped sign
     pattern. The traced rows of all branches are stacked once, mapped to

@@ -36,11 +36,14 @@ from rigidori.kinematics import (
     _DUAL_SIGNS,
     FoldingRange,
     _adjacent_coefs,
-    _adjacent_roots,
+    _adjacent_quadratic,
+    _form_roots,
+    _opposite_sq,
+    _quadratic_roots,
     _sign_pattern_is_dual,
     _swapped,
 )
-from rigidori.numerics import Tolerances
+from rigidori.numerics import Tolerances, half_tangent
 from rigidori.vertex import FoldState, Vertex4, dual
 
 PI = math.pi
@@ -165,22 +168,20 @@ def test_adjacent_zero_on_mode_curves():
 
 
 def test_adjacent_roots_recover_either_tangent_of_the_pair():
-    # one root solver serves (i -> i+1) and, with c1 <-> c2, (i+1 -> i)
+    # one quadratic form serves (i -> i+1) and, with c1 <-> c2, (i+1 -> i)
     rng = np.random.default_rng(4)
     for _ in range(20):
         a, b = rng.uniform(0.3, PI - 0.3, size=2)
         v = Vertex4((a, b, PI - a, PI - b))
         for mode in (MODE_1, MODE_2):
-            t = fold_mode(v, mode, rng.uniform(-2.5, 2.5)).half_tangents()
+            rho = fold_mode(v, mode, rng.uniform(-2.5, 2.5)).rhos
             for i in (1, 2, 3, 4):
-                ti, tj = t[i - 1], t[i % 4]
+                ri, rj = rho[i - 1], rho[i % 4]
                 coefs = _adjacent_coefs(v, i)
-                roots, valid, _ = _adjacent_roots(coefs, np.array([ti, tj]))
-                nxt = roots[0][valid[0]]
-                roots, valid, _ = _adjacent_roots(_swapped(coefs), np.array([ti, tj]))
-                prev = roots[1][valid[1]]
-                assert min(abs(x - tj) for x in nxt) < 1e-9 * max(1.0, abs(tj))
-                assert min(abs(x - ti) for x in prev) < 1e-9 * max(1.0, abs(ti))
+                nxt = _form_roots(*_adjacent_quadratic(coefs, math.sin(ri / 2), math.cos(ri / 2)))
+                prev = _form_roots(*_adjacent_quadratic(_swapped(coefs), math.sin(rj / 2), math.cos(rj / 2)))
+                assert np.nanmin(np.abs(np.array(nxt) - rj)) < 1e-9
+                assert np.nanmin(np.abs(np.array(prev) - ri)) < 1e-9
 
 
 def test_origin_slopes_match_closed_form_modes():
@@ -243,9 +244,9 @@ def test_adjacent_duality_sign_flip():
 @example(alphas=SQ_TWIST.alphas, driver_index=1, extra=[0.4])
 @example(alphas=(1.0, 1.0, 1.0, 1.0), driver_index=2, extra=[0.4])
 def test_candidate_table_rows_match_single_driver_calls(alphas, driver_index, extra):
-    # the square twist has double roots at driver 0; on (1, 1, 1, 1) the
-    # adjacent pairs at driver +-pi hold identically, so both creases
-    # beside the driver fall back to the opposite crease
+    # the square twist has double roots at driver 0; on (1, 1, 1, 1) every
+    # adjacent pair at driver +-pi holds identically, so both creases beside
+    # the driver take 0 and +-pi
     kin = VertexKinematics(Vertex4(alphas))
     bps = [b for b, _ in kin._breakpoints((driver_index - 1) % 4)]  # those in [0, pi]
     drivers = bps + [-b for b in bps] + [0.0, PI, -PI] + extra
@@ -268,15 +269,119 @@ def test_candidate_table_rows_match_single_driver_calls(alphas, driver_index, ex
 
 
 def test_candidates_within_1e9_of_an_earlier_one_are_dropped():
-    # at driver 1e-12 on the equal-sector vertex a linear root at
-    # 3.14159265358794 and the +-inf slots at +-pi give 9 closing rows;
-    # only 4 distinct states remain
+    # at driver 1e-12 on the equal-sector vertex the relation with the
+    # driver has roots +-pi and 3.14159265358794, within 1e-9 of each other,
+    # which are one root; the table holds only the 4 distinct states
     kin = VertexKinematics(Vertex4((1.0,) * 4))
-    assert kin._candidate_table(1, [1e-12]).closes.sum() == 9
+    assert len(kin._candidate_table(1, [1e-12]).rhos) == 4
     states = [np.array(s.rhos) for s in kin.certified_candidates(1, 1e-12)]
     assert len(states) == 4
     for a, b in itertools.combinations(states, 2):
         assert np.abs(a - b).max() > 1e-9
+
+
+def _reference_rows(kin, driver_index, driver):
+    """The closing rows of the enumeration that the closed form replaced:
+    both signs of the opposite crease times the root slots of each adjacent
+    relation with the driver (with the opposite crease where that one holds
+    identically), from _quadratic_roots and certified by kin.loop."""
+    d = (driver_index - 1) % 4
+    adj = kin._adj
+    t_d = half_tangent(driver)
+    m_sq, error, _ = _opposite_sq(kin._opp[(d + 2) % 4], np.array([t_d]))
+    if error[0]:
+        return []
+
+    def slots(coefs, t):  # the roots of the relation given the known tangent t
+        cA, c1, c2, c3, c4, c5 = coefs
+        if math.isinf(t):
+            return _quadratic_roots(np.array(cA - c3), np.array(0.0), np.array(cA - c2))
+        return _quadratic_roots(np.array((cA - c1) + (cA - c3) * t * t), np.array(-c5 * t),
+                                np.array((cA - c4) + (cA - c2) * t * t))
+
+    m = math.sqrt(m_sq[0])
+    rows = []
+    for t_o in {m, -m}:
+        sides = []
+        for coefs, fallback in ((adj[d], _swapped(adj[(d + 1) % 4])), (_swapped(adj[(d + 3) % 4]), adj[(d + 2) % 4])):
+            roots, valid, free = slots(coefs, t_d)
+            if free:
+                roots, valid, _ = slots(fallback, t_o)
+            sides.append(roots[valid].tolist())
+        for t_n, t_f in itertools.product(*sides):
+            t = np.empty(4)
+            t[d], t[(d + 1) % 4], t[(d + 2) % 4], t[(d + 3) % 4] = t_d, t_n, t_o, t_f
+            rows.append(2.0 * np.arctan(np.where(np.abs(t) < 1e-12, 0.0, t)))
+    if not rows:
+        return []
+    residuals = kin.loop.residuals(np.array(rows))
+    return [(r, e) for r, e in zip(rows, residuals) if e < kin.tol.residual_tol]
+
+
+@settings(max_examples=30, deadline=None)
+@given(alphas=st.tuples(*[st.floats(0.2, PI - 0.2)] * 4), driver_index=st.integers(1, 4))
+@example(alphas=tuple(math.radians(a) for a in (40, 100, 120, 100)), driver_index=1)
+@example(alphas=tuple(math.radians(a) for a in (60, 100, 120, 80)), driver_index=1)
+@example(alphas=(0.8804093835885269, 2.2611425099158247, 2.2611839285787396, 0.8804501436739685), driver_index=1)
+@example(alphas=(1.1196738999807143, 1.112941921958414, 2.0219179266880194, 2.028651323492423), driver_index=1)
+@example(alphas=(1.0, 1.0, 1.0, 1.0), driver_index=2)
+@example(alphas=(PI / 2,) * 4, driver_index=1)
+@example(alphas=(1.0, 1.0, PI - 1.0, PI - 1.0), driver_index=1)
+@example(alphas=(0.25,) * 4, driver_index=1)
+@example(alphas=(2.0, 2.0, 2.1411, 2.1411), driver_index=1)
+def test_table_holds_every_row_of_the_root_slot_enumeration(alphas, driver_index):
+    # the two assemblies and the common roots lose no state of the 2 x 3 x 3
+    # root-slot enumeration, at cell midpoints and at every breakpoint and its
+    # mirror; at a disc breakpoint that enumeration's double root is off by up
+    # to 1e-6, and the table's row there must close at least as well
+    kin = VertexKinematics(Vertex4(alphas), FAST)
+    cells = kin._cell_table(driver_index)
+    bps = cells.breakpoints
+    drivers = [0.5 * (a + b) for a, b in zip(bps, bps[1:])] + list(bps) + [-b for b in bps]
+    table = kin._candidate_table(driver_index, drivers)
+    disc = {b for b, cause in zip(bps, cells.causes) if cause == "driver_limit"}
+    for j, drv in enumerate(drivers):
+        rows = table.rhos[table.starts[j] : table.starts[j + 1]]
+        residuals = table.residuals[table.starts[j] : table.starts[j + 1]]
+        for ref, ref_residual in _reference_rows(kin, driver_index, drv):
+            assert len(rows), (drv, ref)
+            gap = np.abs(rows - ref).max(axis=1)
+            if abs(drv) in disc:
+                assert (gap <= 1e-10).any() or (residuals[gap <= 1e-5] <= ref_residual).any(), (drv, ref)
+            else:
+                assert gap.min() <= 1e-10, (drv, ref, rows)
+
+
+@settings(max_examples=20, deadline=None)
+@given(alphas=st.tuples(*[st.floats(0.2, PI - 0.2)] * 4), driver_index=st.integers(1, 4))
+@example(alphas=(2.408212012940803, 0.932530485169673, 0.9763396884001088, 2.4603941888745924), driver_index=3)
+@example(alphas=(1.0, 1.0, 0.25, 1.0), driver_index=1)
+def test_trace_ends_at_a_driver_limit_close_to_rounding(alphas, driver_index):
+    # at a driver limit the relation with the driver has a double root; the
+    # common root of the crease's two relations stays exact there
+    kin = VertexKinematics(Vertex4(alphas), FAST)
+    for branch in ALL_BRANCHES:
+        rng_ = kin.folding_range(driver_index, branch)
+        if not rng_:
+            continue
+        curve = kin.trace_curve(driver_index, branch, 9)
+        k = rng_.intervals.index(max(rng_.intervals, key=lambda iv: iv[1] - iv[0]))
+        for residual, cause in zip((curve.residuals[0], curve.residuals[-1]), rng_.endpoint_causes[k]):
+            if cause == "driver_limit":
+                assert residual < 1e-12, (branch, residual)
+
+
+def test_apex_driver_next_to_a_theta_bound_has_its_states():
+    # the apex crease of pair (2, 4) at theta 1e-12 (hi - lo) above lo is at a
+    # driver limit, where the state closes to 1e-15 by the closed form
+    from rigidori.embedding import _apex_sectors, _triangle_angles, achievable_theta_interval
+
+    v = Vertex4((1.0, 1.0, 0.25, 1.0))
+    lo, hi = achievable_theta_interval(v, (2, 4))
+    x, y, _, _ = _apex_sectors(v, (2, 4))
+    driver = PI - _triangle_angles(x, y, lo + 1e-12 * (hi - lo))[0]
+    states = VertexKinematics(v).certified_candidates(1, driver)
+    assert states and all(closure_residual(v, s) < 1e-14 for s in states)
 
 
 @pytest.mark.parametrize("alphas, driver_index, driver, crease", [
@@ -421,7 +526,7 @@ def test_cell_table_is_shared_read_only_and_order_independent(v):
     table = cells.table
     assert not any(a.flags.writeable for a in table if isinstance(a, np.ndarray))
     with pytest.raises(ValueError):
-        table.rhos[0, 0, 0] = 0.0
+        table.rhos[0, 0] = 0.0
 
 
 def _trace_outcome(kin, branch):
@@ -609,7 +714,6 @@ def test_near_degenerate_vertex_traces_to_its_flat_fold():
     assert curve.drivers[0] < -PI + 1e-5 and curve.rhos[0][1] > 2.9
 
 
-@pytest.mark.xfail(strict=True, reason="_quadratic_roots reads 0 x^2 + 0 x + 2.4e-16 as unsolvable")
 @pytest.mark.parametrize("alphas", [(PI / 2,) * 4, (1.0, 1.0, PI - 1.0, PI - 1.0)])
 def test_unfolded_state_is_a_candidate_where_it_closes(alphas):
     kin = VertexKinematics(Vertex4(alphas))
@@ -817,9 +921,9 @@ def test_trace_aborts_at_a_sample_without_a_branch_state():
     table, parts = kin._sample_table(3, 15)
     _, drivers, offset = parts[BRANCH_PP]
     for k in (0, len(drivers) // 3, len(drivers) - 1):  # an end, an inner sample, the other end
-        kept = table.kept.copy()
-        kept[offset + k] = False  # drop every row of sample k
-        kin._samples[(2, 15)] = (table._replace(kept=kept), parts)
+        admits = table.admits.copy()
+        admits[table.starts[offset + k] : table.starts[offset + k + 1]] = False  # no row of sample k is on a branch
+        kin._samples[(2, 15)] = (table._replace(admits=admits), parts)
         with pytest.raises(TraceAbortError, match=re.escape(f"at driver {drivers[k]:.6g}") + "$"):
             kin.trace_curve(3, BRANCH_PP, 15)
 
