@@ -74,9 +74,11 @@ class FoldedMesh:
     faces as read-only index arrays, one per corner count, built from
     ``faces`` unless a caller that holds it for the same faces passes it.
     Construction validates face indices, finite coordinates and the
-    planarity of every face of four or more corners within 1e-9 (see
-    _max_planarity), kept as ``planarity`` (for a rotated copy, see
-    ``transformed``). Meshes are equal when vertex values and faces are.
+    planarity of every face of four or more corners within 1e-9, kept as
+    ``planarity``: measured (see _max_planarity), or for flat faces placed
+    rigidly (a folded sheet, a combined vertex, a ``transformed`` copy) a
+    bound on their sigma_min from that construction (see ``_placed``).
+    Meshes are equal when vertex values and faces are.
     """
 
     vertices: np.ndarray
@@ -118,23 +120,32 @@ class FoldedMesh:
             return NotImplemented
         return self.faces == other.faces and np.array_equal(self.vertices, other.vertices)
 
+    @classmethod
+    def _placed(cls, vertices, faces, face_index, bound: float) -> "FoldedMesh":
+        """A mesh whose faces' sigma_min is at most ``bound`` by construction,
+        kept as ``planarity`` if within 1e-9, else measured; checked as any."""
+        mesh = object.__new__(cls)  # no __init__ argument can skip a check
+        vars(mesh).update(vertices=vertices, faces=faces, face_index=face_index,
+                          planarity=bound if bound <= 1e-9 else None)
+        mesh.__post_init__()
+        return mesh
+
     def transformed(self, rotation: np.ndarray, translation=np.zeros(3)) -> "FoldedMesh":
         """This mesh moved by x -> R x + t, checked like any mesh. A rotation R
         (|R^T R - I|_F <= 1e-12) with one shift t carries (1 + 1e-12) planarity
-        + e over if that is within 1e-9: planarity bounds each face's sigma_min,
-        which rounding (gamma_4, Higham 2002, sec. 3.1) moves by at most e =
-        2.01 eps sqrt(3 m) (sqrt(3) X + T) on m corners, X and T the largest
-        source coordinate and shift (Weyl). Other maps are measured afresh."""
+        plus its _rounding over; other maps are measured afresh."""
         R = np.asarray(rotation, dtype=float)
         size = math.sqrt(3) * np.abs(self.vertices).max(initial=0.0) + np.abs(translation).max()
-        e = 2.01 * np.finfo(float).eps * math.sqrt(3 * max(self.face_index, default=0)) * size
-        carried = (1 + 1e-12) * self.planarity + e
-        carry = carried <= 1e-9 and np.ndim(translation) < 2 and np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-12
-        mesh = object.__new__(FoldedMesh)  # no __init__ argument can skip a check
-        vars(mesh).update(vertices=self.vertices @ R.T + translation, faces=self.faces,
-                          face_index=self.face_index, planarity=carried if carry else None)
-        mesh.__post_init__()
-        return mesh
+        carry = np.ndim(translation) < 2 and np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-12
+        bound = (1 + 1e-12) * self.planarity + _rounding(max(self.face_index, default=0), size)
+        return FoldedMesh._placed(self.vertices @ R.T + translation, self.faces,
+                                  self.face_index, bound if carry else math.inf)
+
+
+def _rounding(m: int, size: float) -> float:
+    """Most that rounding moves the sigma_min of a face of m corners placed by x -> R x + t,
+    R a rotation, size >= |x|_2 + |t|_inf (gamma_4, Higham 2002, sec. 3.1; Weyl)."""
+    return 2.01 * np.finfo(float).eps * math.sqrt(3 * m) * size
 
 
 def _max_planarity(pts: np.ndarray) -> float:
@@ -442,13 +453,19 @@ def combined_mesh(cv: CombinedVertex, radius: float = 1.0, arc_segments: int = 8
     The topology is fixed: 1 + 6 + 8 (arc_segments - 1) vertices in plate
     order (apex, crease tips, arc points) at their first plate's points;
     plates that only touch, as at a flat fold, keep distinct vertices.
-    No closure check: cv's frames were certified by synchronize."""
+    No closure check: cv's frames were certified by synchronize, and the
+    planarity is the bound the wedges' placement carries."""
     base_polys = _plate_polys(cv.base, cv.base_frames, radius, arc_segments)
     dual_polys = _plate_polys(cv.dual_vertex, cv.dual_frames, radius, arc_segments)
     R = dual_alignment(cv)
     kept, faces, face_index = _combined_topology(arc_segments, tuple(cv.crease_map.items()))
     pts = np.concatenate([*base_polys, *(p @ R.T for p in dual_polys)])
-    return FoldedMesh(pts[kept], faces, face_index)
+    # flat wedges placed by their frames, the dual's then by R (orthonormal to 1e-3 by
+    # the collinearity guard): three roundings at most; shared points take a first plate's
+    m = arc_segments + 2
+    spread = np.abs(pts - pts[kept[face_index[m].ravel()]]).max()
+    bound = 3 * _rounding(m, radius) + math.sqrt(3 * m) * spread
+    return FoldedMesh._placed(pts[kept], faces, face_index, bound)
 
 
 def junction_dihedrals(cv: CombinedVertex) -> list[float]:

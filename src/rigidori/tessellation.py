@@ -33,7 +33,9 @@ in one broadcast as its kind's cell-(0, 0) motion plus its cell's
 translation. A lattice step with a rotational part above 1e-8 raises.
 Every corner's placements by all of its faces must agree within 1e-8, so
 every face cycle of the sheet is checked, not only the patch's, and each
-distinct interior vertex loop is certified once, in one batch.
+distinct interior vertex loop is certified once, in one batch. Each face
+is flat (z = 0) and placed rigidly, so the mesh carries a planarity bound
+from rounding and the corner spread instead of measuring it.
 
 Stacking glues the mountain crease rows of each layer to the valley
 crease rows of the next (the rows are the zigzag paths of major creases
@@ -46,7 +48,8 @@ the row correspondence: the crease pattern's half-turn about a square
 centre negates every fold angle, so the half-turn about the normal of
 mountain row 0's plane carries valley row 0, reversed, onto it. Only row
 0 glues, and successive sheets interpenetrate by design. A glued row that
-misses its partner by more than 1e-8 raises.
+misses its partner by more than 1e-8 raises. The glue map is built once
+per (variant, layers) and kept on the sheet.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closure import LoopEvaluator
-from .embedding import PARALLEL, ROTATED, FoldedMesh, _ray_angle
+from .embedding import PARALLEL, ROTATED, FoldedMesh, _ray_angle, _rounding
 from .errors import (
     GluingError,
     InfeasibleDriverError,
@@ -72,6 +75,7 @@ from .numerics import DEFAULT_TOL, Tolerances, cross, rotation_matrix_about_axis
 from .vertex import Curvature, Vertex4, classify
 
 Name = tuple[str, int, int]  # corner label P1..P4 with cell indices
+PLACEMENT_TOL = 1e-8  # most a lattice step may turn, a corner spread, a glued row miss
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +127,10 @@ class FoldPlan:
     mountain_rows: np.ndarray  # (rows, 2 cols) corner indices of mountain_path(j)
     valley_rows: np.ndarray  # (rows, 2 cols) corner indices of valley_path(j)
 
+    def __post_init__(self):  # _fold carries every face's planarity on this
+        if self.local[..., 2].any():
+            raise MeshConsistencyError("fold plan corners must lie at z = 0")
+
 
 @dataclass(frozen=True)
 class SquareTwistSheet:
@@ -150,11 +158,9 @@ class SquareTwistSheet:
         return tuple(map(tuple, self.fold_plan.face_corners.tolist()))
 
     @functools.cached_property
-    def _glue_names(self) -> dict[str, tuple[tuple[Name, Name], ...]]:
-        """(mountain, valley) corner pairs each variant glues: all rows, or row 0, valley reversed."""
-        rows = [p for j in range(self.rows) for p in zip(self.mountain_path(j), self.valley_path(j))]
-        row0_reversed = zip(self.mountain_path(0), self.valley_path(0)[::-1])
-        return {PARALLEL: tuple(rows), ROTATED: tuple(row0_reversed)}
+    def _glue_maps(self) -> dict[tuple[str, int], tuple]:
+        """CwComplex.glue_map by (variant, layers), each built on first use."""
+        return {}
 
     def valley_path(self, j: int) -> list[Name]:
         """Major-crease row through the P1/P2 corners of grid row j."""
@@ -266,7 +272,7 @@ def build_square_twist_sheet(
         mv_coefficients={},
     )
     sheet = dataclasses.replace(sheet, mv_coefficients=_crease_coefficients(sheet))
-    sheet.fold_plan, sheet._glue_names  # built now, so the first fold does not pay for them
+    sheet.fold_plan  # built now, so the first fold does not pay for it
     return sheet
 
 
@@ -402,7 +408,7 @@ def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedS
     # pleat_v(1, 0) and pleat_h(0, 1) are their cell-(0, 0) kinds moved one
     # lattice step, which must be a pure translation
     drift = max(float(np.max(np.abs(R[4] - R[2]))), float(np.max(np.abs(R[5] - R[1]))))
-    if not drift <= 1e-8:
+    if not drift <= PLACEMENT_TOL:
         raise MeshConsistencyError(f"cell-to-cell motion has a rotational part {drift:.3e}")
     lattice = np.stack([t[4] - t[2] + R[2] @ plan.lattice[0], t[5] - t[1] + R[1] @ plan.lattice[1]])
 
@@ -410,10 +416,11 @@ def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedS
     # faces sharing a corner must agree (loop consistency)
     kind = plan.face_kind
     rotations = np.ascontiguousarray(R.transpose(0, 2, 1))[kind]  # contiguous: a faster matmul
-    placed = plan.local @ rotations + (t[kind] + plan.face_cell @ lattice)[:, None]
+    shift = t[kind] + plan.face_cell @ lattice
+    placed = plan.local @ rotations + shift[:, None]
     pos = placed.reshape(-1, 3)[plan.first_slot]
     worst_spread = float(np.max(np.abs(placed - pos[plan.face_corners])))
-    if not worst_spread <= 1e-8:
+    if not worst_spread <= PLACEMENT_TOL:
         raise MeshConsistencyError(
             f"internal face-cycle inconsistency: corner spread {worst_spread:.3e}"
         )
@@ -425,12 +432,16 @@ def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedS
         name = list(sheet.vertices)[worst]
         raise MeshConsistencyError(f"vertex {name} fails closure: residual {res[worst]:.3e}")
 
+    # flat faces moved rigidly; a mesh face's corners are within worst_spread
+    m = plan.face_corners.shape[1]
+    size = math.sqrt(3) * np.abs(plan.local).max() + np.abs(shift).max()
+    bound = _rounding(m, size) + math.sqrt(3 * m) * worst_spread
     for a in (rho, res, lattice):
         a.flags.writeable = False
     return FoldedSheet(
         sheet=sheet,
         major_rho=major_rho,
-        mesh=FoldedMesh(pos, sheet._mesh_faces, {plan.face_corners.shape[1]: plan.face_corners}),
+        mesh=FoldedMesh._placed(pos, sheet._mesh_faces, {m: plan.face_corners}, bound),
         rho=rho,
         residuals=res,
         lattice=lattice,
@@ -516,7 +527,7 @@ def stack_complex(
     axes = _lattice_axes(fs)
     # valley row to mountain row: P1(0, 0) to P4(0, 0)
     rise = pos[plan.mountain_rows[0, 0]] - pos[plan.valley_rows[0, 0]]
-    meshes, glue_pairs, glue_residual = [fs.mesh], [], 0.0
+    meshes, glue_residual = [fs.mesh], 0.0
     if layers > 1:
         # mountain rows of the lower layer receive valley rows of the
         # upper; at negative drivers the roles swap, the motion is the same
@@ -538,21 +549,25 @@ def stack_complex(
             t = pos[a_rows[0, 0]] - R @ pos[b_rows[0, 0]]
         dev = np.max(np.linalg.norm(pos[b_rows] @ R.T + t - pos[a_rows], axis=2), axis=1)
         row = int(np.argmax(dev))  # a NaN is the maximum
-        if not dev[row] <= 1e-8:
-            raise GluingError(f"crease row {row} misses its partner by {dev[row]:.3e} (limit 1e-8)")
+        if not dev[row] <= PLACEMENT_TOL:
+            raise GluingError(f"crease row {row} misses its partner by {dev[row]:.3e} (limit {PLACEMENT_TOL})")
         Rk, tk = np.eye(3), np.zeros(3)
-        for layer in range(1, layers):
+        for _ in range(1, layers):
             Rk, tk = R @ Rk, R @ tk + t
             meshes.append(fs.mesh.transformed(Rk, tk))
-            glue_pairs += [((layer - 1, na), (layer, nb)) for na, nb in sheet._glue_names[variant]]
         glue_residual = float(dev[row])
+    key = (variant, layers)
+    if key not in sheet._glue_maps:  # every row, or row 0 with the valley reversed
+        rows, step = (range(sheet.rows), 1) if variant == PARALLEL else ((0,), -1)
+        pairs = [p for j in rows for p in zip(sheet.mountain_path(j), sheet.valley_path(j)[::step])]
+        sheet._glue_maps[key] = tuple(((k - 1, a), (k, b)) for k in range(1, layers) for a, b in pairs)
     return CwComplex(
         sheet=sheet,
         layers=layers,
         major_rho=major_rho,
         variant=variant,
         meshes=tuple(meshes),
-        glue_map=tuple(glue_pairs),
+        glue_map=sheet._glue_maps[key],
         glue_residual=glue_residual,
         lattice_axes=axes,
         bbox=_lattice_bbox(fs, axes, rise, layers),

@@ -557,9 +557,7 @@ def test_transformed_layers_are_validated(monkeypatch):
     # a saddle bent to a planarity of 0.8e-9: its Newell normal stays on z
     saddle = FoldedMesh(np.array(square) + [[0, 0, 4e-10], [0, 0, -4e-10]] * 2, ((0, 1, 2, 3),))
     assert saddle.planarity == pytest.approx(8e-10, rel=1e-9)
-    calls = []
-    measure = embedding._max_planarity
-    monkeypatch.setattr(embedding, "_max_planarity", lambda pts: calls.append(1) or measure(pts))
+    calls = _counting_planarity(monkeypatch)
     # a rotation carries the planarity over: nothing is measured
     turn = rotation_about_axis(np.array([1.0, 2.0, -0.5]) / math.sqrt(5.25), 2.0)
     copy = saddle.transformed(turn, [3.0, -2.0, 5.0])
@@ -578,3 +576,46 @@ def test_transformed_layers_are_validated(monkeypatch):
     with pytest.raises(MeshConsistencyError):
         saddle.transformed(np.eye(3), [[0.0, 0.0, 0.0]] * 3 + [[0.0, 0.0, 1e-6]])
     assert len(calls) == 2
+
+
+def _counting_planarity(monkeypatch) -> list:
+    """Record each _max_planarity call in the returned list."""
+    calls = []
+    measure = embedding._max_planarity
+    monkeypatch.setattr(embedding, "_max_planarity", lambda pts: calls.append(1) or measure(pts))
+    return calls
+
+
+@pytest.mark.parametrize("variant", ["parallel", "rotated"])
+@pytest.mark.parametrize("frac", [0.0, 0.3, 0.5, 1.0])
+def test_combined_mesh_carries_its_planarity(variant, frac, monkeypatch):
+    calls = _counting_planarity(monkeypatch)
+    lo, hi = theta_interval()
+    mesh = combined_mesh(synchronize(ELLIPTIC, variant, lo + frac * (hi - lo)), radius=3.0)
+    assert not calls
+    assert max(_sigma_min(mesh.vertices[list(f)])[0] for f in mesh.faces) <= mesh.planarity <= 1e-9
+
+
+def test_combined_mesh_with_a_displaced_merged_tip_is_measured(monkeypatch):
+    # dual plate 2 starts on merged crease 2, whose tip the mesh takes from
+    # the base: moving the dual's own tip leaves the mesh as it is, but the
+    # spread it makes enters the bound, which then asks for a measurement
+    lo, hi = theta_interval()
+    cv = synchronize(ELLIPTIC, "parallel", 0.5 * (lo + hi))
+    exact = embedding._plate_polys
+
+    def displaced(v, frames, radius, arc_segments):
+        polys = exact(v, frames, radius, arc_segments)
+        if frames is cv.dual_frames:
+            polys[1][1, 2] += tip
+        return polys
+
+    monkeypatch.setattr(embedding, "_plate_polys", displaced)
+    tip = 0.0
+    reference = combined_mesh(cv)
+    calls = _counting_planarity(monkeypatch)
+    tip = 1e-11  # sqrt(30) tip on 10-corner faces stays within 1e-9
+    mesh = combined_mesh(cv)
+    assert mesh == reference and not calls and mesh.planarity >= math.sqrt(30) * tip
+    tip = 3e-10
+    assert combined_mesh(cv) == reference and len(calls) == 1

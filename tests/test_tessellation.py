@@ -510,16 +510,112 @@ def test_one_wrong_crease_fails_closure_at_its_vertex(shape, sheet22):
         assert len(named) == 1 and sheet.creases[c] in sheet.vertices[named[0]].creases
 
 
-def test_stack_measures_the_planarity_of_its_source_layer_alone(sheet22, monkeypatch):
+def _counting_planarity(monkeypatch) -> list:
+    """Record each _max_planarity call in the returned list."""
     from rigidori import embedding
 
     calls = []
     measure = embedding._max_planarity
     monkeypatch.setattr(embedding, "_max_planarity", lambda pts: calls.append(1) or measure(pts))
+    return calls
+
+
+def _face_sigma_min(mesh) -> float:
+    """Largest smallest singular value of any face's centered corners."""
+    q = mesh.vertices[mesh.face_index[4]]
+    return float(np.linalg.svd(q - q.mean(axis=1, keepdims=True), compute_uv=False)[:, -1].max())
+
+
+def test_stack_measures_no_face(sheet22, monkeypatch):
+    calls = _counting_planarity(monkeypatch)
     for variant in ("parallel", "rotated"):
-        calls.clear()
         cx = stack_complex(sheet22, 3, 1.0, variant)
-        assert len(calls) == 1 and all(m.planarity < 1e-12 for m in cx.meshes)
+        assert not calls and all(m.planarity < 1e-12 for m in cx.meshes)
+
+
+@pytest.mark.parametrize("rho", [-3.0, -1.0, 0.3, 1.3, 3.0])
+def test_carried_planarity_bounds_every_face(rho, monkeypatch):
+    calls = _counting_planarity(monkeypatch)
+    cx = stack_complex(build_square_twist_sheet(GEN, 12, 12), 3, rho, "rotated")
+    assert not calls
+    for mesh in cx.meshes:
+        assert _face_sigma_min(mesh) <= mesh.planarity <= 1e-9
+
+
+def _with_plan(sheet: SquareTwistSheet, **changes) -> SquareTwistSheet:
+    """A copy of the sheet whose fold plan has the given fields replaced."""
+    import dataclasses
+
+    copy = dataclasses.replace(sheet)
+    copy.__dict__["fold_plan"] = dataclasses.replace(sheet.fold_plan, **changes)
+    return copy
+
+
+def _corner_plates_moved(sheet: SquareTwistSheet, dx: float) -> SquareTwistSheet:
+    """A copy of the sheet whose corner plates sit dx further along x; the
+    other plates place their shared corners, so each spreads by dx."""
+    plan = sheet.fold_plan
+    local = plan.local.copy()
+    local[plan.face_kind == tessellation.KINDS.index("corner"), :, 0] += dx
+    return _with_plan(sheet, local=local)
+
+
+def test_fold_plan_corners_lie_flat(sheet22):
+    # a corner lifted off z = 0, even one that no other face shares and no
+    # spread would reveal, is rejected before any fold could carry it
+    plan = sheet22.fold_plan
+    local = plan.local.copy()
+    first_corner_plate = plan.face_kind.tolist().index(tessellation.KINDS.index("corner"))
+    local[first_corner_plate, 2, 2] = 1e-15  # P3(-1, -1)
+    with pytest.raises(MeshConsistencyError, match="z = 0"):
+        _with_plan(sheet22, local=local)
+
+
+def test_corner_spread_decides_carry_or_measure(sheet22, monkeypatch):
+    # in the flat state a spread of dx adds sqrt(12) dx to the bound: at
+    # 2e-10 it stays within 1e-9 and is carried, at 1e-9 it is not, and
+    # the mesh is measured instead
+    calls = _counting_planarity(monkeypatch)
+    carried = _fold(_corner_plates_moved(sheet22, 2e-10), 0.0, DEFAULT_TOL).mesh
+    assert not calls and math.sqrt(12) * 2e-10 < carried.planarity <= 1e-9
+    measured = _fold(_corner_plates_moved(sheet22, 1e-9), 0.0, DEFAULT_TOL).mesh
+    assert len(calls) == 1 and measured.planarity < 1e-12
+
+
+def test_corner_spread_bound_is_1e_8(sheet22):
+    _fold(_corner_plates_moved(sheet22, 0.99e-8), 0.0, DEFAULT_TOL)
+    with pytest.raises(MeshConsistencyError, match="corner spread 1.01"):
+        _fold(_corner_plates_moved(sheet22, 1.01e-8), 0.0, DEFAULT_TOL)
+
+
+def test_glue_bound_is_1e_8(sheet22, monkeypatch):
+    import dataclasses
+
+    from rigidori.embedding import FoldedMesh
+
+    exact = tessellation._fold
+    valley = sheet22.fold_plan.valley_rows
+
+    def shifted(sheet, major_rho, tol):
+        # flat, so a shift along x keeps every face planar
+        fs = exact(sheet, major_rho, tol)
+        pts = fs.mesh.vertices.copy()
+        pts[valley[1], 0] += miss
+        return dataclasses.replace(fs, mesh=FoldedMesh(pts, fs.mesh.faces, fs.mesh.face_index))
+
+    monkeypatch.setattr(tessellation, "_fold", shifted)
+    miss = 0.99e-8
+    assert stack_complex(sheet22, 2, 0.0).glue_residual == pytest.approx(miss, rel=1e-6)
+    miss = 1.01e-8
+    with pytest.raises(GluingError, match="crease row 1 misses its partner by 1.01"):
+        stack_complex(sheet22, 2, 0.0)
+
+
+def test_glue_map_is_built_once_per_variant_and_layers(sheet22):
+    for variant in ("parallel", "rotated"):
+        first = stack_complex(sheet22, 3, 1.0, variant).glue_map
+        assert stack_complex(sheet22, 3, -0.5, variant).glue_map is first
+        assert stack_complex(sheet22, 4, 1.0, variant).glue_map[: len(first)] == first
 
 
 def test_rotated_lattice_step_does_not_tile(sheet22, monkeypatch):
