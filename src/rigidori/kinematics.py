@@ -1,5 +1,5 @@
-"""General degree-4 vertex kinematics: opposite/adjacent half-angle-tangent
-relations, state solving, closed-form folding ranges, configuration-curve
+"""General degree-4 vertex kinematics: opposite/adjacent crease relations,
+state solving, closed-form folding ranges, configuration-curve
 tracing, and the duality verification machinery.
 
 The two governing relations, in the package crease convention and with
@@ -24,8 +24,12 @@ adjacent creases (i and i+1):
 The "corrected slot" term is quadratic in t_i; written with t_{i+1}^2
 there instead, the relation contradicts both the closed-form flat-foldable
 modes and the closure oracle (see adjacent_origin_slopes and the tests).
-The uncorrected variant stays available behind ``corrected=False`` for
-comparison. A vertex is a spherical four-bar linkage (Chiang, Kinematics
+``adjacent_origin_slopes(corrected=False)`` gives the uncorrected slopes.
+Both relations are solved as quadratic forms in (sin, cos) of half
+angles, so +-pi is cos = 0: times cos^2 of t's half angle the opposite
+one is t_i^2 = num : den (_opposite_form), and one projective solver
+(_form_ratios) finds the roots of every relation and breakpoint
+polynomial. A vertex is a spherical four-bar linkage (Chiang, Kinematics
 of Spherical Mechanisms, 1988; Izmestiev, IMRN 2017): at a driver the
 opposite relation fixes t_opp = +-m, one assembly each, with opposite
 (d, d+2) pair signs, so a branch label admits one state per driver, up to
@@ -72,7 +76,7 @@ from .errors import (
     NoRealFoldError,
     TraceAbortError,
 )
-from .numerics import DEFAULT_TOL, Tolerances, half_tangent
+from .numerics import DEFAULT_TOL, Tolerances
 from .vertex import FoldState, Vertex4, dual
 
 _COEF_EPS = 1e-13
@@ -138,60 +142,53 @@ def _admitted(signs: np.ndarray, label_signs) -> np.ndarray:
 
 
 def _opposite_coefs(v: Vertex4, i: int) -> tuple[float, float, float, float]:
-    """Cosines of the opposite relation that gives t_i from t_{i+2}."""
+    """Coefficients (n1, n0, d1, d0), each 0 below _COEF_EPS, of the opposite
+    relation that gives t_i from t_{i+2}: times c^2 it is t_i^2 = num : den,
+    num = n1 s^2 + n0 c^2 and den = d1 s^2 + d0 c^2, (s, c) of rho_{i+2} / 2."""
     a = v.alpha
-    return (
-        math.cos(a(i - 1) + a(i)),
-        math.cos(a(i - 1) - a(i)),
-        math.cos(a(i + 1) - a(i + 2)),
-        math.cos(a(i + 1) + a(i + 2)),
-    )
+    c_sum_in, c_dif_in = math.cos(a(i - 1) + a(i)), math.cos(a(i - 1) - a(i))
+    c_dif_op, c_sum_op = math.cos(a(i + 1) - a(i + 2)), math.cos(a(i + 1) + a(i + 2))
+    coefs = (c_dif_op - c_sum_in, c_sum_op - c_sum_in, c_dif_in - c_dif_op, c_dif_in - c_sum_op)
+    return tuple(0.0 if abs(k) < _COEF_EPS else k for k in coefs)
 
 
-_NO_REAL_FOLD, _INDETERMINATE = 1, 2  # failure codes of _opposite_sq; 0 is solvable
+_NO_REAL_FOLD, _INDETERMINATE = 1, 2  # failure codes of _opposite_form; 0 is solvable
 
 
-def _opposite_sq(coefs, t_opp: np.ndarray):
-    """opposite_t_squared from ``_opposite_coefs(v, i)`` over an array of
-    t_{i+2}: t_i^2 (0 where there is none), a failure code per entry and
-    the ratio behind it (NaN where the denominator vanishes)."""
-    c_sum_in, c_dif_in, c_dif_op, c_sum_op = coefs
-    at_inf = np.isinf(t_opp)
-    t = np.where(at_inf, 0.0, t_opp)
-    s2 = t * t
-    num = np.where(at_inf, -c_sum_in + c_dif_op, -(1.0 + s2) * c_sum_in + s2 * c_dif_op + c_sum_op)
-    den = np.where(at_inf, c_dif_in - c_dif_op, (1.0 + s2) * c_dif_in - s2 * c_dif_op - c_sum_op)
-    vanishing = np.abs(den) < _COEF_EPS
-    ratio = np.where(vanishing, np.nan, num / np.where(vanishing, 1.0, den))
-    ratio = np.where(np.abs(ratio) < 1e-13, 0.0, ratio)  # fp noise at exact zeros of num
-    code = np.where(ratio < 0.0, _NO_REAL_FOLD, 0)
-    if vanishing.any():
-        code[vanishing & (num <= 0)] = _NO_REAL_FOLD
-        code[vanishing & (np.abs(num) < _COEF_EPS)] = _INDETERMINATE
-    value = np.where(code != 0, 0.0, np.where(vanishing, np.inf, ratio))
-    return value, code, ratio
+def _opposite_form(coefs, s, c):
+    """num and den of ``_opposite_coefs(v, i)`` at (s, c), elementwise,
+    signed so that den >= 0 (den = 0 is rho_i = pi), and a failure code.
+    Each is 0 below _COEF_EPS: num so that the assemblies +-m merge near 0,
+    den only where its two terms can cancel, so d0 c^2 alone is kept."""
+    n1, n0, d1, d0 = coefs
+    ss, cc = s * s, c * c
+    num, den = n1 * ss + n0 * cc, d1 * ss + d0 * cc
+    num = np.where(np.abs(num) < _COEF_EPS, 0.0, num)
+    if d1 and d0:
+        den = np.where(np.abs(den) < _COEF_EPS, 0.0, den)
+    flip = (den < 0) | (den == 0) & (num < 0)
+    num, den = (np.where(flip, 0.0 - k, k) for k in (num, den))
+    code = np.where(num < 0, _NO_REAL_FOLD, np.where((num == 0) & (den == 0), _INDETERMINATE, 0))
+    return num, den, code
 
 
-def _opposite_error(i: int, code: int, ratio: float) -> Exception:
-    """The exception of a failure code of _opposite_sq at crease i."""
+def _opposite_error(i: int, code: int) -> Exception:
+    """The exception of a failure code of _opposite_form at crease i."""
     if code == _INDETERMINATE:
         return DegenerateConfigurationError(f"opposite relation indeterminate (0/0) at crease {i}")
-    detail = "" if math.isnan(ratio) else f" (ratio {ratio:.3e})"
-    return NoRealFoldError(f"no real solution for t_{i}^2 at this driver{detail}")
+    return NoRealFoldError(f"no real solution for t_{i}^2 at this driver")
 
 
 def opposite_t_squared(v: Vertex4, i: int, t_opp: float) -> float:
-    """t_i^2 from the opposite-crease relation, given t_{i+2} = t_opp.
-
-    Infinite t_opp (a flat-folded opposite crease) is handled by the
-    coefficient-ratio limit, never by evaluating tan at pi/2. Raises
-    NoRealFoldError when the ratio is negative (no real fold at this
-    driver) and DegenerateConfigurationError on 0/0.
+    """t_i^2 from the opposite-crease relation, given t_{i+2} = t_opp; inf
+    (either) is a flat fold. Raises NoRealFoldError when there is no real
+    fold at this driver and DegenerateConfigurationError on 0/0.
     """
-    value, code, ratio = _opposite_sq(_opposite_coefs(v, i), np.array([float(t_opp)]))
-    if code[0]:
-        raise _opposite_error(i, code[0], ratio[0])
-    return float(value[0])
+    s, c = (1.0, 0.0) if math.isinf(t_opp) else (t_opp / math.hypot(1.0, t_opp), 1.0 / math.hypot(1.0, t_opp))
+    num, den, code = (float(k) for k in _opposite_form(_opposite_coefs(v, i), s, c))
+    if code:
+        raise _opposite_error(i, code)
+    return num / den if den else math.inf
 
 
 def _adjacent_coefs(v: Vertex4, i: int) -> tuple[float, float, float, float, float, float]:
@@ -207,21 +204,18 @@ def _adjacent_coefs(v: Vertex4, i: int) -> tuple[float, float, float, float, flo
     )
 
 
-def adjacent_residual(v: Vertex4, i: int, t_i: float, t_next: float, corrected: bool = True) -> float:
+def adjacent_residual(v: Vertex4, i: int, t_i: float, t_next: float) -> float:
     """LHS - RHS of the adjacent-crease relation for the pair (i, i+1).
 
-    Zero (to scale) iff the pair is kinematically consistent. With
-    ``corrected=False`` evaluates the uncorrected variant whose second
-    quadratic term sits on t_{i+1}^2; kept only for comparison.
+    Zero (to scale) iff the pair is kinematically consistent.
     """
     if not (math.isfinite(t_i) and math.isfinite(t_next)):
         raise InputError("adjacent_residual requires finite tangents")
     cA, c1, c2, c3, c4, c5 = _adjacent_coefs(v, i)
-    second = t_i * t_i if corrected else t_next * t_next
     lhs = cA * (1.0 + t_i * t_i) * (1.0 + t_next * t_next)
     rhs = (
         c1 * t_next * t_next
-        + c2 * second
+        + c2 * t_i * t_i
         + c3 * t_i * t_i * t_next * t_next
         + c4
         + c5 * t_i * t_next
@@ -254,39 +248,6 @@ def adjacent_origin_slopes(v: Vertex4, i: int = 1, corrected: bool = True) -> tu
     return tuple(sorted((m1, m2)))
 
 
-def _quadratic_roots(qa: np.ndarray, qb: np.ndarray, qc: np.ndarray):
-    """Roots of qa x^2 + qb x + qc = 0 as fold-tangent candidates,
-    elementwise: (roots, valid) of shape (..., 3), and the mask of
-    equations that hold identically (an unconstrained pair on a
-    degenerate vertex). A vanishing qa means the projective root escaped
-    to infinity (the coupled crease flat-folds): the slots hold the
-    linear root, if any, then +-inf. Otherwise they hold both roots, the
-    second dropped within 1e-12 (relative) of the first; a discriminant
-    within 1e-12 scale^2 of 0, or above -1e-10 scale^2, is a double root.
-    """
-    aqa, aqb, aqc = np.abs(qa), np.abs(qb), np.abs(qc)
-    scale = np.maximum(np.maximum(aqa, aqb), np.maximum(aqc, 1e-3))
-    tiny = _COEF_EPS * scale
-    linear = aqa < tiny
-    constant = linear & (aqb < tiny)
-    free = constant & (aqc < tiny)
-    disc = qb * qb - 4.0 * qa * qc
-    disc = np.where(_double(disc, scale), 0.0, disc)
-    real = ~linear & (disc >= 0.0)
-    r = np.sqrt(np.where(real, disc, 0.0))
-    q = np.where(qb >= 0, -0.5 * (qb + r), -0.5 * (qb - r))
-    # a denominator is replaced by 1 where its quotient is not used; a
-    # tiny one gives an infinite root, as in scalar arithmetic
-    with np.errstate(over="ignore", invalid="ignore"):
-        first = np.where(linear, -qc / np.where(linear & ~constant, qb, 1.0), q / np.where(linear, 1.0, qa))
-        second = np.where(q != 0, qc / np.where(q != 0, q, 1.0), first)
-        distinct = ~(np.abs(second - first) <= 1e-12 * np.maximum(1.0, np.abs(second)))
-    roots = np.stack(np.broadcast_arrays(first, np.where(linear, np.inf, second), -np.inf), -1)
-    flat = linear & ~free  # +-inf are candidates
-    valid = np.stack([real | linear & ~constant, real & distinct | flat, flat], -1)
-    return roots, valid, free
-
-
 def _swapped(coefs):
     """Adjacent coefficients with c1 <-> c2, which swaps t_i and t_{i+1}."""
     cA, c1, c2, c3, c4, c5 = coefs
@@ -308,19 +269,24 @@ def _double(disc, scale):
     return (np.abs(disc) < 1e-12 * scale * scale) | (disc < 0) & (disc > -1e-10 * scale * scale)
 
 
-def _form_roots(qa, qb, qc):
-    """The fold angles of both roots of qa s^2 + qb s c + qc c^2 = 0 in
-    (sin, cos) of their halves, elementwise, NaN where there is none: by
-    the stable quadratic formula s : c = q : qa and qc : q, so c = 0 is +-pi.
-    Coefficients below _COEF_EPS of the largest are 0; a _double discriminant
-    is 0 unless qa or qc is; roots within 1e-9 are one, the first."""
+def _form_ratios(qa, qb, qc):
+    """s : c of both roots of qa s^2 + qb s c + qc c^2 = 0, elementwise, by
+    the stable quadratic formula: q / qa and qc / q, +-inf at c = 0 and NaN
+    where there is none. Coefficients below _COEF_EPS of the largest are 0;
+    a _double discriminant is 0 unless qa or qc is."""
     scale = np.maximum(np.maximum(np.abs(qa), np.abs(qb)), np.abs(qc))
     qa, qb, qc = (np.where(np.abs(k) < _COEF_EPS * scale, 0.0, k) for k in (qa, qb, qc))
     disc = qb * qb - 4.0 * qa * qc
     disc = np.where(_double(disc, scale) & (qa * qc != 0), 0.0, disc)
-    with np.errstate(divide="ignore", invalid="ignore"):  # s : 0 is +-pi, 0 : 0 none
+    with np.errstate(divide="ignore", invalid="ignore"):  # s : 0 is +-inf, 0 : 0 none
         q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
-        first, second = 2.0 * np.arctan(q / qa), 2.0 * np.arctan(qc / q)
+        return q / qa, qc / q
+
+
+def _form_roots(qa, qb, qc):
+    """The fold angles 2 atan(s / c) of _form_ratios, so c = 0 is +-pi;
+    roots within 1e-9 are one, the first."""
+    first, second = (2.0 * np.arctan(r) for r in _form_ratios(qa, qb, qc))
     first = np.where(np.isnan(first), second, first)
     return first, np.where(_gap(first, second) < 1e-9, np.nan, second)
 
@@ -347,13 +313,12 @@ class _CandidateTable(NamedTuple):
     admits: np.ndarray
     starts: np.ndarray
     error: np.ndarray
-    ratio: np.ndarray
     crease: int  # the opposite crease's number in error messages
 
     def check(self, j: int) -> None:
         """Raise the opposite relation's failure at driver j, if any."""
         if self.error[j]:
-            raise _opposite_error(self.crease, self.error[j], self.ratio[j])
+            raise _opposite_error(self.crease, self.error[j])
 
     def index(self, branch: BranchLabel | None = None, start: int = 0, stop: int | None = None):
         """Per driver start..stop-1 (all by default), the numbers of its rows
@@ -421,13 +386,14 @@ class VertexKinematics:
         nxt, opp, far = (d + 1) % 4, (d + 2) % 4, (d + 3) % 4
         drv = np.array(drivers, dtype=float)
         n = len(drv)
-        m_sq, error, ratio = _opposite_sq(self._opp[opp], half_tangent(drv))
-        half = np.where(error == 0, np.arctan(np.sqrt(m_sq)), np.nan)[:, None] * [1.0, -1.0]
-        half[m_sq == 0, 1] = np.nan  # the opposite crease's half angle per (driver, assembly)
+        sin_d, cos_d = np.sin(0.5 * drv), np.cos(0.5 * drv)
+        num, den, error = _opposite_form(self._opp[opp], sin_d, cos_d)
+        half = np.where(error == 0, np.arctan2(np.sqrt(np.abs(num)), np.sqrt(den)), np.nan)[:, None] * [1.0, -1.0]
+        half[num == 0, 1] = np.nan  # the opposite crease's half angle per (driver, assembly)
         adj = self._adj  # (coefficient, side, driver, assembly) for the next and the far crease
         beside = np.array([adj[d], _swapped(adj[far])]).T[..., None, None]
         across = np.array([_swapped(adj[nxt]), adj[opp]]).T[..., None, None]
-        p = np.array(_adjacent_quadratic(beside, np.sin(0.5 * drv)[:, None], np.cos(0.5 * drv)[:, None]))
+        p = np.array(_adjacent_quadratic(beside, sin_d[:, None], cos_d[:, None]))
         q = np.array(_adjacent_quadratic(across, np.sin(half), np.cos(half)))
         x = np.array([p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]])
         size_p, size_q, size_x = (np.sqrt((a * a).sum(0)) for a in (p, q, x))
@@ -464,7 +430,7 @@ class VertexKinematics:
         order = np.lexsort((*rows.T[::-1], owner))
         rows, residuals, owner = rows[order], residuals[order], owner[order]
         admits = _admitted(_pair_signs(rows)[:, None], _LABEL_SIGNS)
-        arrays = (rows, residuals, admits, np.searchsorted(owner, np.arange(n + 1)), error, ratio)
+        arrays = (rows, residuals, admits, np.searchsorted(owner, np.arange(n + 1)), error)
         for arr in arrays:
             arr.flags.writeable = False
         return _CandidateTable(*arrays, opp + 1)
@@ -521,16 +487,13 @@ class VertexKinematics:
                 (-4.0 * a0 * q0, c5 * c5 - 4.0 * (a0 * q1 + a1 * q0), -4.0 * a1 * q1),
             ]
         p0, p1, p2 = np.array(polys).T
-        roots, valid, _ = _quadratic_roots(p2, p1, p0)
         out = {0.0: "zero", math.pi: "pi"}
-        for k, j in zip(*np.nonzero(valid)):
-            s = float(roots[k, j])
-            if not math.isfinite(s) or s < -1e-12:
-                continue
-            tag = ("qa", "qc", "disc")[k % 3]
-            x = 2.0 * math.atan(math.sqrt(s)) if s >= 1e-12 else 0.0
-            x = next((y for y in out if abs(x - y) <= 1e-9), x)
-            out[x] = min(out.get(x, tag), tag, key=list(_TAG_CAUSES).index)
+        for k, pair in enumerate(np.array(_form_ratios(p2, p1, p0)).T.tolist()):
+            for s in (s for s in pair if s >= -1e-12):  # not NaN; inf is pi
+                tag = ("qa", "qc", "disc")[k % 3]
+                x = 2.0 * math.atan(math.sqrt(s)) if s >= 1e-12 else 0.0
+                x = next((y for y in out if abs(x - y) <= 1e-9), x)
+                out[x] = min(out.get(x, tag), tag, key=list(_TAG_CAUSES).index)
         return sorted(out.items())
 
     def _cell_table(self, driver_index: int) -> _CellTable:
@@ -557,8 +520,7 @@ class VertexKinematics:
         state at 0 keeps each crease's sign, or is 0, in the first branch
         row r at the first midpoint and in r's mirror (_keeps_signs); the
         mirror negates every crease but one at exactly +-pi, as rhos order
-        lists -pi first. Runs narrower than 1e-6 are isolated degenerate
-        points. Each end in (0, pi] is the breakpoint itself, or the
+        lists -pi first. Each end in (0, pi] is the breakpoint itself, or the
         nearest point at most 1e-6 inside it, that has a certified state;
         its cause is that of the breakpoint's tag (see FoldingRange). A
         mirrored end is 0.0 - x. Only the branch filter is done per call.
@@ -580,8 +542,6 @@ class VertexKinematics:
         intervals, causes = [], []  # in driver order: each mirror goes in front
         for first, last in runs:
             through = joined and first == 0
-            if bps[last + 1] - (-bps[last + 1] if through else bps[first]) < 1e-6:
-                continue  # isolated degenerate point, not a branch arc
             hi, cause_hi = self._endpoint(driver_index, branch, cells, last, -1.0, at[last + 1])
             if through:
                 lo, cause_lo = 0.0 - hi, cause_hi
@@ -591,10 +551,7 @@ class VertexKinematics:
                 causes.insert(0, (cause_hi, cause_lo))
             intervals.append((lo, hi))
             causes.append((cause_lo, cause_hi))
-        diagnostic = ""
-        if not intervals:
-            what = "only isolated degenerate states" if runs else "no closure-certified state"
-            diagnostic = f"{what} on this branch at any driver"
+        diagnostic = "" if intervals else "no closure-certified state on this branch at any driver"
         return FoldingRange(tuple(intervals), tuple(causes), diagnostic)
 
     def _endpoint(self, driver_index, branch, cells, k, inward, states) -> tuple[float, str]:

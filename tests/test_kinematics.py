@@ -33,13 +33,13 @@ from rigidori.kinematics import (
     verify_duality,
 )
 from rigidori.kinematics import (
+    _COEF_EPS,
     _DUAL_SIGNS,
     FoldingRange,
     _adjacent_coefs,
     _adjacent_quadratic,
+    _double,
     _form_roots,
-    _opposite_sq,
-    _quadratic_roots,
     _sign_pattern_is_dual,
     _swapped,
 )
@@ -108,7 +108,7 @@ def test_opposite_matches_oracle_states():
 
 
 def test_opposite_no_real_solution_raises():
-    # strongly elliptic vertex driven far: ratio goes negative somewhere
+    # strongly elliptic vertex driven far: t_1^2 goes negative somewhere
     v = Vertex4((0.4, 0.4, 0.4, 0.5))
     with pytest.raises(NoRealFoldError):
         for drv in np.linspace(0.05, 3.1, 60):
@@ -268,6 +268,72 @@ def test_candidate_table_rows_match_single_driver_calls(alphas, driver_index, ex
                 assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12, (drv, b)
 
 
+def test_opposite_flat_fold_at_a_driver_limit_has_its_rows():
+    # at this disc breakpoint the opposite relation's denominator, two terms
+    # of 3.6e-4 that cancel, rounds to -9.8e-17: the opposite crease
+    # flat-folds, so the table has rows there and the range ends on the
+    # breakpoint itself
+    kin = VertexKinematics(Vertex4((1.6665109671073064, 1.3959453121937417, 1.8395504545030148, 1.5676245656970504)))
+    bp = 3.114322971313684
+    table = kin._candidate_table(2, [bp])
+    assert table.error[0] == 0 and len(table.rhos) > 0
+    assert np.abs(np.abs(table.rhos[:, 3]) - PI).max() < 1e-12
+    assert bp in kin._cell_table(2).breakpoints
+    for branch in (BRANCH_MP, BRANCH_MM):
+        assert kin.folding_range(2, branch).intervals[-1][1] == bp
+
+
+def test_opposite_flat_fold_of_rounded_zero_coefficients_has_its_rows():
+    # on (4, 8, 2, 10) pi/12 at driver pi the opposite relation's
+    # denominator is 2.2e-16 of rounded-zero cosine differences, whose terms
+    # also sum to 2.2e-16; a zero test relative to those terms would keep it
+    # and drop the flat fold rows
+    kin = VertexKinematics(Vertex4(tuple(k * PI / 12 for k in (4, 8, 2, 10))))
+    table = kin._candidate_table(1, [PI])
+    assert table.error[0] == 0
+    assert sorted(table.rhos[:, 2].tolist()) == [-PI, PI]
+
+
+def test_opposite_denominator_small_by_its_weight_is_kept():
+    # on this flat-foldable vertex the opposite relation's denominator is
+    # d0 c^2 alone, below 1e-13 within 1e-6 of driver pi; zeroed there, the
+    # opposite crease would flat-fold early and the range end at pi / 2
+    kin = VertexKinematics(Vertex4((1.002305253660057, 1.0030732886313962, 2.139287399929736, 2.138519364958397)))
+    for branch in (BRANCH_PM, BRANCH_MP):
+        assert kin.folding_range(3, branch).intervals == ((-PI, PI),)
+
+
+def test_opposite_numerator_near_the_unfolded_state_is_exact():
+    # on this Euclidean vertex the numerator's constant term is a rounded
+    # zero; summed from the cosines, its rounding misplaces the opposite
+    # crease by 1e-3 of itself at driver 1e-6, so no state closes there and
+    # both branches through the unfolded state split at +-2.2e-6
+    kin = VertexKinematics(Vertex4((0.9289598601799096, 2.2125134578013115, 2.2872886450110617, 0.8544233441873033)))
+    assert kin.folding_range(1, BRANCH_PM).intervals == ((-3.13391568846254, 3.13391568846254),)
+    assert kin.folding_range(1, BRANCH_MP).intervals == ((-2.6025430644629663, 2.6025430644629663),)
+
+
+def test_pi_snap_keeps_a_full_turn_range():
+    # without the +-pi snap in _candidate_table this flat-foldable vertex's
+    # range ends 1e-6 short of +-pi
+    kin = VertexKinematics(Vertex4((1.002305253660057, 1.0030732886313962, 2.139287399929736, 2.138519364958397)))
+    assert kin.folding_range(4, BRANCH_PM).intervals == ((-PI, PI),)
+
+
+def test_a_branch_arc_narrower_than_1e6_is_a_range():
+    # on this near-flat-foldable vertex branch pp folds only for drivers of
+    # 1.1355e-5 to 1.1881e-5 in size; every cell of that arc has certified
+    # states, so the range lists it and its trace closes
+    kin = VertexKinematics(Vertex4((1.6259022109908956, 0.29821952178492944, 1.5156904428373241, 2.843373131546952)))
+    rng = kin.folding_range(1, BRANCH_PP)
+    lo, hi = 1.1354747255593302e-05, 1.1880784125777353e-05
+    assert rng.intervals == ((-hi, -lo), (lo, hi))
+    assert BRANCH_PP.matches(kin.solve_state(1, 0.5 * (lo + hi), BRANCH_PP))
+    curve = kin.trace_curve(1, BRANCH_PP, 9)
+    assert curve.drivers[0] == -hi and curve.drivers[-1] == -lo
+    assert max(curve.residuals) < kin.tol.residual_tol
+
+
 def test_candidates_within_1e9_of_an_earlier_one_are_dropped():
     # at driver 1e-12 on the equal-sector vertex the relation with the
     # driver has roots +-pi and 3.14159265358794, within 1e-9 of each other,
@@ -280,16 +346,51 @@ def test_candidates_within_1e9_of_an_earlier_one_are_dropped():
         assert np.abs(a - b).max() > 1e-9
 
 
+def _quadratic_roots(qa: np.ndarray, qb: np.ndarray, qc: np.ndarray):
+    """Roots of qa x^2 + qb x + qc = 0 as fold-tangent candidates,
+    elementwise: (roots, valid) of shape (..., 3), and the mask of
+    equations that hold identically (an unconstrained pair on a
+    degenerate vertex). A vanishing qa means the projective root escaped
+    to infinity (the coupled crease flat-folds): the slots hold the
+    linear root, if any, then +-inf. Otherwise they hold both roots, the
+    second dropped within 1e-12 (relative) of the first; a discriminant
+    within 1e-12 scale^2 of 0, or above -1e-10 scale^2, is a double root.
+    """
+    aqa, aqb, aqc = np.abs(qa), np.abs(qb), np.abs(qc)
+    scale = np.maximum(np.maximum(aqa, aqb), np.maximum(aqc, 1e-3))
+    tiny = _COEF_EPS * scale
+    linear = aqa < tiny
+    constant = linear & (aqb < tiny)
+    free = constant & (aqc < tiny)
+    disc = qb * qb - 4.0 * qa * qc
+    disc = np.where(_double(disc, scale), 0.0, disc)
+    real = ~linear & (disc >= 0.0)
+    r = np.sqrt(np.where(real, disc, 0.0))
+    q = np.where(qb >= 0, -0.5 * (qb + r), -0.5 * (qb - r))
+    # a denominator is replaced by 1 where its quotient is not used; a
+    # tiny one gives an infinite root, as in scalar arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = np.where(linear, -qc / np.where(linear & ~constant, qb, 1.0), q / np.where(linear, 1.0, qa))
+        second = np.where(q != 0, qc / np.where(q != 0, q, 1.0), first)
+        distinct = ~(np.abs(second - first) <= 1e-12 * np.maximum(1.0, np.abs(second)))
+    roots = np.stack(np.broadcast_arrays(first, np.where(linear, np.inf, second), -np.inf), -1)
+    flat = linear & ~free  # +-inf are candidates
+    valid = np.stack([real | linear & ~constant, real & distinct | flat, flat], -1)
+    return roots, valid, free
+
+
 def _reference_rows(kin, driver_index, driver):
     """The closing rows of the enumeration that the closed form replaced:
-    both signs of the opposite crease times the root slots of each adjacent
-    relation with the driver (with the opposite crease where that one holds
-    identically), from _quadratic_roots and certified by kin.loop."""
+    both signs of the opposite crease (opposite_t_squared) times the root
+    slots of each adjacent relation with the driver (with the opposite
+    crease where that one holds identically), from the tangent-form
+    _quadratic_roots above and certified by kin.loop."""
     d = (driver_index - 1) % 4
     adj = kin._adj
-    t_d = half_tangent(driver)
-    m_sq, error, _ = _opposite_sq(kin._opp[(d + 2) % 4], np.array([t_d]))
-    if error[0]:
+    t_d = float(half_tangent(driver))
+    try:
+        m_sq = opposite_t_squared(kin.vertex, (d + 2) % 4 + 1, t_d)
+    except (NoRealFoldError, DegenerateConfigurationError):
         return []
 
     def slots(coefs, t):  # the roots of the relation given the known tangent t
@@ -299,7 +400,7 @@ def _reference_rows(kin, driver_index, driver):
         return _quadratic_roots(np.array((cA - c1) + (cA - c3) * t * t), np.array(-c5 * t),
                                 np.array((cA - c4) + (cA - c2) * t * t))
 
-    m = math.sqrt(m_sq[0])
+    m = math.sqrt(m_sq)
     rows = []
     for t_o in {m, -m}:
         sides = []
