@@ -127,15 +127,6 @@ def _angle_or(args, value, default_radians: float) -> float:
     return _angle(args, value)
 
 
-def _tol(args) -> Tolerances:
-    return Tolerances(
-        angle_eps=args.angle_eps,
-        residual_tol=args.residual_tol,
-        solver_tol=args.solver_tol,
-        trace_step_max=args.step_max,
-    )
-
-
 def _state_dict(s: FoldState) -> dict:
     return {"rhos": list(s.rhos)}
 
@@ -151,7 +142,7 @@ def _samples_at_least_2(args, parser) -> None:
 
 def _cmd_classify(args, parser):
     v = _parse_vertex(args, parser)
-    c = classify(v, _tol(args))
+    c = classify(v)
     _emit_json({"curvature": c.curvature.value, "flat_foldable": c.flat_foldable}, args)
 
 
@@ -167,14 +158,13 @@ def _cmd_modes(args, parser):
     _samples_at_least_2(args, parser)
     v = _parse_vertex(args, parser)
     n = args.samples
-    tol = _tol(args)
-    k = mode_constants(v.alphas[0], v.alphas[1], tol)
+    k = mode_constants(v.alphas[0], v.alphas[1])
     curves = {}
     for mode in (MODE_1, MODE_2):
         rows = []
         for i in range(n):
             drv = -math.pi + 2.0 * math.pi * i / (n - 1)
-            s = fold_mode(v, mode, drv, tol)
+            s = fold_mode(v, mode, drv)
             rows.append(list(s.rhos))
         curves[f"mode{mode}"] = rows
     _emit_json({"k1": k.k1, "k2": k.k2, "curves": curves}, args)
@@ -182,7 +172,7 @@ def _cmd_modes(args, parser):
 
 def _cmd_solve(args, parser):
     v = _parse_vertex(args, parser)
-    s = solve_state(v, args.driver_index, _angle(args, args.driver), _BRANCHES[args.branch], _tol(args))
+    s = solve_state(v, args.driver_index, _angle(args, args.driver), _BRANCHES[args.branch])
     _emit_json(
         {**_state_dict(s), "residual": closure_residual(v, s)},
         args,
@@ -192,7 +182,7 @@ def _cmd_solve(args, parser):
 def _cmd_oracle(args, parser):
     v = _parse_vertex(args, parser)
     guess = FoldState([_angle(args, x) for x in _floats(args.guess, "--guess", parser)])
-    rep = oracle_solve(v, args.driver_index, _angle(args, args.driver), guess, _tol(args))
+    rep = oracle_solve(v, args.driver_index, _angle(args, args.driver), guess)
     _emit_json(
         {
             **_state_dict(rep.state),
@@ -206,7 +196,7 @@ def _cmd_oracle(args, parser):
 
 def _cmd_range(args, parser):
     v = _parse_vertex(args, parser)
-    rng = folding_range(v, args.driver_index, _BRANCHES[args.branch], _tol(args))
+    rng = folding_range(v, args.driver_index, _BRANCHES[args.branch])
     _emit_json(
         {
             "intervals": [list(iv) for iv in rng.intervals],
@@ -220,7 +210,8 @@ def _cmd_range(args, parser):
 def _cmd_trace(args, parser):
     _samples_at_least_2(args, parser)
     v = _parse_vertex(args, parser)
-    curve = trace_curve(v, args.driver_index, _BRANCHES[args.branch], args.samples, _tol(args))
+    curve = trace_curve(v, args.driver_index, _BRANCHES[args.branch], args.samples,
+                        Tolerances(trace_step_max=args.step_max))
     lines = [_csv_header(args), "driver_index,branch,rho1,rho2,rho3,rho4,residual"]
     for rhos, r in zip(curve.rhos, curve.residuals):
         lines.append(f"{curve.driver_index},{args.branch}," + ",".join(map(_g, rhos)) + f",{_g(r)}")
@@ -235,7 +226,7 @@ def _finite_or_none(x: float) -> float | None:
 def _cmd_verify_duality(args, parser):
     _samples_at_least_2(args, parser)
     v = _parse_vertex(args, parser)
-    rep = verify_duality(v, args.driver_index, args.samples, _tol(args))
+    rep = verify_duality(v, args.driver_index, args.samples, Tolerances(trace_step_max=args.step_max))
     _emit_json(
         {
             "branches": [
@@ -268,13 +259,13 @@ def _cmd_combine(args, parser):
     if args.arc_segments < 1:
         parser.error("--arc-segments must be at least 1")
     v = _parse_vertex(args, parser)
-    cv = synchronize(v, args.variant, _angle(args, args.theta), _MERGE_PAIRS[args.merge_pair], tol=_tol(args))
+    cv = synchronize(v, args.variant, _angle(args, args.theta), _MERGE_PAIRS[args.merge_pair])
     write_obj((combined_mesh(cv, args.radius, args.arc_segments),), args.output, args)
 
 
 def _cmd_split(args, parser):
     v = _parse_vertex(args, parser)
-    cv = synchronize(v, "rotated", _angle(args, args.theta), _MERGE_PAIRS[args.merge_pair], tol=_tol(args))
+    cv = synchronize(v, "rotated", _angle(args, args.theta), _MERGE_PAIRS[args.merge_pair])
     v1, v2 = split_combined(cv)
     _emit_json({"v1": vertex_to_dict(v1), "v2": vertex_to_dict(v2)}, args)
 
@@ -297,32 +288,30 @@ def _frames(args, parser) -> list[tuple[str, float]]:
     ]
 
 
-def _sheet(args, parser, tol: Tolerances):
+def _sheet(args, parser):
     """The square-twist sheet of --rows, --cols and --pleat-length."""
     v = _parse_vertex(args, parser)
     if args.rows < 1 or args.cols < 1:
         parser.error("--rows and --cols must be at least 1")
     if not 0 < args.pleat_length < math.inf:
         parser.error("--pleat-length must be positive and finite")
-    return build_square_twist_sheet(v, args.rows, args.cols, args.pleat_length, tol)
+    return build_square_twist_sheet(v, args.rows, args.cols, args.pleat_length)
 
 
 def _cmd_sheet(args, parser):
     frames = _frames(args, parser)
-    tol = _tol(args)
-    sheet = _sheet(args, parser, tol)
+    sheet = _sheet(args, parser)
     for path, rho in frames:
-        write_obj((fold_sheet(sheet, rho, tol),), path, args)
+        write_obj((fold_sheet(sheet, rho),), path, args)
 
 
 def _cmd_stack(args, parser):
     frames = _frames(args, parser)
     if args.layers < 1:
         parser.error("--layers must be at least 1")
-    tol = _tol(args)
-    sheet = _sheet(args, parser, tol)
+    sheet = _sheet(args, parser)
     for path, rho in frames:
-        write_obj(stack_complex(sheet, args.layers, rho, args.variant, tol).meshes, path, args)
+        write_obj(stack_complex(sheet, args.layers, rho, args.variant).meshes, path, args)
 
 
 def _cmd_auxetic(args, parser):
@@ -330,14 +319,12 @@ def _cmd_auxetic(args, parser):
         parser.error("--layers must be at least 1")
     if args.samples < 3:
         parser.error("--samples must be at least 3")
-    tol = _tol(args)
     rep = auxetic_sweep(
-        _sheet(args, parser, tol),
+        _sheet(args, parser),
         args.layers,
         _angle_or(args, args.rho_min, 0.05 * math.pi),
         _angle_or(args, args.rho_max, 0.95 * math.pi),
         args.samples,
-        tol,
         args.variant,
     )
     lines = [_csv_header(args), "rho,bbox_x,bbox_y,bbox_z,regime"]
@@ -357,11 +344,9 @@ def _add_vertex_opts(p):
     p.add_argument("--degrees", action="store_true", help="inputs are degrees")
 
 
-def _add_tol_opts(p):
-    p.add_argument("--angle-eps", type=float, default=DEFAULT_TOL.angle_eps)
-    p.add_argument("--residual-tol", type=float, default=DEFAULT_TOL.residual_tol)
-    p.add_argument("--solver-tol", type=float, default=DEFAULT_TOL.solver_tol)
-    p.add_argument("--step-max", type=float, default=DEFAULT_TOL.trace_step_max)
+def _add_step_opt(p):
+    p.add_argument("--step-max", type=float, default=DEFAULT_TOL.trace_step_max,
+                   help="largest driver step of a trace (rad, at most 0.05)")
 
 
 @functools.cache
@@ -376,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     def new(name, func, helptext):
         p = sub.add_parser(name, help=helptext)
         _add_vertex_opts(p)
-        _add_tol_opts(p)
         p.add_argument("--output", help="output path (default: stdout for text)")
         p.set_defaults(func=func)
         return p
@@ -405,10 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--driver-index", type=int, default=1, choices=(1, 2, 3, 4))
     p.add_argument("--branch", choices=sorted(_BRANCHES), default="pm")
     p.add_argument("--samples", type=int, default=101)
+    _add_step_opt(p)
 
     p = new("verify-duality", _cmd_verify_duality, "trace branches of C and match C*")
     p.add_argument("--driver-index", type=int, default=1, choices=(1, 2, 3, 4))
     p.add_argument("--samples", type=int, default=25)
+    _add_step_opt(p)
 
     p = new("combine", _cmd_combine, "combined non-manifold vertex OBJ")
     p.add_argument("--variant", choices=("parallel", "rotated"), default="parallel")

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_TOL,
-    Tolerances,
-    axis_angle_vector,
-    rot_x,
-    rot_z,
-    wrap_angle,
-)
+from .numerics import RESIDUAL_TOL, SOLVER_TOL, axis_angle_vector, rot_x, rot_z, wrap_angle
 from .vertex import FoldState, Vertex4
 
 _MAX_ITER = 50
@@ -76,13 +69,7 @@ def closure_residual(v: Vertex4, s: FoldState) -> float:
     return LoopEvaluator(v).residual(s.rhos)
 
 
-def oracle_solve(
-    v: Vertex4,
-    driver_index: int,
-    driver: float,
-    initial_guess: FoldState,
-    tol: Tolerances = DEFAULT_TOL,
-) -> ClosureReport:
+def oracle_solve(v: Vertex4, driver_index: int, driver: float, initial_guess: FoldState) -> ClosureReport:
     """Damped Newton on the three free fold angles with the driver fixed.
 
     The residual vector is the axis-angle vector of the loop product (3
@@ -106,7 +93,7 @@ def oracle_solve(
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
         norm_f = np.linalg.norm(f)
-        if norm_f < tol.solver_tol:
+        if norm_f < SOLVER_TOL:
             break
         J = np.empty((3, 3))
         for j in range(3):
@@ -136,6 +123,6 @@ def oracle_solve(
     return ClosureReport(
         state=FoldState(rhos),
         residual=residual,
-        converged=residual < tol.residual_tol,
+        converged=residual < RESIDUAL_TOL,
         iterations=iterations,
     )

@@ -51,7 +51,7 @@ from .errors import (
     UnsupportedVariantError,
 )
 from .kinematics import _DUAL_SIGNS, _LABEL_SIGNS, _admitted, _pair_signs
-from .numerics import DEFAULT_TOL, Tolerances, cross, rot_x, rot_z
+from .numerics import RESIDUAL_TOL, cross, rot_x, rot_z
 from .vertex import FoldState, Vertex4, dual
 
 PARALLEL = "parallel"
@@ -231,20 +231,17 @@ def embed_vertex(
     s: FoldState,
     radius: float = 1.0,
     arc_segments: int = 8,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> FoldedVertexGeometry:
     """Crease rays and sector wedges of a folded vertex.
 
-    The state must close: closure residual below residual_tol, otherwise
+    The state must close: closure residual below RESIDUAL_TOL, otherwise
     the state is rejected with the residual in the diagnostic.
     """
     frames = plate_orientations(v, s)
     polys = _plate_polys(v, frames, radius, arc_segments)
     res = closure_residual(v, s)
-    if res >= tol.residual_tol:
-        raise NonClosingStateError(
-            f"state does not close: residual {res:.3e} >= {tol.residual_tol:.1e}"
-        )
+    if res >= RESIDUAL_TOL:
+        raise NonClosingStateError(f"state does not close: residual {res:.3e} >= {RESIDUAL_TOL:.1e}")
     return FoldedVertexGeometry(tuple(w @ _X for w in frames), tuple(polys))
 
 
@@ -337,7 +334,6 @@ def synchronize(
     variant: str,
     theta: float,
     merge_pair: tuple[int, int] = (2, 4),
-    tol: Tolerances = DEFAULT_TOL,
 ) -> CombinedVertex:
     """Fold base and dual(base) so the angle between the identified crease
     pair equals theta in both, and pair the states per the duality sign
@@ -375,7 +371,7 @@ def synchronize(
         mags = np.roll([math.pi - at_apex, m_next, math.pi - at_far, m_prev], c).tolist()
         rows += itertools.product(*[(m, -m) if m else (m,) for m in mags])
     rows = np.array(rows, dtype=float)
-    rows = rows[LoopEvaluator(base).residuals(rows) < tol.residual_tol]
+    rows = rows[LoopEvaluator(base).residuals(rows) < RESIDUAL_TOL]
     if not len(rows):
         raise NonClosingStateError(f"no closure-certified base state at theta {theta:.6g}")
     # a row's branch is the first label that admits its pair signs
@@ -385,7 +381,7 @@ def synchronize(
 
     vd = dual(base)
     dual_st = _matched_dual_state(base_state, merge_pair)
-    if not closure_residual(vd, dual_st) < tol.residual_tol:
+    if not closure_residual(vd, dual_st) < RESIDUAL_TOL:
         raise MeshConsistencyError("matched dual state failed closure certification")
     frames = plate_orientations(base, base_state), plate_orientations(vd, dual_st)
     th_base, th_dual = (_frames_pair_angle(f, merge_pair) for f in frames)

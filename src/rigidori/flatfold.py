@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVertexError, InputError
-from .numerics import DEFAULT_TOL, FLAT_FOLD_WINDOW, Tolerances
+from .numerics import ANGLE_EPS, FLAT_FOLD_WINDOW
 from .vertex import Curvature, FoldState, Vertex4, classify
 
 MODE_1 = 1
@@ -39,27 +39,27 @@ class ModeConstants:
     k2: float
 
 
-def mode_constants(alpha: float, beta: float, tol: Tolerances = DEFAULT_TOL) -> ModeConstants:
+def mode_constants(alpha: float, beta: float) -> ModeConstants:
     """Mode constants from the cosine/sine closed forms.
 
     The equivalent half-angle-tangent forms are k1 = (1 - ta*tb)/(1 + ta*tb)
     and k2 = (ta - tb)/(ta + tb) with ta = tan(alpha/2), tb = tan(beta/2);
-    they are not used for evaluation. A numerator within angle_eps of 0
+    they are not used for evaluation. A numerator within ANGLE_EPS of 0
     is 0, as at alpha + beta = pi, where cos of the rounded pi / 2 is not.
     """
     if not (0.0 < alpha < math.pi and 0.0 < beta < math.pi):
         raise InputError("alpha and beta must lie in (0, pi)")
     den1 = math.cos(0.5 * (alpha - beta))
     den2 = math.sin(0.5 * (alpha + beta))
-    if abs(den1) <= tol.angle_eps:
+    if abs(den1) <= ANGLE_EPS:
         raise DegenerateVertexError("k1 is singular: cos((alpha-beta)/2) vanishes")
-    if abs(den2) <= tol.angle_eps:
+    if abs(den2) <= ANGLE_EPS:
         raise DegenerateVertexError("k2 is singular: sin((alpha+beta)/2) vanishes")
     num1 = math.cos(0.5 * (alpha + beta))
     num2 = math.sin(0.5 * (alpha - beta))
     return ModeConstants(
-        k1=num1 / den1 if abs(num1) > tol.angle_eps else 0.0,
-        k2=num2 / den2 if abs(num2) > tol.angle_eps else 0.0,
+        k1=num1 / den1 if abs(num1) > ANGLE_EPS else 0.0,
+        k2=num2 / den2 if abs(num2) > ANGLE_EPS else 0.0,
     )
 
 
@@ -72,21 +72,19 @@ def coupled_angle(k, driver: float):
     return 2.0 * np.arctan(np.multiply(k, math.tan(0.5 * driver)))
 
 
-def fold_mode(
-    v: Vertex4, mode: int, driver: float, tol: Tolerances = DEFAULT_TOL
-) -> FoldState:
+def fold_mode(v: Vertex4, mode: int, driver: float) -> FoldState:
     """Fold state of a Euclidean flat-foldable vertex on one mode.
 
     Mode 1 is driven by rho1, mode 2 by rho2. A vanishing mode constant
     (k1 = 0 when alpha + beta = pi, k2 = 0 when alpha = beta) makes the
     coupled pair identically flat; the state is still returned.
     """
-    cls = classify(v, tol)
+    cls = classify(v)
     if cls.curvature is not Curvature.EUCLIDEAN or not cls.flat_foldable:
         raise InputError("fold_mode requires a Euclidean flat-foldable vertex")
     if not -math.pi <= driver <= math.pi:
         raise InputError("driver must lie in [-pi, pi]")
-    k = mode_constants(v.alphas[0], v.alphas[1], tol)
+    k = mode_constants(v.alphas[0], v.alphas[1])
     if mode == MODE_1:
         coupled = coupled_angle(-k.k1, driver)
         return FoldState((driver, coupled, driver, -coupled))

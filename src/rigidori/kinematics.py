@@ -76,7 +76,7 @@ from .errors import (
     NoRealFoldError,
     TraceAbortError,
 )
-from .numerics import DEFAULT_TOL, Tolerances
+from .numerics import DEFAULT_TOL, RESIDUAL_TOL, Tolerances
 from .vertex import FoldState, Vertex4, dual
 
 _COEF_EPS = 1e-13
@@ -425,7 +425,7 @@ class VertexKinematics:
             rows, src = _fork(rows, src, col, np.where(np.abs(rows[:, col]) == math.pi, -rows[:, col], np.nan))
         rows, src = rows[~np.isnan(rows).any(1)], src[~np.isnan(rows).any(1)]
         residuals = self.loop.residuals(rows)
-        closes = residuals < self.tol.residual_tol
+        closes = residuals < RESIDUAL_TOL
         rows, residuals, owner = rows[closes], residuals[closes], src[closes] // 2
         order = np.lexsort((*rows.T[::-1], owner))
         rows, residuals, owner = rows[order], residuals[order], owner[order]
@@ -502,7 +502,7 @@ class VertexKinematics:
             bps, tags = zip(*self._breakpoints(d))
             mids = [0.5 * (lo + hi) for lo, hi in zip(bps, bps[1:])]
             table = self._candidate_table(driver_index, mids + list(bps))
-            unfolded = bool(self.loop.residual(np.zeros(4)) < self.tol.residual_tol)
+            unfolded = bool(self.loop.residual(np.zeros(4)) < RESIDUAL_TOL)
             self._cells[d] = _CellTable(bps, table, tuple(_TAG_CAUSES[t] for t in tags), unfolded)
         return self._cells[d]
 
@@ -678,7 +678,7 @@ class ConfigCurve:
         if len(self.rhos) != len(self.drivers) or len(self.residuals) != len(self.drivers):
             raise InputError("curve arrays must have equal length")
         for r in self.residuals:
-            if not r < self.tol.residual_tol:
+            if not r < RESIDUAL_TOL:
                 raise InputError("curve contains a non-certified sample")
         diffs = [b - a for a, b in zip(self.drivers, self.drivers[1:])]
         if diffs:
@@ -692,15 +692,14 @@ class ConfigCurve:
 # module-level convenience wrappers (one-shot calls)
 
 
-def solve_state(v: Vertex4, driver_index: int, driver: float, branch: BranchLabel,
-                tol: Tolerances = DEFAULT_TOL) -> FoldState:
+def solve_state(v: Vertex4, driver_index: int, driver: float, branch: BranchLabel) -> FoldState:
     """The unique closure-certified state on `branch` with the given
     driver angle at crease `driver_index`."""
-    return VertexKinematics(v, tol).solve_state(driver_index, driver, branch)
+    return VertexKinematics(v).solve_state(driver_index, driver, branch)
 
 
-def folding_range(v: Vertex4, driver_index: int, branch: BranchLabel, tol: Tolerances = DEFAULT_TOL) -> FoldingRange:
-    return VertexKinematics(v, tol).folding_range(driver_index, branch)
+def folding_range(v: Vertex4, driver_index: int, branch: BranchLabel) -> FoldingRange:
+    return VertexKinematics(v).folding_range(driver_index, branch)
 
 
 def trace_curve(v: Vertex4, driver_index: int, branch: BranchLabel, n_samples: int,
@@ -801,7 +800,7 @@ def verify_duality(v: Vertex4, driver_index: int = 1, n_samples: int = 25,
             continue
     rhos = np.reshape([r for curve in curves for r in curve.rhos], (-1, 4))
     dual_rhos = rhos * _DUAL_SIGNS
-    closes = LoopEvaluator(dual(v)).residuals(dual_rhos) < tol.residual_tol
+    closes = LoopEvaluator(dual(v)).residuals(dual_rhos) < RESIDUAL_TOL
     signs_ok = _sign_pattern_is_dual(rhos, dual_rhos)
     ends = np.cumsum([len(curve.rhos) for curve in curves], dtype=int).tolist()
     reports = [

@@ -1,4 +1,4 @@
-"""Rotation algebra, angle utilities, and the shared tolerance policy.
+"""Rotation algebra, angle utilities, and the shared tolerances.
 
 Everything here is a pure function of its arguments. Rotations are plain
 (3, 3) float arrays, fresh on every call; Tolerances is immutable and safe
@@ -21,30 +21,25 @@ import numpy as np
 from .errors import InputError
 
 
+#: classification threshold for angle comparisons (rad)
+ANGLE_EPS = 1e-10
+#: loop-closure acceptance: Frobenius norm of the loop product minus I
+RESIDUAL_TOL = 1e-9
+#: closure-oracle convergence: norm of the loop's axis-angle vector
+SOLVER_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric policy shared by all modules.
+    """Curve-tracing policy: trace_step_max caps the driver step (rad),
+    in (0, 0.05]. The closure gate and the thresholds are the fixed
+    constants above."""
 
-    angle_eps      classification threshold for angle comparisons (rad)
-    residual_tol   loop-closure acceptance (Frobenius norm, dimensionless)
-    solver_tol     root-finder convergence
-    trace_step_max driver step cap for curve tracing (rad)
-    """
-
-    angle_eps: float = 1e-10
-    residual_tol: float = 1e-9
-    solver_tol: float = 1e-12
     trace_step_max: float = 0.01
 
     def __post_init__(self):
-        for name in ("angle_eps", "residual_tol", "solver_tol", "trace_step_max"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise InputError(f"{name} must be strictly positive and finite")
-        # a loose residual_tol certifies states that do not close; at the
-        # largest residual, 2 sqrt 2, it certifies every state
-        for name in ("angle_eps", "residual_tol"):
-            if not getattr(self, name) < 1e-6:
-                raise InputError(f"{name} must be below 1e-6")
+        if not 0.0 < self.trace_step_max < math.inf:
+            raise InputError("trace_step_max must be strictly positive and finite")
         if self.trace_step_max > 0.05:
             raise InputError("trace_step_max must not exceed 0.05")
 

@@ -71,7 +71,7 @@ from .errors import (
     RigidFoldabilityError,
 )
 from .flatfold import coupled_angle, mode_constants
-from .numerics import DEFAULT_TOL, Tolerances, cross, rotation_matrix_about_axis
+from .numerics import RESIDUAL_TOL, cross, rotation_matrix_about_axis
 from .vertex import Curvature, Vertex4, classify
 
 Name = tuple[str, int, int]  # corner label P1..P4 with cell indices
@@ -171,9 +171,9 @@ class SquareTwistSheet:
         return [(p, i, j) for i in range(self.cols) for p in ("P4", "P3")]
 
 
-def _normalize_generator(v: Vertex4, tol: Tolerances) -> tuple[float, Vertex4]:
+def _normalize_generator(v: Vertex4) -> tuple[float, Vertex4]:
     """Cyclic shift putting the generator into (a, pi/2, pi-a, pi/2) form."""
-    cls = classify(v, tol)
+    cls = classify(v)
     if cls.curvature is not Curvature.EUCLIDEAN or not cls.flat_foldable:
         raise InputError("square-twist generator must be Euclidean flat-foldable")
     a = v.alphas
@@ -187,13 +187,7 @@ def _normalize_generator(v: Vertex4, tol: Tolerances) -> tuple[float, Vertex4]:
     )
 
 
-def build_square_twist_sheet(
-    v: Vertex4,
-    rows: int,
-    cols: int,
-    pleat_length: float = 1.0,
-    tol: Tolerances = DEFAULT_TOL,
-) -> SquareTwistSheet:
+def build_square_twist_sheet(v: Vertex4, rows: int, cols: int, pleat_length: float = 1.0) -> SquareTwistSheet:
     """Unfolded square-twist crease layout with rows x cols unit cells.
 
     Every interior vertex (the central-square corners) realizes the
@@ -205,7 +199,7 @@ def build_square_twist_sheet(
         raise InputError("rows and cols must be at least 1")
     if not 0 < pleat_length < math.inf:
         raise InputError("pleat_length must be positive and finite")
-    alpha, gen = _normalize_generator(v, tol)
+    alpha, gen = _normalize_generator(v)
     D = pleat_length
     lat_r = np.array([1.0 + D * math.sin(alpha), -D * math.cos(alpha)])
     lat_u = np.array([D * math.cos(alpha), 1.0 + D * math.sin(alpha)])
@@ -385,7 +379,7 @@ class FoldedSheet:
     lattice: np.ndarray  # (2, 3) folded cell-to-cell translations R and U
 
 
-def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedSheet:
+def _fold(sheet: SquareTwistSheet, major_rho: float) -> FoldedSheet:
     if not -math.pi <= major_rho <= math.pi:
         raise InfeasibleDriverError("major_rho must lie in [-pi, pi]")
     plan = sheet.fold_plan
@@ -428,7 +422,7 @@ def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedS
     # per-vertex loop closure certificates, one per distinct loop
     res = LoopEvaluator(sheet.generator).residuals(rho[plan.loop_creases])[plan.vertex_loop]
     worst = int(np.argmax(res))
-    if not res[worst] < tol.residual_tol:
+    if not res[worst] < RESIDUAL_TOL:
         name = list(sheet.vertices)[worst]
         raise MeshConsistencyError(f"vertex {name} fails closure: residual {res[worst]:.3e}")
 
@@ -448,7 +442,7 @@ def _fold(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances) -> FoldedS
     )
 
 
-def fold_sheet(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances = DEFAULT_TOL):
+def fold_sheet(sheet: SquareTwistSheet, major_rho: float):
     """Rigidly fold the sheet at the given major crease angle.
 
     Fold angles scale the crease coefficients frozen at build time
@@ -459,7 +453,7 @@ def fold_sheet(sheet: SquareTwistSheet, major_rho: float, tol: Tolerances = DEFA
     agree, and every interior vertex loop is certified against the closure
     oracle before the mesh is returned, each distinct loop once.
     """
-    return _fold(sheet, major_rho, tol).mesh
+    return _fold(sheet, major_rho).mesh
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +495,7 @@ def _lattice_axes(fs: FoldedSheet) -> np.ndarray:
     return np.column_stack([e1, cross(n3, e1), n3])
 
 
-def stack_complex(
-    sheet: SquareTwistSheet,
-    layers: int,
-    major_rho: float,
-    variant: str = PARALLEL,
-    tol: Tolerances = DEFAULT_TOL,
-) -> CwComplex:
+def stack_complex(sheet: SquareTwistSheet, layers: int, major_rho: float, variant: str = PARALLEL) -> CwComplex:
     """Stack folded copies of the sheet, gluing each layer's mountain
     crease rows to the next layer's valley rows. Each glued vertex pair
     realizes the combined vertex of the generator with its dual.
@@ -522,7 +510,7 @@ def stack_complex(
         raise InputError("layers must be at least 1")
     if variant not in (PARALLEL, ROTATED):
         raise InputError(f"variant must be '{PARALLEL}' or '{ROTATED}'")
-    fs = _fold(sheet, major_rho, tol)
+    fs = _fold(sheet, major_rho)
     plan, pos = sheet.fold_plan, fs.mesh.vertices
     axes = _lattice_axes(fs)
     # valley row to mountain row: P1(0, 0) to P4(0, 0)
@@ -631,7 +619,6 @@ def auxetic_sweep(
     rho_min: float,
     rho_max: float,
     n: int,
-    tol: Tolerances = DEFAULT_TOL,
     variant: str = PARALLEL,
 ) -> AuxeticReport:
     """Bounding-box extents of the stacked complex over an even driver
@@ -644,7 +631,7 @@ def auxetic_sweep(
     samples = []
     for k in range(n):
         rho = rho_min + (rho_max - rho_min) * k / (n - 1)
-        cx = stack_complex(sheet, layers, rho, variant, tol)
+        cx = stack_complex(sheet, layers, rho, variant)
         samples.append((rho, *cx.bbox))
     regimes = []
     for (r0, x0, y0, z0), (r1, x1, y1, z1) in zip(samples, samples[1:]):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InputError
-from .numerics import DEFAULT_TOL, Tolerances, half_tangent
+from .numerics import ANGLE_EPS, half_tangent
 
 
 class Curvature(Enum):
@@ -96,17 +96,17 @@ class FoldState:
 ZERO_STATE = FoldState((0.0, 0.0, 0.0, 0.0))
 
 
-def classify(v: Vertex4, tol: Tolerances = DEFAULT_TOL) -> VertexClass:
+def classify(v: Vertex4) -> VertexClass:
     """Curvature class from the cone angle, flat-foldability from the
-    alternating-sum (Kawasaki) test, both thresholded at angle_eps."""
+    alternating-sum (Kawasaki) test, both thresholded at ANGLE_EPS."""
     excess = v.angle_sum() - 2.0 * math.pi
-    if abs(excess) < tol.angle_eps:
+    if abs(excess) < ANGLE_EPS:
         curv = Curvature.EUCLIDEAN
     elif excess < 0.0:
         curv = Curvature.ELLIPTIC
     else:
         curv = Curvature.HYPERBOLIC
-    return VertexClass(curv, abs(v.kawasaki_defect()) < tol.angle_eps)
+    return VertexClass(curv, abs(v.kawasaki_defect()) < ANGLE_EPS)
 
 
 def dual(v: Vertex4) -> Vertex4:

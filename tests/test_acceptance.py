@@ -32,7 +32,7 @@ from rigidori.kinematics import (
     trace_curve,
     verify_duality,
 )
-from rigidori.numerics import DEFAULT_TOL, Tolerances
+from rigidori.numerics import Tolerances
 from rigidori.tessellation import (
     REGIME_2C1E,
     REGIME_3C,
@@ -129,7 +129,7 @@ def test_criterion_2_oracle_certification():
     # tessellation vertex states
     sheet = build_square_twist_sheet(SQ_TWIST, 2, 2)
     for rho in (0.4, 1.2, 2.2):
-        fs = _fold(sheet, rho, DEFAULT_TOL)
+        fs = _fold(sheet, rho)
         angles = dict(zip(sheet.creases, fs.rho.tolist()))
         for rec in sheet.vertices.values():
             rhos = tuple(angles[key] for key in rec.creases)
@@ -263,7 +263,7 @@ def test_criterion_10_sheet_rigidity_and_gluing():
     sheet = build_square_twist_sheet(SQ_TWIST, 2, 2)
     worst_res = 0.0
     for rho in np.linspace(-0.95 * PI, 0.95 * PI, 11):
-        fs = _fold(sheet, float(rho), DEFAULT_TOL)
+        fs = _fold(sheet, float(rho))
         worst_res = max(worst_res, float(fs.residuals.max()))
     cx = stack_complex(sheet, 2, 1.0)
     report(

@@ -66,7 +66,7 @@ def test_range_and_trace_csv(capsys, tmp_path):
     code, data = run_json(
         capsys,
         ["range", "--alphas", "45,90,135,90", "--degrees",
-         "--driver-index", "1", "--branch", "pm", "--step-max", "0.05"],
+         "--driver-index", "1", "--branch", "pm"],
     )
     assert code == 0
     assert data["intervals"][0] == pytest.approx([-PI, PI], abs=1e-8)
@@ -340,10 +340,10 @@ def test_malformed_vertex_json_is_a_domain_error(tmp_path, capsys, text):
 
 def test_parser_is_built_once_and_runs_do_not_share_state(capsys):
     calls = [
-        ["range", "--alphas", "45,90,135,90", "--degrees",
-         "--driver-index", "2", "--branch", "mp", "--step-max", "0.05"],
+        ["trace", "--alphas", "45,90,135,90", "--degrees",
+         "--driver-index", "2", "--branch", "mp", "--samples", "9", "--step-max", "0.05"],
         ["classify", "--alphas", "1,2,1,2"],
-        ["range", "--alphas", "45,90,135,90", "--degrees"],
+        ["trace", "--alphas", "45,90,135,90", "--degrees", "--samples", "9"],
         ["modes", "--alphas", "45,90,135,90", "--degrees", "--samples", "3"],
     ]
 
@@ -368,14 +368,48 @@ def test_domain_error_exit_code(capsys):
 @pytest.mark.parametrize("argv, name", [
     (["verify-duality", "--samples", "9", "--residual-tol", "inf"], "residual_tol"),
     (["range", "--branch", "pp", "--residual-tol", "3"], "residual_tol"),
-    (["range", "--branch", "pp", "--step-max", "nan"], "trace_step_max"),
+    (["trace", "--branch", "pp", "--step-max", "nan"], "trace_step_max"),
+    (["verify-duality", "--samples", "9", "--step-max", "inf"], "trace_step_max"),
+    (["trace", "--branch", "pp", "--step-max", "0"], "trace_step_max"),
 ])
 def test_vacuous_tolerances_exit_1_with_the_input_error(capsys, argv, name):
-    # a residual_tol at or above 2 sqrt 2 would certify every state
-    code = run([*argv, "--alphas", "1.0,1.3,1.1,1.7"])
+    argv = [*argv, "--alphas", "1.0,1.3,1.1,1.7"]
+    if name == "residual_tol":
+        # the closure gate is fixed, so a vacuous value cannot even be passed:
+        # the removed flag is a usage error (exit 2), not an input error
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --residual-tol" in capsys.readouterr().err
+        return
+    code = run(argv)
     out = capsys.readouterr()
     assert code == 1 and out.out == ""
     assert out.err.startswith(f"rigidori: error: {name} must be") and out.err.count("\n") == 1
+
+
+COMMANDS = ("classify", "dual", "modes", "solve", "oracle", "range", "trace",
+            "verify-duality", "combine", "split", "sheet", "stack", "auxetic")
+REQUIRED = {"solve": ["--driver", "0.5"], "oracle": ["--driver", "0.5", "--guess", "0,0,0,0"],
+            "combine": ["--theta", "1"], "split": ["--theta", "1"]}
+
+
+def test_removed_tolerance_flags_are_usage_errors(capsys):
+    # the closure gate and the thresholds are fixed; --step-max belongs to
+    # the two commands that trace
+    parser = build_parser()
+    assert "{" + ",".join(COMMANDS) + "}" in parser.format_usage()
+    for command in COMMANDS:
+        argv = [command, "--alphas", "1.0,1.3,1.1,1.7", *REQUIRED.get(command, [])]
+        parser.parse_args(argv)
+        flags = ["--residual-tol", "--angle-eps", "--solver-tol"]
+        if command not in ("trace", "verify-duality"):
+            flags.append("--step-max")
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                run([*argv, flag, "1e-3"])
+            assert exc.value.code == 2, (command, flag)
+            assert f"unrecognized arguments: {flag} 1e-3" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(tmp_path):

@@ -175,11 +175,11 @@ def test_oracle_returns_the_closed_form_dual_state(v):
         if lo > hi:
             continue
         for theta in (lo, 0.5 * (lo + hi), hi):
-            cv = synchronize(v, "parallel", theta, pair, tol)
+            cv = synchronize(v, "parallel", theta, pair)
             assert cv.dual_state == _matched_dual_state(cv.base_state, pair)
             mapped.append((pair[0] + 1, cv.dual_state))
     for drv, sd in mapped:
-        rep = oracle_solve(vd, drv, sd.rhos[drv - 1], sd, tol)
+        rep = oracle_solve(vd, drv, sd.rhos[drv - 1], sd)
         assert rep.converged
         assert rep.state == sd
 

@@ -10,6 +10,7 @@ from rigidori.closure import LoopEvaluator, closure_residual, oracle_solve
 from rigidori.errors import (
     DegenerateConfigurationError,
     InfeasibleDriverError,
+    InputError,
     NoRealFoldError,
     TraceAbortError,
 )
@@ -22,6 +23,7 @@ from rigidori.kinematics import (
     BRANCH_PP,
     MODE1_BRANCH,
     MODE2_BRANCH,
+    ConfigCurve,
     VertexKinematics,
     adjacent_origin_slopes,
     adjacent_residual,
@@ -43,7 +45,7 @@ from rigidori.kinematics import (
     _sign_pattern_is_dual,
     _swapped,
 )
-from rigidori.numerics import Tolerances, half_tangent
+from rigidori.numerics import RESIDUAL_TOL, Tolerances, half_tangent
 from rigidori.vertex import FoldState, Vertex4, dual
 
 PI = math.pi
@@ -331,7 +333,7 @@ def test_a_branch_arc_narrower_than_1e6_is_a_range():
     assert BRANCH_PP.matches(kin.solve_state(1, 0.5 * (lo + hi), BRANCH_PP))
     curve = kin.trace_curve(1, BRANCH_PP, 9)
     assert curve.drivers[0] == -hi and curve.drivers[-1] == -lo
-    assert max(curve.residuals) < kin.tol.residual_tol
+    assert max(curve.residuals) < RESIDUAL_TOL
 
 
 def test_candidates_within_1e9_of_an_earlier_one_are_dropped():
@@ -416,7 +418,7 @@ def _reference_rows(kin, driver_index, driver):
     if not rows:
         return []
     residuals = kin.loop.residuals(np.array(rows))
-    return [(r, e) for r, e in zip(rows, residuals) if e < kin.tol.residual_tol]
+    return [(r, e) for r, e in zip(rows, residuals) if e < RESIDUAL_TOL]
 
 
 @settings(max_examples=30, deadline=None)
@@ -538,7 +540,7 @@ def test_solve_state_infeasible_driver():
 
 def test_ff_mode_ranges_span_everything():
     for drv_idx, branch in ((1, MODE1_BRANCH), (2, MODE2_BRANCH)):
-        rng_ = folding_range(SQ_TWIST, drv_idx, branch, FAST)
+        rng_ = folding_range(SQ_TWIST, drv_idx, branch)
         assert len(rng_.intervals) == 1
         lo, hi = rng_.intervals[0]
         assert lo == pytest.approx(-PI, abs=1e-9) and hi == pytest.approx(PI, abs=1e-9)
@@ -546,7 +548,7 @@ def test_ff_mode_ranges_span_everything():
 
 
 def test_elliptic_range_endpoints_strictly_inside():
-    rng_ = folding_range(ELLIPTIC, 3, BRANCH_PP, FAST)
+    rng_ = folding_range(ELLIPTIC, 3, BRANCH_PP)
     assert rng_.intervals
     interior = [
         x for iv in rng_.intervals for x in iv if abs(abs(x) - PI) > 1e-6
@@ -557,8 +559,8 @@ def test_elliptic_range_endpoints_strictly_inside():
 
 
 def test_hyperbolic_dual_has_identical_range_magnitudes():
-    rng_e = folding_range(ELLIPTIC, 3, BRANCH_PP, FAST)
-    rng_h = folding_range(dual(ELLIPTIC), 3, BRANCH_PP, FAST)
+    rng_e = folding_range(ELLIPTIC, 3, BRANCH_PP)
+    rng_h = folding_range(dual(ELLIPTIC), 3, BRANCH_PP)
     mag_e = sorted(round(abs(x), 6) for iv in rng_e.intervals for x in iv)
     mag_h = sorted(round(abs(x), 6) for iv in rng_h.intervals for x in iv)
     assert mag_e == mag_h
@@ -566,7 +568,7 @@ def test_hyperbolic_dual_has_identical_range_magnitudes():
 
 def test_empty_range_reports_diagnostic():
     v = Vertex4((0.3, 0.3, 0.3, 2.8))  # no closed states exist
-    rng_ = folding_range(v, 1, BRANCH_PP, FAST)
+    rng_ = folding_range(v, 1, BRANCH_PP)
     assert not rng_.intervals and rng_.diagnostic
 
 
@@ -781,8 +783,8 @@ def test_negated_trace_closes_on_c_and_maps_to_c_star(v):
         if isinstance(curve, tuple):
             continue
         negated = -np.array(curve.rhos)
-        assert (loop.residuals(negated) < FAST.residual_tol).all(), branch
-        assert (dual_loop.residuals(negated * _DUAL_SIGNS) < FAST.residual_tol).all(), branch
+        assert (loop.residuals(negated) < RESIDUAL_TOL).all(), branch
+        assert (dual_loop.residuals(negated * _DUAL_SIGNS) < RESIDUAL_TOL).all(), branch
         assert all(branch.matches(FoldState(r)) for r in negated)
         lo, hi = -curve.drivers[-1], -curve.drivers[0]
         assert any(a - 1e-12 <= lo and hi <= b + 1e-12 for a, b in kin.folding_range(1, branch).intervals)
@@ -794,14 +796,14 @@ def test_non_euclidean_range_splits_where_its_states_jump_at_zero():
     # the states at -x and x mirror each other, and the unfolded state does
     # not close, so the branch cannot cross driver 0 continuously
     v = Vertex4((1.054914817990185, 1.3605886825734677, 2.4692233505753394, 1.3218573461249803))
-    rng_ = folding_range(v, 1, BRANCH_MP, FAST)
+    rng_ = folding_range(v, 1, BRANCH_MP)
     (lo, below), (above, hi) = rng_.intervals
     assert below == above == 0.0 and hi == -lo == pytest.approx(1.5632681376608633)
     assert rng_.endpoint_causes[0][1] == rng_.endpoint_causes[1][0] == "crease_through_zero"
 
 
 def test_euclidean_range_joins_through_the_unfolded_state():
-    rng_ = folding_range(EUCLIDEAN_40, 1, BRANCH_PM, FAST)
+    rng_ = folding_range(EUCLIDEAN_40, 1, BRANCH_PM)
     assert rng_.intervals == ((-PI, PI),)
     assert rng_.endpoint_causes == (("flat_folded_crease", "flat_folded_crease"),)
     curve = trace_curve(EUCLIDEAN_40, 1, BRANCH_PM, 9, FAST)
@@ -818,7 +820,7 @@ def test_near_degenerate_vertex_traces_to_its_flat_fold():
 @pytest.mark.parametrize("alphas", [(PI / 2,) * 4, (1.0, 1.0, PI - 1.0, PI - 1.0)])
 def test_unfolded_state_is_a_candidate_where_it_closes(alphas):
     kin = VertexKinematics(Vertex4(alphas))
-    assert kin.loop.residual(np.zeros(4)) < kin.tol.residual_tol
+    assert kin.loop.residual(np.zeros(4)) < RESIDUAL_TOL
     assert (0.0, 0.0, 0.0, 0.0) in [s.rhos for s in kin.certified_candidates(1, 0.0)]
 
 
@@ -826,7 +828,7 @@ def test_equal_sector_range_reaches_its_flat_fold():
     # PP states (-x, -y, -x, -y) exist for every driver x in (-pi, 0); the
     # adjacent relations must stay accurate up to the flat fold at -pi,
     # where the unfactored form cancelled and closure rejected the states
-    lo, hi = folding_range(Vertex4((0.25,) * 4), 1, BRANCH_PP, FAST).intervals[0]
+    lo, hi = folding_range(Vertex4((0.25,) * 4), 1, BRANCH_PP).intervals[0]
     assert hi == 0.0
     assert lo <= -PI + 1e-6
 
@@ -910,7 +912,7 @@ def test_bench_vertex_without_a_traceable_range_verifies():
 
 def test_arc_narrower_than_a_coarse_driver_grid_is_found():
     v = Vertex4((0.9513290489514907, 0.2194429051989586, 1.9703036635776987, 2.1736982770777895))
-    rng_ = folding_range(v, 1, BRANCH_PP, FAST)
+    rng_ = folding_range(v, 1, BRANCH_PP)
     assert rng_.intervals
     assert max(hi - lo for lo, hi in rng_.intervals) < 0.196  # the old grid spacing
 
@@ -938,7 +940,7 @@ def test_trace_matches_closed_form_curve_pointwise():
 def test_trace_sample_matches_solve_state_at_zero():
     curve = trace_curve(SQ_TWIST, 1, MODE1_BRANCH, 25, FAST)
     mid = min(range(len(curve.drivers)), key=lambda i: abs(curve.drivers[i]))
-    direct = solve_state(SQ_TWIST, 1, curve.drivers[mid], MODE1_BRANCH, FAST)
+    direct = solve_state(SQ_TWIST, 1, curve.drivers[mid], MODE1_BRANCH)
     assert curve.samples[mid].rhos == direct.rhos
 
 
@@ -950,13 +952,26 @@ def test_trace_certification_and_stepping():
     assert max(diffs) <= FAST.trace_step_max + 1e-12
 
 
+def test_config_curve_gates_at_the_residual_and_the_step_bounds():
+    def curve(step, residual, tol=FAST):
+        return ConfigCurve(vertex=ELLIPTIC, branch=BRANCH_PP, driver_index=1, drivers=(0.0, step),
+                           rhos=((0.0,) * 4,) * 2, residuals=(0.0, residual), tol=tol)
+
+    curve(0.01, math.nextafter(RESIDUAL_TOL, 0.0))
+    with pytest.raises(InputError, match="non-certified"):
+        curve(0.01, RESIDUAL_TOL)
+    curve(FAST.trace_step_max + 0.5e-12, 0.0)
+    with pytest.raises(InputError, match="exceeds trace_step_max"):
+        curve(FAST.trace_step_max + 2e-12, 0.0)
+
+
 def test_elliptic_and_dual_traces_match_in_magnitude():
     ce = trace_curve(ELLIPTIC, 3, BRANCH_PP, 15, FAST)
     vd = dual(ELLIPTIC)
     kin_d = VertexKinematics(vd, FAST)
     for drv, s in zip(ce.drivers, ce.samples):
         sd_seed = dual_state(s)
-        rep = oracle_solve(vd, 3, sd_seed.rhos[2], sd_seed, FAST)
+        rep = oracle_solve(vd, 3, sd_seed.rhos[2], sd_seed)
         assert rep.converged
         assert max(
             abs(abs(a) - abs(b)) for a, b in zip(s.rhos, rep.state.rhos)

@@ -9,7 +9,7 @@ from rigidori import tessellation
 from rigidori.closure import LoopEvaluator
 from rigidori.errors import GluingError, InputError, MeshConsistencyError, RigidFoldabilityError
 from rigidori.flatfold import MODE_1, MODE_2, fold_mode, mode_constants
-from rigidori.numerics import DEFAULT_TOL, rotation_about_axis
+from rigidori.numerics import rotation_about_axis
 from rigidori.tessellation import (
     PATCH,
     PATCH_TREE,
@@ -117,14 +117,14 @@ def test_flat_and_flat_folded_limits(sheet22):
 
 def test_interior_vertices_close_at_eleven_drivers(sheet22):
     for rho in np.linspace(-0.95 * PI, 0.95 * PI, 11):
-        fs = _fold(sheet22, float(rho), DEFAULT_TOL)
+        fs = _fold(sheet22, float(rho))
         assert fs.residuals.max() < 1e-9
 
 
 def _assert_on_generator_modes(sheet: SquareTwistSheet, rho: float) -> None:
     """Every vertex of the folded sheet sits on its generator mode, driven
     by its own driver crease."""
-    angles = _crease_angles(_fold(sheet, rho, DEFAULT_TOL))
+    angles = _crease_angles(_fold(sheet, rho))
     assert list(angles) == list(sheet.creases)
     for name, rec in sheet.vertices.items():
         rhos = tuple(angles[k] for k in rec.creases)
@@ -139,7 +139,7 @@ def test_local_states_match_generator_modes(sheet22):
 
 
 def test_folded_periodicity(sheet22):
-    pos = _positions(_fold(sheet22, 0.9, DEFAULT_TOL))
+    pos = _positions(_fold(sheet22, 0.9))
     lat_r = pos[("P1", 1, 0)] - pos[("P1", 0, 0)]
     lat_u = pos[("P1", 0, 1)] - pos[("P1", 0, 0)]
     for p in ("P1", "P2", "P3", "P4"):
@@ -252,7 +252,7 @@ def test_layer_motion_is_the_least_squares_fit_of_the_glued_rows():
         for variant in ("parallel", "rotated"):
             for rho in (-2.9, -0.6, 0.3, 1.0, 2.5):
                 cx = stack_complex(sheet, 2, rho, variant)
-                pos = _positions(_fold(sheet, rho, DEFAULT_TOL))
+                pos = _positions(_fold(sheet, rho))
                 upper = np.array([pos[nb] for _, (_, nb) in cx.glue_map])
                 lower = np.array([pos[na] for (_, na), _ in cx.glue_map])
                 R, t = _rigid_fit(upper, lower)
@@ -271,8 +271,8 @@ def test_one_column_parallel_stack_glues_every_row_under_rounding_noise(monkeypa
     exact = tessellation._fold
     rng = np.random.default_rng(5)
 
-    def noisy(sheet, major_rho, tol):
-        fs = exact(sheet, major_rho, tol)
+    def noisy(sheet, major_rho):
+        fs = exact(sheet, major_rho)
         m = fs.mesh
         scale = np.abs(m.vertices).max()
         pts = m.vertices + 1e-16 * scale * rng.standard_normal(m.vertices.shape)
@@ -303,7 +303,7 @@ def test_auxetic_flat_limit(sheet22):
 def test_general_alpha_generator_folds():
     gen = Vertex4((0.6, PI / 2, PI - 0.6, PI / 2))
     sheet = build_square_twist_sheet(gen, 1, 2, pleat_length=0.8)
-    fs = _fold(sheet, 0.7, DEFAULT_TOL)
+    fs = _fold(sheet, 0.7)
     assert fs.residuals.max() < 1e-9
     cx = stack_complex(sheet, 2, 0.7)
     assert cx.glue_residual < 1e-8
@@ -328,7 +328,7 @@ def test_fold_scales_frozen_coefficients(planned_sheet):
 
 def test_placed_faces_keep_flat_lengths(planned_sheet):
     for rho in PLAN_DRIVERS:
-        fs = _fold(planned_sheet, rho, DEFAULT_TOL)
+        fs = _fold(planned_sheet, rho)
         pts = fs.mesh.vertices
         for names, idx in zip(planned_sheet.faces, fs.mesh.faces):
             flat = np.array([planned_sheet.corners[n] for n in names])
@@ -402,7 +402,7 @@ def test_tiled_placement_matches_depth_first_composition():
     for sheet in sheets:
         for rho in PLAN_DRIVERS:
             ref = _depth_first_positions(sheet, rho)
-            pos = _positions(_fold(sheet, rho, DEFAULT_TOL))
+            pos = _positions(_fold(sheet, rho))
             assert pos.keys() == ref.keys()
             worst = max(np.max(np.abs(pos[n] - p)) for n, p in ref.items())
             assert worst < 1e-12, (sheet.rows, sheet.cols, rho, worst)
@@ -478,7 +478,7 @@ def test_wrong_hinge_angle_fails(sheet22):
     plan = sheet22.fold_plan
     for c in (*plan.patch_hinge.tolist(), len(plan.coef) // 2, len(plan.coef) - 1):
         with pytest.raises(MeshConsistencyError):
-            _fold(_with_coefficient(sheet22, c, 1.01), 1.0, DEFAULT_TOL)
+            _fold(_with_coefficient(sheet22, c, 1.01), 1.0)
 
 
 @pytest.mark.parametrize("shape", ["1x1", "3x5", "12x12"])
@@ -491,7 +491,7 @@ def test_distinct_loops_give_every_vertex_its_own_residual(shape):
     if shape == "12x12":
         assert len(sheet.fold_plan.loop_creases) < len(sheet.vertices)
     for rho in PLAN_DRIVERS:
-        fs = _fold(sheet, rho, DEFAULT_TOL)
+        fs = _fold(sheet, rho)
         every = LoopEvaluator(sheet.generator).residuals(fs.rho[creases])
         assert fs.residuals.tobytes() == every.tobytes()
 
@@ -505,7 +505,7 @@ def test_one_wrong_crease_fails_closure_at_its_vertex(shape, sheet22):
     free = sorted(set(range(len(sheet.creases))) - set(sheet.fold_plan.patch_hinge.tolist()))
     for c in free if shape == "2x2" else free[len(free) // 2 :: len(free) // 4]:
         with pytest.raises(MeshConsistencyError, match="fails closure") as err:
-            _fold(_with_coefficient(sheet, c, 1.01), 1.0, DEFAULT_TOL)
+            _fold(_with_coefficient(sheet, c, 1.01), 1.0)
         named = [n for n, rec in sheet.vertices.items() if f"vertex {n} fails" in str(err.value)]
         assert len(named) == 1 and sheet.creases[c] in sheet.vertices[named[0]].creases
 
@@ -576,16 +576,16 @@ def test_corner_spread_decides_carry_or_measure(sheet22, monkeypatch):
     # 2e-10 it stays within 1e-9 and is carried, at 1e-9 it is not, and
     # the mesh is measured instead
     calls = _counting_planarity(monkeypatch)
-    carried = _fold(_corner_plates_moved(sheet22, 2e-10), 0.0, DEFAULT_TOL).mesh
+    carried = _fold(_corner_plates_moved(sheet22, 2e-10), 0.0).mesh
     assert not calls and math.sqrt(12) * 2e-10 < carried.planarity <= 1e-9
-    measured = _fold(_corner_plates_moved(sheet22, 1e-9), 0.0, DEFAULT_TOL).mesh
+    measured = _fold(_corner_plates_moved(sheet22, 1e-9), 0.0).mesh
     assert len(calls) == 1 and measured.planarity < 1e-12
 
 
 def test_corner_spread_bound_is_1e_8(sheet22):
-    _fold(_corner_plates_moved(sheet22, 0.99e-8), 0.0, DEFAULT_TOL)
+    _fold(_corner_plates_moved(sheet22, 0.99e-8), 0.0)
     with pytest.raises(MeshConsistencyError, match="corner spread 1.01"):
-        _fold(_corner_plates_moved(sheet22, 1.01e-8), 0.0, DEFAULT_TOL)
+        _fold(_corner_plates_moved(sheet22, 1.01e-8), 0.0)
 
 
 def test_glue_bound_is_1e_8(sheet22, monkeypatch):
@@ -596,9 +596,9 @@ def test_glue_bound_is_1e_8(sheet22, monkeypatch):
     exact = tessellation._fold
     valley = sheet22.fold_plan.valley_rows
 
-    def shifted(sheet, major_rho, tol):
+    def shifted(sheet, major_rho):
         # flat, so a shift along x keeps every face planar
-        fs = exact(sheet, major_rho, tol)
+        fs = exact(sheet, major_rho)
         pts = fs.mesh.vertices.copy()
         pts[valley[1], 0] += miss
         return dataclasses.replace(fs, mesh=FoldedMesh(pts, fs.mesh.faces, fs.mesh.face_index))
@@ -631,7 +631,7 @@ def test_rotated_lattice_step_does_not_tile(sheet22, monkeypatch):
 
     monkeypatch.setattr(tessellation, "rotation_matrix_about_axis", injected)
     with pytest.raises(MeshConsistencyError, match="rotational part"):
-        _fold(sheet22, 1.0, DEFAULT_TOL)
+        _fold(sheet22, 1.0)
 
 
 def test_generator_that_does_not_close_fails(sheet22):
@@ -641,7 +641,7 @@ def test_generator_that_does_not_close_fails(sheet22):
     # angles no longer close its loops
     bent = Vertex4((PI / 4 + 1e-3, PI / 2, 3 * PI / 4 - 1e-3, PI / 2))
     with pytest.raises(MeshConsistencyError, match="fails closure"):
-        _fold(dataclasses.replace(sheet22, generator=bent), 1.0, DEFAULT_TOL)
+        _fold(dataclasses.replace(sheet22, generator=bent), 1.0)
 
 
 def test_shifted_valley_row_does_not_glue(sheet22, monkeypatch):
@@ -650,8 +650,8 @@ def test_shifted_valley_row_does_not_glue(sheet22, monkeypatch):
     exact = tessellation._fold
     valley = sheet22.fold_plan.valley_rows
 
-    def shifted(sheet, major_rho, tol):
-        fs = exact(sheet, major_rho, tol)
+    def shifted(sheet, major_rho):
+        fs = exact(sheet, major_rho)
         pts = fs.mesh.vertices.copy()
         pts[valley[row, 1:]] += shift  # the row's first corner stays
         # the shift bends the row's faces, so the points ride on a stand-in
@@ -669,6 +669,6 @@ def test_shifted_valley_row_does_not_glue(sheet22, monkeypatch):
 
 
 def test_folded_vertices_are_read_only(sheet22):
-    fs = _fold(sheet22, 0.7, DEFAULT_TOL)
+    fs = _fold(sheet22, 0.7)
     with pytest.raises(ValueError):
         fs.mesh.vertices[0, 0] = 1.0
