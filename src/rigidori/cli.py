@@ -51,17 +51,12 @@ def _meta(args: argparse.Namespace) -> dict:
 
 
 def _emit_json(payload: dict, args) -> None:
-    text = json.dumps({"meta": _meta(args), **payload}, indent=2, sort_keys=False)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit_text([json.dumps({"meta": _meta(args), **payload}, indent=2, sort_keys=False)], args)
 
 
 def _emit_text(lines: list[str], args) -> None:
     body = "\n".join(lines) + "\n"
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(body)
     else:
@@ -90,29 +85,22 @@ def write_obj(meshes: tuple[FoldedMesh, ...], path: str, args=None) -> None:
         fh.write(head + "".join(coords) + "".join(faces))
 
 
-def _parse_vertex(args, parser) -> Vertex4:
-    if getattr(args, "alphas", None) and getattr(args, "vertex_json", None):
-        parser.error("give exactly one of --alphas or --vertex-json")
-    if getattr(args, "vertex_json", None):
+def _parse_vertex(args) -> Vertex4:
+    if args.alphas is None:
         with open(args.vertex_json) as fh:
             try:
                 data = json.load(fh)
             except ValueError as exc:
                 raise InputError(f"--vertex-json {args.vertex_json} is not valid JSON: {exc}") from None
         return vertex_from_dict(data)
-    if not getattr(args, "alphas", None):
-        parser.error("a vertex is required: --alphas a1,a2,a3,a4 or --vertex-json path")
-    parts = _floats(args.alphas, "--alphas", parser)
+    parts = _floats(args.alphas)
     if args.degrees:
         parts = [math.radians(x) for x in parts]
     return Vertex4(parts)
 
 
-def _floats(text: str, option: str, parser) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",")]
-    except ValueError:
-        parser.error(f"{option} takes comma-separated numbers, got {text!r}")
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
 
 
 def _angle(args, value: float) -> float:
@@ -135,28 +123,20 @@ def _state_dict(s: FoldState) -> dict:
 # subcommand implementations
 
 
-def _samples_at_least_2(args, parser) -> None:
-    if args.samples < 2:
-        parser.error("--samples must be at least 2")
-
-
-def _cmd_classify(args, parser):
-    v = _parse_vertex(args, parser)
-    c = classify(v)
+def _cmd_classify(args):
+    c = classify(_parse_vertex(args))
     _emit_json({"curvature": c.curvature.value, "flat_foldable": c.flat_foldable}, args)
 
 
-def _cmd_dual(args, parser):
-    v = _parse_vertex(args, parser)
-    d = dual(v)
+def _cmd_dual(args):
+    d = dual(_parse_vertex(args))
     alphas = [math.degrees(a) for a in d.alphas] if args.degrees else list(d.alphas)
     units = "degrees" if args.degrees else "radians"
     _emit_json({"alphas": alphas, "units": units}, args)
 
 
-def _cmd_modes(args, parser):
-    _samples_at_least_2(args, parser)
-    v = _parse_vertex(args, parser)
+def _cmd_modes(args):
+    v = _parse_vertex(args)
     n = args.samples
     k = mode_constants(v.alphas[0], v.alphas[1])
     curves = {}
@@ -170,8 +150,8 @@ def _cmd_modes(args, parser):
     _emit_json({"k1": k.k1, "k2": k.k2, "curves": curves}, args)
 
 
-def _cmd_solve(args, parser):
-    v = _parse_vertex(args, parser)
+def _cmd_solve(args):
+    v = _parse_vertex(args)
     s = solve_state(v, args.driver_index, _angle(args, args.driver), _BRANCHES[args.branch])
     _emit_json(
         {**_state_dict(s), "residual": closure_residual(v, s)},
@@ -179,9 +159,9 @@ def _cmd_solve(args, parser):
     )
 
 
-def _cmd_oracle(args, parser):
-    v = _parse_vertex(args, parser)
-    guess = FoldState([_angle(args, x) for x in _floats(args.guess, "--guess", parser)])
+def _cmd_oracle(args):
+    v = _parse_vertex(args)
+    guess = FoldState([_angle(args, x) for x in _floats(args.guess)])
     rep = oracle_solve(v, args.driver_index, _angle(args, args.driver), guess)
     _emit_json(
         {
@@ -194,9 +174,8 @@ def _cmd_oracle(args, parser):
     )
 
 
-def _cmd_range(args, parser):
-    v = _parse_vertex(args, parser)
-    rng = folding_range(v, args.driver_index, _BRANCHES[args.branch])
+def _cmd_range(args):
+    rng = folding_range(_parse_vertex(args), args.driver_index, _BRANCHES[args.branch])
     _emit_json(
         {
             "intervals": [list(iv) for iv in rng.intervals],
@@ -207,10 +186,8 @@ def _cmd_range(args, parser):
     )
 
 
-def _cmd_trace(args, parser):
-    _samples_at_least_2(args, parser)
-    v = _parse_vertex(args, parser)
-    curve = trace_curve(v, args.driver_index, _BRANCHES[args.branch], args.samples,
+def _cmd_trace(args):
+    curve = trace_curve(_parse_vertex(args), args.driver_index, _BRANCHES[args.branch], args.samples,
                         Tolerances(trace_step_max=args.step_max))
     lines = [_csv_header(args), "driver_index,branch,rho1,rho2,rho3,rho4,residual"]
     for rhos, r in zip(curve.rhos, curve.residuals):
@@ -223,10 +200,9 @@ def _finite_or_none(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _cmd_verify_duality(args, parser):
-    _samples_at_least_2(args, parser)
-    v = _parse_vertex(args, parser)
-    rep = verify_duality(v, args.driver_index, args.samples, Tolerances(trace_step_max=args.step_max))
+def _cmd_verify_duality(args):
+    rep = verify_duality(_parse_vertex(args), args.driver_index, args.samples,
+                         Tolerances(trace_step_max=args.step_max))
     _emit_json(
         {
             "branches": [
@@ -251,34 +227,22 @@ def _cmd_verify_duality(args, parser):
         raise RigidOriError("duality not verified: a dual state is not one-pair-flipped")
 
 
-def _cmd_combine(args, parser):
-    if not args.output:
-        parser.error("combine writes an OBJ file: --output is required")
-    if not 0 < args.radius < math.inf:
-        parser.error("--radius must be positive and finite")
-    if args.arc_segments < 1:
-        parser.error("--arc-segments must be at least 1")
-    v = _parse_vertex(args, parser)
-    cv = synchronize(v, args.variant, _angle(args, args.theta), _MERGE_PAIRS[args.merge_pair])
+def _cmd_combine(args):
+    cv = synchronize(_parse_vertex(args), args.variant, _angle(args, args.theta), _MERGE_PAIRS[args.merge_pair])
     write_obj((combined_mesh(cv, args.radius, args.arc_segments),), args.output, args)
 
 
-def _cmd_split(args, parser):
-    v = _parse_vertex(args, parser)
-    cv = synchronize(v, "rotated", _angle(args, args.theta), _MERGE_PAIRS[args.merge_pair])
+def _cmd_split(args):
+    cv = synchronize(_parse_vertex(args), "rotated", _angle(args, args.theta), _MERGE_PAIRS[args.merge_pair])
     v1, v2 = split_combined(cv)
     _emit_json({"v1": vertex_to_dict(v1), "v2": vertex_to_dict(v2)}, args)
 
 
-def _frames(args, parser) -> list[tuple[str, float]]:
+def _frames(args) -> list[tuple[str, float]]:
     """(output path, driver angle) of each OBJ a sheet or stack command
     writes: one file at --rho, or a numbered sweep with --frames."""
-    if not args.output:
-        parser.error(f"{args.command} writes OBJ files: --output is required")
     if args.frames is None:
         return [(args.output, _angle_or(args, args.rho, math.pi / 3))]
-    if args.frames < 1:
-        parser.error("--frames must be at least 1")
     lo = _angle_or(args, args.rho_min, 0.05 * math.pi)
     hi = _angle_or(args, args.rho_max, 0.95 * math.pi)
     stem, ext = os.path.splitext(args.output)
@@ -288,39 +252,26 @@ def _frames(args, parser) -> list[tuple[str, float]]:
     ]
 
 
-def _sheet(args, parser):
+def _sheet(args):
     """The square-twist sheet of --rows, --cols and --pleat-length."""
-    v = _parse_vertex(args, parser)
-    if args.rows < 1 or args.cols < 1:
-        parser.error("--rows and --cols must be at least 1")
-    if not 0 < args.pleat_length < math.inf:
-        parser.error("--pleat-length must be positive and finite")
-    return build_square_twist_sheet(v, args.rows, args.cols, args.pleat_length)
+    return build_square_twist_sheet(_parse_vertex(args), args.rows, args.cols, args.pleat_length)
 
 
-def _cmd_sheet(args, parser):
-    frames = _frames(args, parser)
-    sheet = _sheet(args, parser)
-    for path, rho in frames:
+def _cmd_sheet(args):
+    sheet = _sheet(args)
+    for path, rho in _frames(args):
         write_obj((fold_sheet(sheet, rho),), path, args)
 
 
-def _cmd_stack(args, parser):
-    frames = _frames(args, parser)
-    if args.layers < 1:
-        parser.error("--layers must be at least 1")
-    sheet = _sheet(args, parser)
-    for path, rho in frames:
+def _cmd_stack(args):
+    sheet = _sheet(args)
+    for path, rho in _frames(args):
         write_obj(stack_complex(sheet, args.layers, rho, args.variant).meshes, path, args)
 
 
-def _cmd_auxetic(args, parser):
-    if args.layers < 1:
-        parser.error("--layers must be at least 1")
-    if args.samples < 3:
-        parser.error("--samples must be at least 3")
+def _cmd_auxetic(args):
     rep = auxetic_sweep(
-        _sheet(args, parser),
+        _sheet(args),
         args.layers,
         _angle_or(args, args.rho_min, 0.05 * math.pi),
         _angle_or(args, args.rho_max, 0.95 * math.pi),
@@ -335,18 +286,55 @@ def _cmd_auxetic(args, parser):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: every usage rule is declared on its option, so a usage error
+# exits 2 at parse time, before any file is read or any solve runs
 
 
-def _add_vertex_opts(p):
-    p.add_argument("--alphas", help="four sector angles, comma separated")
-    p.add_argument("--vertex-json", help="path to a vertex JSON file")
-    p.add_argument("--degrees", action="store_true", help="inputs are degrees")
+def _numbers(text: str) -> str:
+    """Comma-separated numbers, kept as text so the config records them as given."""
+    try:
+        _floats(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"takes comma-separated numbers, got {text!r}") from None
+    return text
 
 
-def _add_step_opt(p):
-    p.add_argument("--step-max", type=float, default=DEFAULT_TOL.trace_step_max,
-                   help="largest driver step of a trace (rad, at most 0.05)")
+def _at_least(low: int):
+    def value(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    value.__name__ = "int"  # argparse names it in "invalid int value"
+    return value
+
+
+def _positive(text: str) -> float:
+    x = float(text)
+    if not 0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return x
+
+
+_positive.__name__ = "float"  # as in _at_least
+
+
+# options shared by subcommands, as (flag, add_argument keywords)
+_DRIVER_INDEX = (("--driver-index", dict(type=int, default=1, choices=(1, 2, 3, 4))),)
+_BRANCH = (("--branch", dict(choices=sorted(_BRANCHES), default="pm")),)
+_STEP = (("--step-max", dict(type=float, default=DEFAULT_TOL.trace_step_max,
+                             help="largest driver step of a trace (rad, at most 0.05)")),)
+_THETA = (("--theta", dict(type=float, required=True)),
+          ("--merge-pair", dict(choices=tuple(_MERGE_PAIRS), default="24")))
+_VARIANT = (("--variant", dict(choices=("parallel", "rotated"), default="parallel")),)
+_SHEET = (("--rows", dict(type=_at_least(1), default=2)),
+          ("--cols", dict(type=_at_least(1), default=2)),
+          ("--pleat-length", dict(type=_positive, default=1.0)),
+          ("--rho-min", dict(type=float, help="sweep start (default 0.05*pi rad)")),
+          ("--rho-max", dict(type=float, help="sweep end (default 0.95*pi rad)")))
+_FRAMES = (("--rho", dict(type=float, help="driver angle (default pi/3 rad)")),
+           ("--frames", dict(type=_at_least(1), help="emit a numbered OBJ sweep")))
 
 
 @functools.cache
@@ -358,10 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rigidori {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def new(name, func, helptext):
+    def new(name, func, helptext, *groups, writes_obj=False):
         p = sub.add_parser(name, help=helptext)
-        _add_vertex_opts(p)
-        p.add_argument("--output", help="output path (default: stdout for text)")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--alphas", type=_numbers, help="four sector angles, comma separated")
+        source.add_argument("--vertex-json", help="path to a vertex JSON file")
+        p.add_argument("--degrees", action="store_true", help="inputs are degrees")
+        p.add_argument("--output", required=writes_obj, help="output path (default: stdout for text)")
+        for group in groups:
+            for flag, spec in group:
+                p.add_argument(flag, **spec)
         p.set_defaults(func=func)
         return p
 
@@ -369,75 +363,47 @@ def build_parser() -> argparse.ArgumentParser:
     new("dual", _cmd_dual, "the dual vertex (pi - alpha_i)")
 
     p = new("modes", _cmd_modes, "mode constants k1/k2 and closed-form mode curves")
-    p.add_argument("--samples", type=int, default=41)
+    p.add_argument("--samples", type=_at_least(2), default=41)
 
-    p = new("solve", _cmd_solve, "single fold state on a branch")
-    p.add_argument("--driver-index", type=int, default=1, choices=(1, 2, 3, 4))
+    p = new("solve", _cmd_solve, "single fold state on a branch", _DRIVER_INDEX, _BRANCH)
     p.add_argument("--driver", type=float, required=True)
-    p.add_argument("--branch", choices=sorted(_BRANCHES), default="pm")
 
-    p = new("oracle", _cmd_oracle, "closure-oracle Newton solve")
-    p.add_argument("--driver-index", type=int, default=1, choices=(1, 2, 3, 4))
+    p = new("oracle", _cmd_oracle, "closure-oracle Newton solve", _DRIVER_INDEX)
     p.add_argument("--driver", type=float, required=True)
-    p.add_argument("--guess", required=True, help="initial rho1..rho4, comma separated")
+    p.add_argument("--guess", type=_numbers, required=True, help="initial rho1..rho4, comma separated")
 
-    p = new("range", _cmd_range, "feasible driver interval(s) of a branch")
-    p.add_argument("--driver-index", type=int, default=1, choices=(1, 2, 3, 4))
-    p.add_argument("--branch", choices=sorted(_BRANCHES), default="pm")
+    new("range", _cmd_range, "feasible driver interval(s) of a branch", _DRIVER_INDEX, _BRANCH)
 
-    p = new("trace", _cmd_trace, "configuration-curve CSV")
-    p.add_argument("--driver-index", type=int, default=1, choices=(1, 2, 3, 4))
-    p.add_argument("--branch", choices=sorted(_BRANCHES), default="pm")
-    p.add_argument("--samples", type=int, default=101)
-    _add_step_opt(p)
+    p = new("trace", _cmd_trace, "configuration-curve CSV", _DRIVER_INDEX, _BRANCH, _STEP)
+    p.add_argument("--samples", type=_at_least(2), default=101)
 
-    p = new("verify-duality", _cmd_verify_duality, "trace branches of C and match C*")
-    p.add_argument("--driver-index", type=int, default=1, choices=(1, 2, 3, 4))
-    p.add_argument("--samples", type=int, default=25)
-    _add_step_opt(p)
+    p = new("verify-duality", _cmd_verify_duality, "trace branches of C and match C*",
+            _DRIVER_INDEX, _STEP)
+    p.add_argument("--samples", type=_at_least(2), default=25)
 
-    p = new("combine", _cmd_combine, "combined non-manifold vertex OBJ")
-    p.add_argument("--variant", choices=("parallel", "rotated"), default="parallel")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--merge-pair", choices=tuple(_MERGE_PAIRS), default="24")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--arc-segments", type=int, default=8)
+    p = new("combine", _cmd_combine, "combined non-manifold vertex OBJ", _VARIANT, _THETA,
+            writes_obj=True)
+    p.add_argument("--radius", type=_positive, default=1.0)
+    p.add_argument("--arc-segments", type=_at_least(1), default=8)
 
-    p = new("split", _cmd_split, "flat-foldable split of the rotated combination")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--merge-pair", choices=tuple(_MERGE_PAIRS), default="24")
+    new("split", _cmd_split, "flat-foldable split of the rotated combination", _THETA)
 
-    for name, func in (("sheet", _cmd_sheet), ("stack", _cmd_stack)):
-        p = new(name, func, f"folded square-twist {name} OBJ")
-        p.add_argument("--rows", type=int, default=2)
-        p.add_argument("--cols", type=int, default=2)
-        p.add_argument("--pleat-length", type=float, default=1.0)
-        p.add_argument("--rho", type=float, help="driver angle (default pi/3 rad)")
-        p.add_argument("--frames", type=int, help="emit a numbered OBJ sweep")
-        p.add_argument("--rho-min", type=float, help="sweep start (default 0.05*pi rad)")
-        p.add_argument("--rho-max", type=float, help="sweep end (default 0.95*pi rad)")
-        if name == "stack":
-            p.add_argument("--layers", type=int, default=2)
-            p.add_argument("--variant", choices=("parallel", "rotated"), default="parallel")
+    new("sheet", _cmd_sheet, "folded square-twist sheet OBJ", _SHEET, _FRAMES, writes_obj=True)
+    p = new("stack", _cmd_stack, "folded square-twist stack OBJ", _SHEET, _FRAMES, _VARIANT,
+            writes_obj=True)
+    p.add_argument("--layers", type=_at_least(1), default=2)
 
-    p = new("auxetic", _cmd_auxetic, "bounding-box sweep CSV")
-    p.add_argument("--rows", type=int, default=2)
-    p.add_argument("--cols", type=int, default=2)
-    p.add_argument("--pleat-length", type=float, default=1.0)
-    p.add_argument("--layers", type=int, default=3)
-    p.add_argument("--variant", choices=("parallel", "rotated"), default="parallel")
-    p.add_argument("--rho-min", type=float, help="sweep start (default 0.05*pi rad)")
-    p.add_argument("--rho-max", type=float, help="sweep end (default 0.95*pi rad)")
-    p.add_argument("--samples", type=int, default=21)
+    p = new("auxetic", _cmd_auxetic, "bounding-box sweep CSV", _SHEET, _VARIANT)
+    p.add_argument("--layers", type=_at_least(1), default=3)
+    p.add_argument("--samples", type=_at_least(3), default=21)
 
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args, parser)
+        args.func(args)
     except RigidOriError as exc:
         print(f"rigidori: error: {exc}", file=sys.stderr)
         return 1

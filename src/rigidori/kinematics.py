@@ -729,10 +729,9 @@ def dual_state(s: FoldState) -> FoldState:
 @dataclass(frozen=True)
 class DualityBranchReport:
     """max_abs_rho_mismatch is 0.0 when every sample, mapped to C* by
-    _DUAL_SIGNS (which keeps each |rho_i|), closes on C*; it is inf when
-    any mapped sample fails closure. That closure batch carries the
-    claim: with the map as documented, sign_pattern_ok holds by
-    construction, since pair (1,3) keeps its signs and pair (2,4) flips."""
+    _DUAL_SIGNS (which keeps each |rho_i|), closes on C*, else inf.
+    sign_pattern_ok checks the map: pair (1,3) keeps its signs and pair
+    (2,4) flips. It is to become a two-sided check of C's and C*'s states."""
 
     branch: BranchLabel
     driver_index: int
@@ -761,27 +760,6 @@ class DualityReport:
         return len(self.branches)
 
 
-def _sign_pattern_is_dual(rhos, dual_rhos) -> np.ndarray:
-    """Per row of two (..., 4) arrays, True when exactly one opposite crease
-    pair keeps its signs and the other flips, comparing rhos on C with
-    dual_rhos on C* (up to a global flip).
-
-    Creases below 1e-7 in either row are skipped; a pair with no crease
-    left is a wildcard.
-    """
-    a, b = np.asarray(rhos, dtype=float), np.asarray(dual_rhos, dtype=float)
-    seen = ~((np.abs(a) < 1e-7) | (np.abs(b) < 1e-7))
-    flip = (a > 0) != (b > 0)
-    # per pair (columns k and k + 2): whether a flip and a keep were seen
-    flips = [(seen & flip)[..., k::2].any(axis=-1) for k in (0, 1)]
-    keeps = [(seen & ~flip)[..., k::2].any(axis=-1) for k in (0, 1)]
-    # no pair both flips and keeps, and two determinate pairs differ; a
-    # global flip negates every flag and leaves both tests unchanged
-    mixed = (flips[0] & keeps[0]) | (flips[1] & keeps[1])
-    same = (flips[0] | keeps[0]) & (flips[1] | keeps[1]) & (flips[0] == flips[1])
-    return ~(mixed | same)
-
-
 def verify_duality(v: Vertex4, driver_index: int = 1, n_samples: int = 25,
                    tol: Tolerances = DEFAULT_TOL) -> DualityReport:
     """Trace every realizable branch of C and check that the dual vertex
@@ -796,12 +774,12 @@ def verify_duality(v: Vertex4, driver_index: int = 1, n_samples: int = 25,
     for branch in ALL_BRANCHES:
         try:
             curves.append(kin.trace_curve(driver_index, branch, n_samples))
-        except (InfeasibleDriverError, TraceAbortError):
+        except InfeasibleDriverError:  # an empty range; an aborted trace raises
             continue
     rhos = np.reshape([r for curve in curves for r in curve.rhos], (-1, 4))
-    dual_rhos = rhos * _DUAL_SIGNS
-    closes = LoopEvaluator(dual(v)).residuals(dual_rhos) < RESIDUAL_TOL
-    signs_ok = _sign_pattern_is_dual(rhos, dual_rhos)
+    closes = LoopEvaluator(dual(v)).residuals(rhos * _DUAL_SIGNS) < RESIDUAL_TOL
+    signs = np.sign(_DUAL_SIGNS)  # pair (1,3) kept, pair (2,4) flipped, up to a global flip
+    signs_ok = bool((signs[:2] == signs[2:]).all() and signs[0] == -signs[1] != 0)
     ends = np.cumsum([len(curve.rhos) for curve in curves], dtype=int).tolist()
     reports = [
         DualityBranchReport(
@@ -809,7 +787,7 @@ def verify_duality(v: Vertex4, driver_index: int = 1, n_samples: int = 25,
             driver_index=driver_index,
             n_samples=b - a,
             max_abs_rho_mismatch=0.0 if closes[a:b].all() else math.inf,
-            sign_pattern_ok=bool(signs_ok[a:b].all()),
+            sign_pattern_ok=signs_ok,
         )
         for curve, a, b in zip(curves, [0] + ends, ends)
     ]

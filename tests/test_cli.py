@@ -391,7 +391,8 @@ def test_vacuous_tolerances_exit_1_with_the_input_error(capsys, argv, name):
 COMMANDS = ("classify", "dual", "modes", "solve", "oracle", "range", "trace",
             "verify-duality", "combine", "split", "sheet", "stack", "auxetic")
 REQUIRED = {"solve": ["--driver", "0.5"], "oracle": ["--driver", "0.5", "--guess", "0,0,0,0"],
-            "combine": ["--theta", "1"], "split": ["--theta", "1"]}
+            "combine": ["--theta", "1", "--output", "x.obj"], "split": ["--theta", "1"],
+            "sheet": ["--output", "x.obj"], "stack": ["--output", "x.obj"]}
 
 
 def test_removed_tolerance_flags_are_usage_errors(capsys):
@@ -435,6 +436,20 @@ def test_usage_error_exit_code(tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sheet", "--rows", "0", "--output", "x.obj"],
+    ["stack", "--cols", "0", "--output", "x.obj"],
+    ["auxetic", "--rows", "0", "--output", "x.csv"],
+])
+def test_bad_counts_are_usage_errors_before_the_vertex_file_is_read(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--vertex-json", "missing.json"])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 

@@ -42,7 +42,6 @@ from rigidori.kinematics import (
     _adjacent_quadratic,
     _double,
     _form_roots,
-    _sign_pattern_is_dual,
     _swapped,
 )
 from rigidori.numerics import RESIDUAL_TOL, Tolerances, half_tangent
@@ -987,51 +986,6 @@ def test_dual_state_map():
     assert dual_state(s).rhos == (0.3, 0.5, 0.7, -0.9)
 
 
-def test_sign_pattern_needs_one_flipped_and_one_kept_pair():
-    s = (0.3, -0.5, 0.7, 0.9)
-    flat_pair = (0.0, -0.5, 0.0, 0.9)  # a pair with no crease above eps is a wildcard
-    cases = [
-        (s, s, False),  # no pair flipped
-        (s, tuple(-r for r in s), False),
-        (s, dual_state(FoldState(s)).rhos, True),
-        (s, (-0.3, -0.5, -0.7, 0.9), True),  # global flip
-        (s, (0.3, 0.5, 0.7, 0.9), False),  # pair split
-        (flat_pair, flat_pair, True),
-    ]
-    rows, dual_rows, expected = map(np.array, zip(*cases))
-    assert _sign_pattern_is_dual(rows, dual_rows).tolist() == expected.tolist()
-
-
-def _set_based_sign_rule(a, b, eps=1e-7):
-    """Reference rule, one row at a time: collect each pair's flip flags."""
-    pairs = (set(), set())
-    for i in range(4):
-        if abs(a[i]) < eps or abs(b[i]) < eps:
-            continue
-        pairs[i % 2].add((a[i] > 0) != (b[i] > 0))
-    p, q = pairs
-    return len(p) < 2 and len(q) < 2 and not (p and p == q)
-
-
-def test_sign_pattern_kernel_matches_the_set_based_rule():
-    rng = np.random.default_rng(18)
-    degenerate = np.array([0.0, -0.0, 1e-8, -1e-8, 1e-7, -1e-7, PI, -PI, 0.4, -0.4, math.nan])
-    rows = np.concatenate([
-        rng.uniform(-PI, PI, size=(4000, 4)),
-        rng.choice(degenerate, size=(4000, 4)),
-    ])
-    signs = rng.choice([-1.0, 1.0], size=rows.shape)
-    dual_rows = np.concatenate([
-        rows * signs,  # same magnitudes, any signs
-        rng.choice(degenerate, size=rows.shape),  # independent degenerate rows
-    ])
-    rows = np.concatenate([rows, rows])
-    got = _sign_pattern_is_dual(rows, dual_rows)
-    want = [_set_based_sign_rule(a, b) for a, b in zip(rows.tolist(), dual_rows.tolist())]
-    assert got.tolist() == want
-    assert 0 < sum(want) < len(want)
-
-
 def test_trace_aborts_at_a_sample_without_a_branch_state():
     kin = VertexKinematics(ELLIPTIC, FAST)
     table, parts = kin._sample_table(3, 15)
@@ -1042,6 +996,40 @@ def test_trace_aborts_at_a_sample_without_a_branch_state():
         kin._samples[(2, 15)] = (table._replace(admits=admits), parts)
         with pytest.raises(TraceAbortError, match=re.escape(f"at driver {drivers[k]:.6g}") + "$"):
             kin.trace_curve(3, BRANCH_PP, 15)
+
+
+def test_verify_duality_raises_when_a_branch_trace_aborts(monkeypatch):
+    # pp and mm both trace; a pp sample without a branch state fails the
+    # check instead of leaving mm to pass it alone
+    sample_table = VertexKinematics._sample_table
+
+    def no_pp_state_at_one_sample(self, driver_index, n_samples):
+        table, parts = sample_table(self, driver_index, n_samples)
+        _, drivers, offset = parts[BRANCH_PP]
+        k = offset + len(drivers) // 3
+        admits = table.admits.copy()
+        admits[table.starts[k] : table.starts[k + 1]] = False
+        return table._replace(admits=admits), parts
+
+    assert [b.branch for b in verify_duality(ELLIPTIC, 3, 15, FAST).branches] == [BRANCH_PP, BRANCH_MM]
+    monkeypatch.setattr(VertexKinematics, "_sample_table", no_pp_state_at_one_sample)
+    with pytest.raises(TraceAbortError, match="no branch state continues the trace"):
+        verify_duality(ELLIPTIC, 3, 15, FAST)
+
+
+def test_a_table_driver_within_2e_12_of_0_is_0():
+    # the middle sample driver rounds to 1.1e-16; unsnapped, no row there
+    # is on pp and the trace aborts
+    v = Vertex4((1.9582605970527023, 2.537571926187981, 1.8256027392467573, 0.9130812519338263))
+    curve = trace_curve(v, 3, BRANCH_PP, 9, FAST)
+    assert len(curve.rhos) == 20
+    assert [r[2] for d, r in zip(curve.drivers, curve.rhos) if abs(d) < 1e-12] == [0.0]
+
+
+def test_double_root_window_keeps_a_near_flat_foldable_trace_tight():
+    # 5.1e-11 at worst; listing both roots of every double root gives 2.7e-10
+    v = Vertex4((2.520664289669545, 1.7441043185881988, 0.6209283646686474, 1.3974883357523993))
+    assert max(trace_curve(v, 1, BRANCH_PM, 9, FAST).residuals) < 1e-10
 
 
 def test_curve_samples_are_fold_states_of_its_rows():
