@@ -12,6 +12,10 @@ the plane by pure translation along the orthogonal lattice vectors
 
     R = (1 + D sin a, -D cos a),      U = (D cos a, 1 + D sin a).
 
+The sheet's index arrays follow by arithmetic from (label, di, dj)
+tables of the unit cell's plates and vertex stars; the corner, crease and
+vertex names are views of those arrays.
+
 Every interior vertex is a rotated copy of the generator; corners P1 and
 P3 of each square fold in mode 2, P2 and P4 in mode 1. In closed form, a
 vertex's creases c1..c4 have half-tangents s times its row, for
@@ -89,7 +93,30 @@ class SheetVertex:
     creases: tuple[frozenset, frozenset, frozenset, frozenset]
 
 
+LABELS = ("P1", "P2", "P3", "P4")
+OFFSET = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0)])  # flat, in a cell
 KINDS = ("square", "pleat_h", "pleat_v", "corner")
+EXTENT = ((0, 0), (0, 1), (1, 0), (1, 1))  # a kind's plates span (cols + ei) x (rows + ej) cells
+# each plate's corners as (label, di, dj) cell offsets, by kind; the pleats
+# join cells (i, j-1) and (i, j), or (i-1, j) and (i, j)
+PLATES = np.array([
+    ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)),
+    ((3, 0, -1), (2, 0, -1), (1, 0, 0), (0, 0, 0)),
+    ((1, -1, 0), (0, 0, 0), (3, 0, 0), (2, -1, 0)),
+    ((0, 0, 0), (1, -1, 0), (2, -1, -1), (3, 0, -1)),
+])
+# each interior vertex's crease neighbours c1..c4 in package order, as
+# (label, di, dj) cell offsets, by label
+STARS = np.array([
+    ((3, 0, 0), (1, -1, 0), (3, 0, -1), (1, 0, 0)),
+    ((0, 0, 0), (2, 0, -1), (0, 1, 0), (2, 0, 0)),
+    ((1, 0, 0), (3, 1, 0), (1, 0, 1), (3, 0, 0)),
+    ((2, 0, 0), (0, 0, 1), (2, -1, 0), (0, 0, 0)),
+])
+MODES = (2, 1, 2, 1)
+# the closed-form coefficient rows by label are ONE + k K (module docstring)
+ONE = np.array([(0, 1, 0, 1), (1, 0, 1, 0), (0, -1, 0, -1), (-1, 0, -1, 0)])
+K = np.array([(-1, 0, 1, 0), (0, -1, 0, 1), (1, 0, -1, 0), (0, 1, 0, -1)])
 # the hinge patch as (kind, i, j): one face of each kind in cell (0, 0),
 # then pleat_v(1, 0) and pleat_h(0, 1), which every sheet has and which
 # give the lattice translations
@@ -97,24 +124,28 @@ PATCH = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (2, 1, 0), (1, 0, 1))
 # the patch hinge tree as (child, parent) pairs, parents placed first; the
 # square carries the identity
 PATCH_TREE = ((1, 0), (2, 0), (4, 0), (5, 0), (3, 2))
+HINGE_SLOT = (0, 3, 1, 2, 0)  # each hinge is its parent's edge from corner slot s to s + 1
 
 
 @dataclass(frozen=True, eq=False)
 class FoldPlan:
-    """Everything a fold needs that does not depend on the driver angle.
+    """The sheet as index arrays, with everything a fold needs that does
+    not depend on the driver angle.
 
-    Arrays are read-only. Corners are indexed in ``sheet.corners`` order,
-    creases in ``sheet.creases`` order, interior vertices in
-    ``sheet.vertices`` order and faces in ``sheet.faces`` order; kinds
-    index KINDS. Hinge e of PATCH_TREE turns its child about the edge it
-    shares with its parent. A face's cell is the cell of its one P1
-    corner. A corner takes its position from the first face that lists it,
-    so the square of cell (0, 0) keeps its flat corners exactly.
+    Arrays are read-only. Faces run kind by kind (KINDS) over cells (i, j),
+    i outer; interior vertices run over cells likewise, then labels.
+    Corners and creases (edges two faces share) are in order of first
+    appearance in the faces. Hinge e of PATCH_TREE turns its child about
+    the edge it shares with its parent. A face's cell is the cell of its
+    one P1 corner. A corner takes its position from the first face that
+    lists it, so the square of cell (0, 0) keeps its flat corners exactly.
     """
 
+    corner: np.ndarray  # (N, 3) label index, i and j of each corner
+    flat: np.ndarray  # (N, 3) flat corner positions, z = 0
+    crease_ends: np.ndarray  # (C, 2) corner indices
+    vertex_creases: np.ndarray  # (V, 4) creases c1..c4 of each interior vertex
     coef: np.ndarray  # (C,) crease half-tangent per unit driver half-tangent
-    loop_creases: np.ndarray  # (L, 4) creases c1..c4 of one vertex per distinct coef row
-    vertex_loop: np.ndarray  # (V,) each vertex's coef row in loop_creases; equal rows fold alike
     patch_hinge: np.ndarray  # (5,) crease of each PATCH_TREE hinge
     axis_point: np.ndarray  # (5, 3) a flat point on the hinge
     axis: np.ndarray  # (5, 3) unit hinge direction; the child turns by +rho
@@ -126,10 +157,18 @@ class FoldPlan:
     first_slot: np.ndarray  # (N,) flat index into (F, 4) of each corner's first face
     mountain_rows: np.ndarray  # (rows, 2 cols) corner indices of mountain_path(j)
     valley_rows: np.ndarray  # (rows, 2 cols) corner indices of valley_path(j)
+    loop_creases: np.ndarray = dataclasses.field(init=False)  # (L, 4) creases of one vertex per distinct row
+    vertex_loop: np.ndarray = dataclasses.field(init=False)  # (V,) each vertex's row in loop_creases
 
-    def __post_init__(self):  # _fold carries every face's planarity on this
-        if self.local[..., 2].any():
+    def __post_init__(self):
+        if self.local[..., 2].any():  # _fold carries every face's planarity on this
             raise MeshConsistencyError("fold plan corners must lie at z = 0")
+        # vertices with equal coefficient rows fold alike: one loop each
+        _, first, loop = np.unique(self.coef[self.vertex_creases], axis=0, return_index=True, return_inverse=True)
+        object.__setattr__(self, "loop_creases", self.vertex_creases[first])
+        object.__setattr__(self, "vertex_loop", loop.reshape(-1))
+        for value in vars(self).values():
+            value.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -138,19 +177,28 @@ class SquareTwistSheet:
     rows: int
     cols: int
     pleat_length: float
-    corners: dict[Name, tuple[float, float]]
-    faces: tuple[tuple[Name, ...], ...]
-    face_kinds: tuple[str, ...]
-    creases: tuple[frozenset, ...]
-    vertices: dict[Name, SheetVertex]
-    mv_coefficients: dict[frozenset, float]
+    fold_plan: FoldPlan
 
     @functools.cached_property
-    def fold_plan(self) -> FoldPlan:
-        """Driver-independent fold data, built on first use from this
-        sheet's own fields, so a copy made with ``dataclasses.replace``
-        gets a plan of its own."""
-        return _fold_plan(self)
+    def corners(self) -> dict[Name, tuple[float, float]]:
+        """Flat position of every corner by name, in corner order."""
+        plan = self.fold_plan
+        return {(LABELS[p], i, j): (x, y) for (p, i, j), (x, y, _) in zip(plan.corner.tolist(), plan.flat.tolist())}
+
+    @functools.cached_property
+    def creases(self) -> tuple[frozenset, ...]:
+        """Every crease as the pair of its corner names, in crease order."""
+        names = list(self.corners)
+        return tuple(frozenset((names[a], names[b])) for a, b in self.fold_plan.crease_ends.tolist())
+
+    @functools.cached_property
+    def vertices(self) -> dict[Name, SheetVertex]:
+        """Mode and creases of every interior vertex by name, in vertex order."""
+        names = [(p, i, j) for i in range(self.cols) for j in range(self.rows) for p in LABELS]
+        return {
+            name: SheetVertex(MODES[v % 4], tuple(self.creases[c] for c in row))
+            for v, (name, row) in enumerate(zip(names, self.fold_plan.vertex_creases.tolist()))
+        }
 
     @functools.cached_property
     def _mesh_faces(self) -> tuple[tuple[int, ...], ...]:
@@ -201,164 +249,107 @@ def build_square_twist_sheet(v: Vertex4, rows: int, cols: int, pleat_length: flo
         raise InputError("pleat_length must be positive and finite")
     alpha, gen = _normalize_generator(v)
     D = pleat_length
-    lat_r = np.array([1.0 + D * math.sin(alpha), -D * math.cos(alpha)])
-    lat_u = np.array([D * math.cos(alpha), 1.0 + D * math.sin(alpha)])
-    offs = {"P1": (0.0, 0.0), "P2": (1.0, 0.0), "P3": (1.0, 1.0), "P4": (0.0, 1.0)}
+    sin, cos = math.sin(alpha), math.cos(alpha)
+    lattice = np.array([(1.0 + D * sin, -D * cos, 0.0), (D * cos, 1.0 + D * sin, 0.0)])  # R and U
 
-    def pos(name: Name) -> tuple[float, float]:
-        p, i, j = name
-        xy = i * lat_r + j * lat_u + np.array(offs[p])
-        return (float(xy[0]), float(xy[1]))
+    def code(p, i, j):  # corner (p, i, j) for -1 <= i <= cols, -1 <= j <= rows
+        return 4 * ((i + 1) * (rows + 2) + j + 1) + p
 
-    # each plate kind over its cells, corners as (corner, di, dj) cell
-    # offsets; the pleats join cells (i, j-1) and (i, j), or (i-1, j) and (i, j)
-    plates = (
-        ("square", cols, rows, (("P1", 0, 0), ("P2", 0, 0), ("P3", 0, 0), ("P4", 0, 0))),
-        ("pleat_h", cols, rows + 1, (("P4", 0, -1), ("P3", 0, -1), ("P2", 0, 0), ("P1", 0, 0))),
-        ("pleat_v", cols + 1, rows, (("P2", -1, 0), ("P1", 0, 0), ("P4", 0, 0), ("P3", -1, 0))),
-        ("corner", cols + 1, rows + 1, (("P1", 0, 0), ("P2", -1, 0), ("P3", -1, -1), ("P4", 0, -1))),
-    )
-    faces: list[tuple[Name, ...]] = []
-    kinds: list[str] = []
-    for kind, ni, nj, star in plates:
-        for i in range(ni):
-            for j in range(nj):
-                faces.append(tuple([(p, i + di, j + dj) for p, di, dj in star]))
-                kinds.append(kind)
+    cells = [np.divmod(np.arange((cols + ei) * (rows + ej)), rows + ej) for ei, ej in EXTENT]
+    face_kind = np.repeat(np.arange(len(KINDS)), [len(i) for i, _ in cells])
+    face_cell = np.concatenate([np.stack(c, axis=1) for c in cells])
+    star = PLATES[face_kind]
+    face_codes = code(star[..., 0], face_cell[:, :1] + star[..., 1], face_cell[:, 1:] + star[..., 2])
 
     # every corner once, in order of first appearance
-    corners = {name: pos(name) for name in dict.fromkeys(n for f in faces for n in f)}
+    unique, first, inverse = np.unique(face_codes.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.argsort(order)
+    face_corners = rank[inverse].reshape(face_codes.shape)
+    cell, label = np.divmod(unique[order], 4)
+    ci, cj = np.divmod(cell, rows + 2)
+    corner = np.stack([label, ci - 1, cj - 1], axis=1)
+    flat = corner[:, 1:2] * lattice[0] + corner[:, 2:3] * lattice[1] + OFFSET[label]
 
-    edge_count: dict[frozenset, int] = {}
-    for f in faces:
-        for a_, b_ in zip(f, f[1:] + f[:1]):
-            edge_count[frozenset((a_, b_))] = edge_count.get(frozenset((a_, b_)), 0) + 1
-    # fold lines are exactly the edges shared by two faces; single-face
-    # edges are the sheet boundary
-    crease_set = [k for k, c in edge_count.items() if c == 2]
+    def index(p, i, j):
+        return rank[np.searchsorted(unique, code(p, i, j))]
 
-    # package-order crease neighbours (c1..c4), as (corner, di, dj) cell
-    # offsets, and mode of each interior vertex
-    stars = {
-        "P1": (2, (("P4", 0, 0), ("P2", -1, 0), ("P4", 0, -1), ("P2", 0, 0))),
-        "P2": (1, (("P1", 0, 0), ("P3", 0, -1), ("P1", 1, 0), ("P3", 0, 0))),
-        "P3": (2, (("P2", 0, 0), ("P4", 1, 0), ("P2", 0, 1), ("P4", 0, 0))),
-        "P4": (1, (("P3", 0, 0), ("P1", 0, 1), ("P3", -1, 0), ("P1", 0, 0))),
-    }
-    vertices: dict[Name, SheetVertex] = {}
-    for i in range(cols):
-        for j in range(rows):
-            for p, (mode, star) in stars.items():
-                name = (p, i, j)
-                creases = tuple(frozenset((name, (q, i + di, j + dj))) for q, di, dj in star)
-                vertices[name] = SheetVertex(mode, creases)
-
-    sheet = SquareTwistSheet(
-        generator=gen,
-        rows=rows,
-        cols=cols,
-        pleat_length=D,
-        corners=corners,
-        faces=tuple(faces),
-        face_kinds=tuple(kinds),
-        creases=tuple(crease_set),
-        vertices=vertices,
-        mv_coefficients={},
+    # fold lines are exactly the edges shared by two faces, in order of
+    # first appearance; single-face edges are the sheet boundary
+    ends = np.stack([face_corners, np.roll(face_corners, -1, axis=1)], axis=2).reshape(-1, 2)
+    n = len(order)
+    keys, e_first, e_inverse, e_count = np.unique(
+        ends.min(axis=1) * n + ends.max(axis=1), return_index=True, return_inverse=True, return_counts=True
     )
-    sheet = dataclasses.replace(sheet, mv_coefficients=_crease_coefficients(sheet))
-    sheet.fold_plan  # built now, so the first fold does not pay for it
-    return sheet
+    shared = np.flatnonzero(e_count == 2)
+    shared = shared[np.argsort(e_first[shared])]
+    crease_of = np.full(len(keys), -1)
+    crease_of[shared] = np.arange(len(shared))
 
-
-# ---------------------------------------------------------------------------
-# crease coefficients (build time)
-
-
-def _crease_coefficients(sheet: SquareTwistSheet) -> dict[frozenset, float]:
-    """Half-tangent of every crease per unit driver half-tangent, in
-    ``sheet.creases`` order, from the closed-form rows of its interior
-    vertices (module docstring). RigidFoldabilityError is raised where the
-    two vertices of a crease disagree, where a crease meets no interior
-    vertex, and at k = 0: the creases k multiplies would never fold, and
-    the one driver would no longer determine the sheet.
-    """
-    k = mode_constants(sheet.generator.alphas[0], math.pi / 2).k1
-    if k == 0.0:
-        raise RigidFoldabilityError("zero mode constant: the driver does not determine the sheet")
-    patterns = {1: (1.0, -k, 1.0, k), 2: (-k, 1.0, k, 1.0)}
-    coef: dict[frozenset, float] = {}
-    for name, rec in sheet.vertices.items():
-        sign = 1.0 if name[0] in ("P1", "P2") else -1.0
-        for key, c in zip(rec.creases, patterns[rec.mode]):
-            c *= sign
-            if coef.setdefault(key, c) != c:
-                raise RigidFoldabilityError(
-                    f"inconsistent coefficient at crease {sorted(key)}: {coef[key]!r} vs {c!r}"
-                )
-    for key in sheet.creases:
-        if key not in coef:
-            raise RigidFoldabilityError(f"crease {sorted(key)} meets no interior vertex")
-    return {key: coef[key] for key in sheet.creases}
-
-
-def _fold_plan(sheet: SquareTwistSheet) -> FoldPlan:
-    """Driver-independent fold data: coefficient array, per-vertex crease
-    indices, the patch hinge tree with its axes, and every face's kind,
-    cell, corner indices and flat corners shifted back into cell (0, 0)."""
-    crease_index = {key: c for c, key in enumerate(sheet.creases)}
-    corner_index = {name: n for n, name in enumerate(sheet.corners)}
-    flat = np.array([(*xy, 0.0) for xy in sheet.corners.values()])
-    face_corners = np.array([[corner_index[n] for n in f] for f in sheet.faces])
-    face_kind = np.array([KINDS.index(k) for k in sheet.face_kinds])
-    face_cell = np.array([next(n[1:] for n in f if n[0] == "P1") for f in sheet.faces])
-    origin = flat[corner_index[("P1", 0, 0)]]
-    lattice = flat[[corner_index[("P1", 1, 0)], corner_index[("P1", 0, 1)]]] - origin
-    local = flat[face_corners] - (face_cell @ lattice)[:, None]
+    # each interior vertex's creases are the edges to its star's corners
+    i, j = np.divmod(np.arange(cols * rows)[:, None, None], rows)
+    centre = index(np.arange(4)[:, None], i, j)
+    across = index(STARS[..., 0], i + STARS[..., 1], j + STARS[..., 2])
+    edge = np.minimum(centre, across) * n + np.maximum(centre, across)
+    vertex_creases = crease_of[np.searchsorted(keys, edge)].reshape(-1, 4)
 
     # the patch hinges. The child sits right of the parent's directed edge
     # a -> b, so it turns by +rho about the axis from b toward a
-    face_at = {(k, i, j): fi for fi, (k, (i, j)) in enumerate(zip(face_kind.tolist(), face_cell.tolist()))}
-    patch = [sheet.faces[face_at[key]] for key in PATCH]
-    hinges = []
-    for child, parent in PATCH_TREE:
-        f = patch[parent]
-        a_, b_ = next(e for e in zip(f, f[1:] + f[:1]) if set(e) <= set(patch[child]))
-        hinges.append((crease_index[frozenset((a_, b_))], corner_index[a_], corner_index[b_]))
-    hinge, a_idx, b_idx = np.array(hinges).T
+    patch = [np.flatnonzero((face_kind == k) & (face_cell == ij).all(axis=1))[0] for k, *ij in PATCH]
+    f, s = np.array(patch)[[parent for _, parent in PATCH_TREE]], np.array(HINGE_SLOT)
+    hinge = crease_of[e_inverse.reshape(face_corners.shape)[f, s]]
+    a_idx, b_idx = face_corners[f, s], face_corners[f, (s + 1) % 4]
     axis = flat[a_idx] - flat[b_idx]
     axis /= np.linalg.norm(axis, axis=1, keepdims=True)
 
-    first_slot: dict[int, int] = {}
-    for slot, n in enumerate(face_corners.ravel().tolist()):
-        first_slot.setdefault(n, slot)
-
-    def rows(path) -> np.ndarray:
-        return np.array([[corner_index[n] for n in path(j)] for j in range(sheet.rows)])
-
-    coef = np.array([sheet.mv_coefficients[key] for key in sheet.creases])
-    creases = np.array([[crease_index[key] for key in rec.creases] for rec in sheet.vertices.values()])
-    coef_rows = list(map(tuple, coef[creases].tolist()))
-    vertex_of = {row: v for v, row in enumerate(coef_rows)}  # each distinct row -> a vertex with it
-    loop_of = {row: k for k, row in enumerate(vertex_of)}
+    # corner rows of valley_path(j) (P1, P2) and mountain_path(j) (P4, P3)
+    ri, rj = np.arange(cols)[None, :, None], np.arange(rows)[:, None, None]
     plan = FoldPlan(
-        coef=coef,
-        loop_creases=creases[list(vertex_of.values())],
-        vertex_loop=np.array([loop_of[row] for row in coef_rows]),
+        corner=corner,
+        flat=flat,
+        crease_ends=ends[e_first[shared]],
+        vertex_creases=vertex_creases,
+        coef=_crease_coefficients(gen, vertex_creases, len(shared)),
         patch_hinge=hinge,
         axis_point=flat[b_idx],
         axis=axis,
         lattice=lattice,
         face_kind=face_kind,
         face_cell=face_cell,
-        local=local,
+        local=flat[face_corners] - (face_cell @ lattice)[:, None],
         face_corners=face_corners,
-        first_slot=np.array([first_slot[n] for n in range(len(flat))]),
-        mountain_rows=rows(sheet.mountain_path),
-        valley_rows=rows(sheet.valley_path),
+        first_slot=first[order],
+        mountain_rows=index(np.array([3, 2]), ri, rj).reshape(rows, -1),
+        valley_rows=index(np.array([0, 1]), ri, rj).reshape(rows, -1),
     )
-    for value in vars(plan).values():
-        value.flags.writeable = False
-    return plan
+    return SquareTwistSheet(generator=gen, rows=rows, cols=cols, pleat_length=D, fold_plan=plan)
+
+
+# ---------------------------------------------------------------------------
+# crease coefficients (build time)
+
+
+def _crease_coefficients(gen: Vertex4, vertex_creases: np.ndarray, n_creases: int) -> np.ndarray:
+    """Half-tangent of each crease per unit driver half-tangent, from the
+    closed-form rows of the interior vertices (vertex v has label v % 4 and
+    creases ``vertex_creases[v]``). RigidFoldabilityError is raised where
+    the two vertices of a crease disagree, where a crease meets no interior
+    vertex, and at k = 0: the creases k multiplies would never fold, and
+    the one driver would no longer determine the sheet.
+    """
+    k = mode_constants(gen.alphas[0], math.pi / 2).k1
+    if k == 0.0:
+        raise RigidFoldabilityError("zero mode constant: the driver does not determine the sheet")
+    rows = np.tile(ONE + k * K, (len(vertex_creases) // 4, 1))
+    coef = np.full(n_creases, np.nan)
+    coef[vertex_creases] = rows
+    clash = coef[vertex_creases] != rows
+    if clash.any():
+        c, want = vertex_creases[clash][0], rows[clash][0]
+        raise RigidFoldabilityError(f"inconsistent coefficient at crease {c}: {coef[c]} vs {want}")
+    if np.isnan(coef).any():
+        raise RigidFoldabilityError(f"crease {np.isnan(coef).argmax()} meets no interior vertex")
+    return coef
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +473,8 @@ def _lattice_axes(fs: FoldedSheet) -> np.ndarray:
     folded row translation, which every sheet has, one column or more. At
     zero fold this is the flat frame.
     """
-    pts = fs.mesh.vertices[fs.sheet.fold_plan.face_corners[fs.sheet.face_kinds.index("corner")]]
+    plan = fs.sheet.fold_plan  # faces run kind by kind, so the first corner plate is found by bisection
+    pts = fs.mesh.vertices[plan.face_corners[np.searchsorted(plan.face_kind, KINDS.index("corner"))]]
     n3 = cross(pts[1] - pts[0], pts[3] - pts[0])
     n3 = n3 / np.linalg.norm(n3)
     e_row = fs.lattice[0]

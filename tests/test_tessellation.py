@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 from collections import Counter
@@ -9,7 +10,7 @@ from rigidori import tessellation
 from rigidori.closure import LoopEvaluator
 from rigidori.errors import GluingError, InputError, MeshConsistencyError, RigidFoldabilityError
 from rigidori.flatfold import MODE_1, MODE_2, fold_mode, mode_constants
-from rigidori.numerics import rotation_about_axis
+from rigidori.numerics import rotation_about_axis, rotation_matrix_about_axis
 from rigidori.tessellation import (
     PATCH,
     PATCH_TREE,
@@ -85,12 +86,75 @@ def test_mv_assignment_structure():
     sheets.append((0.6, build_square_twist_sheet(_twist(0.6), 3, 5, pleat_length=0.8)))
     for a, sheet in sheets:
         k1 = mode_constants(a, PI / 2).k1
-        coefs = list(sheet.mv_coefficients.values())
+        coefs = sheet.fold_plan.coef.tolist()
         assert set(coefs) == {1.0, -1.0, k1, -k1}
         assert len(sheet.fold_plan.loop_creases) == 4
         # as many mountain (negative) as valley (positive) creases
         signs = Counter(np.sign(coefs).tolist())
         assert signs[-1.0] == signs[1.0]
+
+
+def _reference_layout(sheet: SquareTwistSheet):
+    """The sheet's layout spelled out by corner name: each plate kind over
+    its cells, corners in order of first appearance, creases as the edges
+    two faces share, and every interior vertex's star with its mode and
+    closed-form coefficient row."""
+    a, D = sheet.generator.alphas[0], sheet.pleat_length
+    lat_r = np.array([1.0 + D * math.sin(a), -D * math.cos(a)])
+    lat_u = np.array([D * math.cos(a), 1.0 + D * math.sin(a)])
+    offs = {"P1": (0.0, 0.0), "P2": (1.0, 0.0), "P3": (1.0, 1.0), "P4": (0.0, 1.0)}
+
+    def pos(name):
+        p, i, j = name
+        xy = i * lat_r + j * lat_u + np.array(offs[p])
+        return (float(xy[0]), float(xy[1]))
+
+    rows, cols = sheet.rows, sheet.cols
+    plates = (
+        (cols, rows, (("P1", 0, 0), ("P2", 0, 0), ("P3", 0, 0), ("P4", 0, 0))),
+        (cols, rows + 1, (("P4", 0, -1), ("P3", 0, -1), ("P2", 0, 0), ("P1", 0, 0))),
+        (cols + 1, rows, (("P2", -1, 0), ("P1", 0, 0), ("P4", 0, 0), ("P3", -1, 0))),
+        (cols + 1, rows + 1, (("P1", 0, 0), ("P2", -1, 0), ("P3", -1, -1), ("P4", 0, -1))),
+    )
+    faces = [
+        tuple((p, i + di, j + dj) for p, di, dj in star)
+        for ni, nj, star in plates
+        for i in range(ni)
+        for j in range(nj)
+    ]
+    corners = {name: pos(name) for name in dict.fromkeys(n for f in faces for n in f)}
+    edge_count = Counter(frozenset(e) for f in faces for e in zip(f, f[1:] + f[:1]))
+    creases = tuple(key for key, count in edge_count.items() if count == 2)
+    stars = {
+        "P1": (2, (("P4", 0, 0), ("P2", -1, 0), ("P4", 0, -1), ("P2", 0, 0))),
+        "P2": (1, (("P1", 0, 0), ("P3", 0, -1), ("P1", 1, 0), ("P3", 0, 0))),
+        "P3": (2, (("P2", 0, 0), ("P4", 1, 0), ("P2", 0, 1), ("P4", 0, 0))),
+        "P4": (1, (("P3", 0, 0), ("P1", 0, 1), ("P3", -1, 0), ("P1", 0, 0))),
+    }
+    k = mode_constants(a, PI / 2).k1
+    patterns = {1: (1.0, -k, 1.0, k), 2: (-k, 1.0, k, 1.0)}
+    vertices, coef = {}, {}
+    for i in range(cols):
+        for j in range(rows):
+            for p, (mode, star) in stars.items():
+                keys = tuple(frozenset(((p, i, j), (q, i + di, j + dj))) for q, di, dj in star)
+                vertices[(p, i, j)] = tessellation.SheetVertex(mode, keys)
+                sign = 1.0 if p in ("P1", "P2") else -1.0
+                for key, c in zip(keys, patterns[mode]):
+                    assert coef.setdefault(key, sign * c) == sign * c
+    return corners, creases, vertices, [coef[key] for key in creases]
+
+
+def test_built_layout_matches_the_named_reference():
+    sheets = [build_square_twist_sheet(GEN, r, c) for r, c in ((1, 1), (1, 5), (5, 1), (12, 12))]
+    sheets.append(build_square_twist_sheet(_twist(0.6), 3, 4, pleat_length=0.8))
+    for sheet in sheets:
+        corners, creases, vertices, coef = _reference_layout(sheet)
+        assert list(sheet.corners) == list(corners)
+        assert np.array(list(sheet.corners.values())).tobytes() == np.array(list(corners.values())).tobytes()
+        assert sheet.creases == creases
+        assert list(sheet.vertices.items()) == list(vertices.items())
+        assert sheet.fold_plan.coef.tobytes() == np.array(coef).tobytes()
 
 
 def test_generator_must_be_flat_foldable_square_shape():
@@ -152,18 +216,15 @@ def test_folded_periodicity(sheet22):
 
 
 def test_propagation_conflict_detected(sheet22):
-    import dataclasses
-
-    broken_vertices = dict(sheet22.vertices)
-    rec = broken_vertices[("P2", 0, 0)]
-    broken_vertices[("P2", 0, 0)] = dataclasses.replace(rec, mode=2)
-    broken = dataclasses.replace(sheet22, vertices=broken_vertices)
+    plan = sheet22.fold_plan
+    # P2(0, 0)'s creases rolled one place take the mode-2 row
+    swapped = plan.vertex_creases.copy()
+    swapped[1] = np.roll(swapped[1], 1)
     with pytest.raises(RigidFoldabilityError, match="inconsistent .* crease"):
-        _crease_coefficients(broken)
-    # a crease of P1(0, 0) alone, to P2(-1, 0) on the boundary, has no row
-    lonely = {n: rec for n, rec in sheet22.vertices.items() if n != ("P1", 0, 0)}
+        _crease_coefficients(sheet22.generator, swapped, len(plan.coef))
+    # a crease past every vertex's creases has no row
     with pytest.raises(RigidFoldabilityError, match="meets no interior vertex"):
-        _crease_coefficients(dataclasses.replace(sheet22, vertices=lonely))
+        _crease_coefficients(sheet22.generator, plan.vertex_creases, len(plan.coef) + 1)
     # a = pi/2 zeroes k1 exactly: the creases it multiplies never fold
     with pytest.raises(RigidFoldabilityError, match="zero mode constant"):
         build_square_twist_sheet(Vertex4((PI / 2,) * 4), 1, 1)
@@ -198,8 +259,6 @@ def test_glued_vertices_realize_combined_vertex(sheet22):
             assert ms_b == pytest.approx(dual_ms, abs=1e-9)
     # the angles come from the meshes: an affine stretch of every layer
     # (faces stay planar) changes them
-    import dataclasses
-
     stretch = np.diag([1.0, 2.0, 1.0])
     stretched = dataclasses.replace(cx, meshes=tuple(m.transformed(stretch) for m in cx.meshes))
     assert any(
@@ -263,8 +322,6 @@ def test_layer_motion_is_the_least_squares_fit_of_the_glued_rows():
 def test_one_column_parallel_stack_glues_every_row_under_rounding_noise(monkeypatch):
     # positions a rounding step away from the exact fold must glue the
     # same rows: a two-point crease row does not fix a registration
-    import dataclasses
-
     from rigidori.embedding import FoldedMesh
 
     sheet = build_square_twist_sheet(GEN, 5, 1)
@@ -329,9 +386,9 @@ def test_fold_scales_frozen_coefficients(planned_sheet):
 def test_placed_faces_keep_flat_lengths(planned_sheet):
     for rho in PLAN_DRIVERS:
         fs = _fold(planned_sheet, rho)
-        pts = fs.mesh.vertices
-        for names, idx in zip(planned_sheet.faces, fs.mesh.faces):
-            flat = np.array([planned_sheet.corners[n] for n in names])
+        pts, plan = fs.mesh.vertices, planned_sheet.fold_plan
+        for f, idx in zip(plan.face_corners, fs.mesh.faces):
+            flat = plan.flat[f]
             folded = pts[list(idx)]
             # every edge and both diagonals: the plate moved rigidly
             for i in range(4):
@@ -341,20 +398,10 @@ def test_placed_faces_keep_flat_lengths(planned_sheet):
 
 
 def test_fold_plan_belongs_to_its_sheet(sheet22):
-    # a sheet built field by field folds like the built one, and a copy
-    # made with dataclasses.replace builds its own plan
-    import dataclasses
-
+    # a sheet built field by field folds like the built one
     fields = {f.name: getattr(sheet22, f.name) for f in dataclasses.fields(sheet22)}
     direct = SquareTwistSheet(**fields)
     assert fold_sheet(direct, 0.7) == fold_sheet(sheet22, 0.7)
-    shifted = {n: (x + 1.0, y) for n, (x, y) in sheet22.corners.items()}
-    moved = dataclasses.replace(sheet22, corners=shifted)
-    assert moved.fold_plan is not sheet22.fold_plan
-    a, b = fold_sheet(moved, 0.7).vertices, fold_sheet(sheet22, 0.7).vertices
-    # folding commutes with translating the flat layout; a stale plan
-    # would fold the old corners and leave the mesh where it was
-    assert np.max(np.abs(a - b - [1.0, 0.0, 0.0])) < 1e-12
 
 
 def _depth_first_positions(sheet: SquareTwistSheet, major_rho: float) -> dict:
@@ -362,13 +409,15 @@ def _depth_first_positions(sheet: SquareTwistSheet, major_rho: float) -> dict:
     face tree from face 0: a child face moves by its parent's map after
     turning by its crease's fold angle about the shared edge."""
     flat = {n: np.array([x, y, 0.0]) for n, (x, y) in sheet.corners.items()}
-    coefs = sheet.mv_coefficients
+    coefs = dict(zip(sheet.creases, sheet.fold_plan.coef.tolist()))
+    names = list(flat)
+    faces = [tuple(names[n] for n in f) for f in sheet.fold_plan.face_corners.tolist()]
     if abs(major_rho) == PI:
         rho = {k: math.copysign(PI, major_rho) * np.sign(c) for k, c in coefs.items()}
     else:
         rho = {k: 2.0 * math.atan(c * math.tan(0.5 * major_rho)) for k, c in coefs.items()}
     edge_faces: dict[frozenset, list[int]] = {}
-    for fi, f in enumerate(sheet.faces):
+    for fi, f in enumerate(faces):
         for a, b in zip(f, f[1:] + f[:1]):
             if frozenset((a, b)) in rho:
                 edge_faces.setdefault(frozenset((a, b)), []).append(fi)
@@ -377,7 +426,7 @@ def _depth_first_positions(sheet: SquareTwistSheet, major_rho: float) -> dict:
     while stack:
         fi = stack.pop()
         R, t = maps[fi]
-        f = sheet.faces[fi]
+        f = faces[fi]
         for a, b in zip(f, f[1:] + f[:1]):
             key = frozenset((a, b))
             for fj in edge_faces.get(key, ()):
@@ -388,7 +437,7 @@ def _depth_first_positions(sheet: SquareTwistSheet, major_rho: float) -> dict:
                     maps[fj] = (R @ Rh, R @ (flat[b] - Rh @ flat[b]) + t)
                     stack.append(fj)
     out = {}
-    for fi, f in enumerate(sheet.faces):
+    for fi, f in enumerate(faces):
         R, t = maps[fi]
         for n in f:
             out.setdefault(n, R @ flat[n] + t)
@@ -413,7 +462,10 @@ def _reference_bbox(sheet: SquareTwistSheet, major_rho: float, layers: int) -> t
     up by corner name: cell periods along rows and columns, and the rise
     P1(0, 0) -> P4(0, 0) along the first corner plate's normal."""
     pos = _depth_first_positions(sheet, major_rho)
-    plate = [pos[n] for n in sheet.faces[sheet.face_kinds.index("corner")]]
+    plan = sheet.fold_plan
+    names = list(sheet.corners)
+    first = plan.face_kind.tolist().index(tessellation.KINDS.index("corner"))
+    plate = [pos[names[n]] for n in plan.face_corners[first]]
     n3 = np.cross(plate[1] - plate[0], plate[3] - plate[0])
     n3 /= np.linalg.norm(n3)
     p0 = pos[("P1", 0, 0)]
@@ -464,12 +516,10 @@ def test_fold_plan_arrays_are_read_only(sheet22):
 
 def _with_coefficient(sheet: SquareTwistSheet, c: int, factor: float) -> SquareTwistSheet:
     """A copy of the sheet with crease c's frozen coefficient scaled; the
-    copy builds its own fold plan, distinct loops included."""
-    import dataclasses
-
-    key = sheet.creases[c]
-    coefs = {**sheet.mv_coefficients, key: factor * sheet.mv_coefficients[key]}
-    return dataclasses.replace(sheet, mv_coefficients=coefs)
+    copy's fold plan derives its own distinct loops."""
+    coef = sheet.fold_plan.coef.copy()
+    coef[c] *= factor
+    return _with_plan(sheet, coef=coef)
 
 
 def test_wrong_hinge_angle_fails(sheet22):
@@ -510,6 +560,23 @@ def test_one_wrong_crease_fails_closure_at_its_vertex(shape, sheet22):
         assert len(named) == 1 and sheet.creases[c] in sheet.vertices[named[0]].creases
 
 
+def test_replaced_coefficients_rederive_the_loops():
+    # a plan copied with new coefficients dedupes its vertex loops afresh,
+    # so a crease outside the patch tree still fails closure on a sheet
+    # whose 576 vertices share 4 loops
+    sheet = build_square_twist_sheet(GEN, 12, 12)
+    plan = sheet.fold_plan
+    free = sorted(set(range(len(plan.coef))) - set(plan.patch_hinge.tolist()))
+    for c in free[:: len(free) // 8]:
+        coef = plan.coef.copy()
+        coef[c] *= 1.01
+        replaced = dataclasses.replace(plan, coef=coef)
+        rows = replaced.coef[replaced.loop_creases]
+        assert np.array_equal(rows[replaced.vertex_loop], coef[plan.vertex_creases])
+        with pytest.raises(MeshConsistencyError, match="fails closure"):
+            _fold(dataclasses.replace(sheet, fold_plan=replaced), 1.0)
+
+
 def _counting_planarity(monkeypatch) -> list:
     """Record each _max_planarity call in the returned list."""
     from rigidori import embedding
@@ -544,11 +611,7 @@ def test_carried_planarity_bounds_every_face(rho, monkeypatch):
 
 def _with_plan(sheet: SquareTwistSheet, **changes) -> SquareTwistSheet:
     """A copy of the sheet whose fold plan has the given fields replaced."""
-    import dataclasses
-
-    copy = dataclasses.replace(sheet)
-    copy.__dict__["fold_plan"] = dataclasses.replace(sheet.fold_plan, **changes)
-    return copy
+    return dataclasses.replace(sheet, fold_plan=dataclasses.replace(sheet.fold_plan, **changes))
 
 
 def _corner_plates_moved(sheet: SquareTwistSheet, dx: float) -> SquareTwistSheet:
@@ -589,8 +652,6 @@ def test_corner_spread_bound_is_1e_8(sheet22):
 
 
 def test_glue_bound_is_1e_8(sheet22, monkeypatch):
-    import dataclasses
-
     from rigidori.embedding import FoldedMesh
 
     exact = tessellation._fold
@@ -618,25 +679,36 @@ def test_glue_map_is_built_once_per_variant_and_layers(sheet22):
         assert stack_complex(sheet22, 4, 1.0, variant).glue_map[: len(first)] == first
 
 
-def test_rotated_lattice_step_does_not_tile(sheet22, monkeypatch):
-    # pleat_v(1, 0) carries an extra 1e-6 rotation about the sheet normal
+def _turn_pleat_v_1_0(monkeypatch, angle: float) -> None:
+    """Give pleat_v(1, 0) an extra rotation by angle about the sheet normal."""
     e = [child for child, _ in PATCH_TREE].index(4)
-    turn = rotation_about_axis([0.0, 0.0, 1.0], 1e-6)
-    exact = tessellation.rotation_matrix_about_axis
+    turn = rotation_about_axis([0.0, 0.0, 1.0], angle)
 
     def injected(axis, angle):
-        out = exact(axis, angle)
+        out = rotation_matrix_about_axis(axis, angle)
         out[e] = out[e] @ turn
         return out
 
     monkeypatch.setattr(tessellation, "rotation_matrix_about_axis", injected)
+
+
+def test_rotated_lattice_step_does_not_tile(sheet22, monkeypatch):
+    _turn_pleat_v_1_0(monkeypatch, 1e-6)
     with pytest.raises(MeshConsistencyError, match="rotational part"):
         _fold(sheet22, 1.0)
 
 
-def test_generator_that_does_not_close_fails(sheet22):
-    import dataclasses
+def test_lattice_step_turn_bound_is_1e_8(sheet22, monkeypatch):
+    # unfolded, every hinge is the identity, so the lattice step's
+    # rotational part is the turn's largest entry, sin(angle)
+    _turn_pleat_v_1_0(monkeypatch, math.asin(0.99e-8))
+    _fold(sheet22, 0.0)
+    _turn_pleat_v_1_0(monkeypatch, math.asin(1.01e-8))
+    with pytest.raises(MeshConsistencyError, match="rotational part 1.010e-08"):
+        _fold(sheet22, 0.0)
 
+
+def test_generator_that_does_not_close_fails(sheet22):
     # still flat-foldable with right-angle sectors, but the frozen fold
     # angles no longer close its loops
     bent = Vertex4((PI / 4 + 1e-3, PI / 2, 3 * PI / 4 - 1e-3, PI / 2))
@@ -645,8 +717,6 @@ def test_generator_that_does_not_close_fails(sheet22):
 
 
 def test_shifted_valley_row_does_not_glue(sheet22, monkeypatch):
-    import dataclasses
-
     exact = tessellation._fold
     valley = sheet22.fold_plan.valley_rows
 
