@@ -30,16 +30,17 @@ so a single degree of freedom folds the whole sheet. The rows freeze each
 crease's coefficient at build time, exactly +-1 or +-k, so every interior
 vertex loop is one of four. Folding scales the frozen coefficients
 (rho = 2 atan(coef * s)) and composes the hinges of a patch of faces
-around cell (0, 0). Every interior vertex folds alike, so the
-folded sheet is periodic: the patch's neighbours in cells (1, 0) and
-(0, 1) give the two folded lattice translations, and every face is placed
-in one broadcast as its kind's cell-(0, 0) motion plus its cell's
-translation. A lattice step with a rotational part above 1e-8 raises.
-Every corner's placements by all of its faces must agree within 1e-8, so
-every face cycle of the sheet is checked, not only the patch's, and each
-distinct interior vertex loop is certified once, in one batch. Each face
-is flat (z = 0) and placed rigidly, so the mesh carries a planarity bound
-from rounding and the corner spread instead of measuring it.
+around cell (0, 0). Every interior vertex folds alike, so the folded
+sheet is periodic: the patch's neighbours in cells (1, 0) and (0, 1) give
+the two folded lattice translations, and a lattice step with a rotational
+part above 1e-8 raises. The 16 corners of the kinds' cell-(0, 0) faces
+are placed, and every corner is one of them plus a cell's translation, in
+one broadcast. A face slot and its corner's first slot differ by one of
+20 lattice identities, each of which must hold within 1e-8, so every face
+cycle of the sheet is checked, not only the patch's; each distinct
+interior vertex loop is certified once, in one batch. Each face is flat
+(z = 0) and placed rigidly, so the mesh carries a planarity bound from
+rounding and the worst identity instead of measuring it.
 
 Stacking glues the mountain crease rows of each layer to the valley
 crease rows of the next (the rows are the zigzag paths of major creases
@@ -66,16 +67,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closure import LoopEvaluator
-from .embedding import PARALLEL, ROTATED, FoldedMesh, _ray_angle, _rounding
-from .errors import (
-    GluingError,
-    InfeasibleDriverError,
-    InputError,
-    MeshConsistencyError,
-    RigidFoldabilityError,
-)
+from .embedding import PARALLEL, ROTATED, FoldedMesh, _rounding
+from .errors import GluingError, InfeasibleDriverError, InputError, MeshConsistencyError, RigidFoldabilityError
 from .flatfold import coupled_angle, mode_constants
-from .numerics import RESIDUAL_TOL, cross, rotation_matrix_about_axis
+from .numerics import RESIDUAL_TOL, cross
 from .vertex import Curvature, Vertex4, classify
 
 Name = tuple[str, int, int]  # corner label P1..P4 with cell indices
@@ -132,13 +127,13 @@ class FoldPlan:
     """The sheet as index arrays, with everything a fold needs that does
     not depend on the driver angle.
 
-    Arrays are read-only. Faces run kind by kind (KINDS) over cells (i, j),
-    i outer; interior vertices run over cells likewise, then labels.
+    Arrays are read-only copies. Faces run kind by kind (KINDS) over cells
+    (i, j), i outer; interior vertices run over cells likewise, then labels.
     Corners and creases (edges two faces share) are in order of first
     appearance in the faces. Hinge e of PATCH_TREE turns its child about
     the edge it shares with its parent. A face's cell is the cell of its
-    one P1 corner. A corner takes its position from the first face that
-    lists it, so the square of cell (0, 0) keeps its flat corners exactly.
+    one P1 corner. Kind-corner 4 kind + s is slot s of the kind's cell-(0, 0)
+    face; a corner is its first face's kind-corner moved by that face's cell.
     """
 
     corner: np.ndarray  # (N, 3) label index, i and j of each corner
@@ -148,13 +143,16 @@ class FoldPlan:
     coef: np.ndarray  # (C,) crease half-tangent per unit driver half-tangent
     patch_hinge: np.ndarray  # (5,) crease of each PATCH_TREE hinge
     axis_point: np.ndarray  # (5, 3) a flat point on the hinge
-    axis: np.ndarray  # (5, 3) unit hinge direction; the child turns by +rho
+    hinge_k: np.ndarray  # (5, 3, 3) cross-product matrix K of the unit hinge direction
+    hinge_k2: np.ndarray  # (5, 3, 3) K @ K; the child turns by I + sin(rho) K + (1 - cos(rho)) K^2
     lattice: np.ndarray  # (2, 3) flat lattice vectors R and U
     face_kind: np.ndarray  # (F,) kind of each face
     face_cell: np.ndarray  # (F, 2) lattice cell (i, j) of each face
-    local: np.ndarray  # (F, 4, 3) flat corners shifted back into cell (0, 0)
+    local: np.ndarray  # (4, 4, 3) flat corners of each kind's cell-(0, 0) face
     face_corners: np.ndarray  # (F, 4) corner indices per face
-    first_slot: np.ndarray  # (N,) flat index into (F, 4) of each corner's first face
+    corner_kc: np.ndarray  # (N,) kind-corner of each corner's first face slot
+    corner_cell: np.ndarray  # (N, 2) float cell of each corner's first face
+    identity: np.ndarray  # (I, 4) kind-corners a, b and cell step d: a + d @ lattice is b
     mountain_rows: np.ndarray  # (rows, 2 cols) corner indices of mountain_path(j)
     valley_rows: np.ndarray  # (rows, 2 cols) corner indices of valley_path(j)
     loop_creases: np.ndarray = dataclasses.field(init=False)  # (L, 4) creases of one vertex per distinct row
@@ -167,8 +165,9 @@ class FoldPlan:
         _, first, loop = np.unique(self.coef[self.vertex_creases], axis=0, return_index=True, return_inverse=True)
         object.__setattr__(self, "loop_creases", self.vertex_creases[first])
         object.__setattr__(self, "vertex_loop", loop.reshape(-1))
-        for value in vars(self).values():
-            value.flags.writeable = False
+        for name, value in list(vars(self).items()):
+            object.__setattr__(self, name, value.copy())  # the caller's arrays stay theirs
+            getattr(self, name).flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -204,6 +203,11 @@ class SquareTwistSheet:
     def _mesh_faces(self) -> tuple[tuple[int, ...], ...]:
         """The faces of every folded mesh: the plan's face corners as tuples."""
         return tuple(map(tuple, self.fold_plan.face_corners.tolist()))
+
+    @functools.cached_property
+    def _loops(self) -> LoopEvaluator:
+        """The generator's loop evaluator, shared by every fold."""
+        return LoopEvaluator(self.generator)
 
     @functools.cached_property
     def _glue_maps(self) -> dict[tuple[str, int], tuple]:
@@ -301,6 +305,15 @@ def build_square_twist_sheet(v: Vertex4, rows: int, cols: int, pleat_length: flo
     a_idx, b_idx = face_corners[f, s], face_corners[f, (s + 1) % 4]
     axis = flat[a_idx] - flat[b_idx]
     axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    hinge_k = np.cross(np.eye(3), axis[:, None])  # row i is e_i x axis
+
+    # each corner is its first slot's kind-corner plus that face's cell; a
+    # slot and its corner's first slot differ by one lattice identity
+    kc = 4 * face_kind[:, None] + np.arange(4)
+    corner_kc, corner_cell = kc.ravel()[first[order]], face_cell[first[order] // 4]
+    slots = np.dstack([kc, corner_kc[face_corners], face_cell[:, None] - corner_cell[face_corners]]).reshape(-1, 4)
+    identity = slots[np.unique(slots @ (1 << 48, 1 << 32, 1 << 16, 1), return_index=True)[1]]  # distinct rows
+    identity = identity[(identity[:, 0] != identity[:, 1]) | identity[:, 2:].any(axis=1)]  # not a first slot
 
     # corner rows of valley_path(j) (P1, P2) and mountain_path(j) (P4, P3)
     ri, rj = np.arange(cols)[None, :, None], np.arange(rows)[:, None, None]
@@ -312,13 +325,16 @@ def build_square_twist_sheet(v: Vertex4, rows: int, cols: int, pleat_length: flo
         coef=_crease_coefficients(gen, vertex_creases, len(shared)),
         patch_hinge=hinge,
         axis_point=flat[b_idx],
-        axis=axis,
+        hinge_k=hinge_k,
+        hinge_k2=hinge_k @ hinge_k,
         lattice=lattice,
         face_kind=face_kind,
         face_cell=face_cell,
-        local=flat[face_corners] - (face_cell @ lattice)[:, None],
+        local=flat[face_corners[patch[:4]]],
         face_corners=face_corners,
-        first_slot=first[order],
+        corner_kc=corner_kc,
+        corner_cell=corner_cell.astype(float),
+        identity=identity,
         mountain_rows=index(np.array([3, 2]), ri, rj).reshape(rows, -1),
         valley_rows=index(np.array([0, 1]), ri, rj).reshape(rows, -1),
     )
@@ -370,79 +386,68 @@ class FoldedSheet:
     lattice: np.ndarray  # (2, 3) folded cell-to-cell translations R and U
 
 
+def _patch_motion(plan: FoldPlan, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each patch face's motion x -> R x + t: its parent's after its hinge's."""
+    angle = rho[plan.patch_hinge][:, None, None]
+    Rh = np.eye(3) + np.sin(angle) * plan.hinge_k + (1.0 - np.cos(angle)) * plan.hinge_k2
+    th = plan.axis_point - np.einsum("eij,ej->ei", Rh, plan.axis_point)
+    R, t = np.zeros((len(PATCH), 3, 3)) + np.eye(3), np.zeros((len(PATCH), 3))  # the square stays
+    for e, (child, parent) in enumerate(PATCH_TREE):
+        R[child], t[child] = R[parent] @ Rh[e], R[parent] @ th[e] + t[parent]
+    return R, t
+
+
 def _fold(sheet: SquareTwistSheet, major_rho: float) -> FoldedSheet:
     if not -math.pi <= major_rho <= math.pi:
         raise InfeasibleDriverError("major_rho must lie in [-pi, pi]")
     plan = sheet.fold_plan
     rho = coupled_angle(plan.coef, major_rho)
-
-    # compose the patch hinges, each a homogeneous map x -> Rh x + th about
-    # a line through its flat axis point: a child face moves by its
-    # parent's map after its own hinge rotation
-    Rh = rotation_matrix_about_axis(plan.axis, rho[plan.patch_hinge])
-    H = np.zeros((len(Rh), 4, 4))
-    H[:, :3, :3] = Rh
-    H[:, :3, 3] = plan.axis_point - np.einsum("eij,ej->ei", Rh, plan.axis_point)
-    H[:, 3, 3] = 1.0
-    M = np.empty((len(PATCH), 4, 4))
-    M[0] = np.eye(4)
-    for e, (child, parent) in enumerate(PATCH_TREE):
-        M[child] = M[parent] @ H[e]
-    R, t = M[:, :3, :3], M[:, :3, 3]
+    R, t = _patch_motion(plan, rho)
 
     # pleat_v(1, 0) and pleat_h(0, 1) are their cell-(0, 0) kinds moved one
     # lattice step, which must be a pure translation
-    drift = max(float(np.max(np.abs(R[4] - R[2]))), float(np.max(np.abs(R[5] - R[1]))))
+    drift = float(np.max(np.abs(R[4:] - R[2:0:-1])))
     if not drift <= PLACEMENT_TOL:
         raise MeshConsistencyError(f"cell-to-cell motion has a rotational part {drift:.3e}")
     lattice = np.stack([t[4] - t[2] + R[2] @ plan.lattice[0], t[5] - t[1] + R[1] @ plan.lattice[1]])
 
-    # place every face by its kind's motion and its cell's translation; all
-    # faces sharing a corner must agree (loop consistency)
-    kind = plan.face_kind
-    rotations = np.ascontiguousarray(R.transpose(0, 2, 1))[kind]  # contiguous: a faster matmul
-    shift = t[kind] + plan.face_cell @ lattice
-    placed = plan.local @ rotations + shift[:, None]
-    pos = placed.reshape(-1, 3)[plan.first_slot]
-    worst_spread = float(np.max(np.abs(placed - pos[plan.face_corners])))
+    # place the kinds' cell-(0, 0) corners; every face cycle of the sheet
+    # holds if each lattice identity does (loop consistency)
+    base = (plan.local @ R[:4].transpose(0, 2, 1) + t[:4, None]).reshape(-1, 3)
+    a, b, step = plan.identity[:, 0], plan.identity[:, 1], plan.identity[:, 2:]
+    worst_spread = float(np.max(np.abs(base.take(a, axis=0) - base.take(b, axis=0) + step @ lattice)))
     if not worst_spread <= PLACEMENT_TOL:
-        raise MeshConsistencyError(
-            f"internal face-cycle inconsistency: corner spread {worst_spread:.3e}"
-        )
+        raise MeshConsistencyError(f"internal face-cycle inconsistency: corner spread {worst_spread:.3e}")
+    pos = base.take(plan.corner_kc, axis=0) + plan.corner_cell @ lattice  # take: faster than [] here
 
     # per-vertex loop closure certificates, one per distinct loop
-    res = LoopEvaluator(sheet.generator).residuals(rho[plan.loop_creases])[plan.vertex_loop]
+    res = sheet._loops.residuals(rho[plan.loop_creases])[plan.vertex_loop]
     worst = int(np.argmax(res))
     if not res[worst] < RESIDUAL_TOL:
         name = list(sheet.vertices)[worst]
         raise MeshConsistencyError(f"vertex {name} fails closure: residual {res[worst]:.3e}")
 
-    # flat faces moved rigidly; a mesh face's corners are within worst_spread
+    # a face's corners are its flat image x -> R x + t + cell @ lattice within
+    # worst_spread and rounding: 9u span (>= 9u |base|), 3u (rows + cols + 2)
+    # |lattice|, as cells lie in [0, cols] x [0, rows], identity steps in [-1, 1]^2
     m = plan.face_corners.shape[1]
-    size = math.sqrt(3) * np.abs(plan.local).max() + np.abs(shift).max()
+    span = math.sqrt(3) * np.abs(plan.local).max() + np.abs(t[:4]).max()
+    size = 3 * span + (sheet.rows + sheet.cols + 2) * np.abs(lattice).max()
     bound = _rounding(m, size) + math.sqrt(3 * m) * worst_spread
-    for a in (rho, res, lattice):
-        a.flags.writeable = False
-    return FoldedSheet(
-        sheet=sheet,
-        major_rho=major_rho,
-        mesh=FoldedMesh._placed(pos, sheet._mesh_faces, {m: plan.face_corners}, bound),
-        rho=rho,
-        residuals=res,
-        lattice=lattice,
-    )
+    for arr in (rho, res, lattice):
+        arr.flags.writeable = False
+    mesh = FoldedMesh._placed(pos, sheet._mesh_faces, {m: plan.face_corners}, bound)
+    return FoldedSheet(sheet=sheet, major_rho=major_rho, mesh=mesh, rho=rho, residuals=res, lattice=lattice)
 
 
 def fold_sheet(sheet: SquareTwistSheet, major_rho: float):
     """Rigidly fold the sheet at the given major crease angle.
 
     Fold angles scale the crease coefficients frozen at build time
-    (rho = 2 atan(coef * tan(major_rho / 2))). The hinges of one cell's
-    patch are composed, and every plate is placed by its kind's motion in
-    cell (0, 0) plus its cell's folded lattice translation. The lattice
-    motion must be a pure translation, every corner's placements must
-    agree, and every interior vertex loop is certified against the closure
-    oracle before the mesh is returned, each distinct loop once.
+    (rho = 2 atan(coef * tan(major_rho / 2))). The lattice step must be a
+    pure translation, every lattice identity must hold, and each distinct
+    interior vertex loop is certified against the closure oracle before
+    the mesh is returned.
     """
     return _fold(sheet, major_rho).mesh
 
@@ -480,10 +485,7 @@ def _lattice_axes(fs: FoldedSheet) -> np.ndarray:
     e_row = fs.lattice[0]
     e1 = e_row - np.dot(e_row, n3) * n3
     n1 = np.linalg.norm(e1)
-    if n1 < 1e-12:
-        e1 = np.array([1.0, 0.0, 0.0])
-    else:
-        e1 = e1 / n1
+    e1 = np.array([1.0, 0.0, 0.0]) if n1 < 1e-12 else e1 / n1
     return np.column_stack([e1, cross(n3, e1), n3])
 
 
@@ -579,15 +581,17 @@ def combined_vertex_multisets(cx: CwComplex) -> list[tuple[tuple, tuple]]:
     """Sorted sector angles of each glued vertex pair, measured between
     the crease vectors of the folded layer meshes, for checking that
     glued neighborhoods realize the generator together with its dual."""
-    corner_index = {name: n for n, name in enumerate(cx.sheet.corners)}
-
-    def sectors(layer: int, name: Name) -> tuple[float, ...]:
-        pts = cx.meshes[layer].vertices
-        ends = [next(n for n in key if n != name) for key in cx.sheet.vertices[name].creases]
-        d = pts[[corner_index[n] for n in ends]] - pts[corner_index[name]]
-        return tuple(sorted(_ray_angle(d[k - 1], d[k]) for k in range(4)))
-
-    return [(sectors(la, na), sectors(lb, nb)) for (la, na), (lb, nb) in cx.glue_map]
+    plan, index = cx.sheet.fold_plan, {name: n for n, name in enumerate(cx.sheet.corners)}
+    glued = [[(la, index[na]), (lb, index[nb])] for (la, na), (lb, nb) in cx.glue_map]
+    layer, centre = np.array(glued, dtype=int).reshape(-1, 2, 2).transpose(2, 0, 1)
+    label, i, j = plan.corner[centre].transpose(2, 0, 1)
+    ends = plan.crease_ends[plan.vertex_creases[4 * (i * cx.sheet.rows + j) + label]]
+    across = ends.sum(axis=-1) - centre[..., None]  # each crease's other end
+    pts = np.stack([mesh.vertices for mesh in cx.meshes])
+    d = pts[layer[..., None], across] - pts[layer, centre][..., None, :]
+    d1 = np.roll(d, 1, axis=2)  # sector k lies between creases k - 1 and k
+    angles = np.arctan2(np.linalg.norm(np.cross(d1, d), axis=-1), np.einsum("...i,...i", d1, d))
+    return [(tuple(a), tuple(b)) for a, b in np.sort(angles, axis=-1).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +632,6 @@ def auxetic_sweep(
     regimes = []
     for (r0, x0, y0, z0), (r1, x1, y1, z1) in zip(samples, samples[1:]):
         deltas = (x1 - x0, y1 - y0, z1 - z0)
-        dec = sum(1 for d in deltas if d < 0)
-        inc = sum(1 for d in deltas if d > 0)
-        if dec == 3:
-            regimes.append(REGIME_3C)
-        elif dec == 2 and inc == 1:
-            regimes.append(REGIME_2C1E)
-        else:
-            regimes.append(REGIME_OTHER)
+        dec, inc = sum(d < 0 for d in deltas), sum(d > 0 for d in deltas)
+        regimes.append(REGIME_3C if dec == 3 else REGIME_2C1E if (dec, inc) == (2, 1) else REGIME_OTHER)
     return AuxeticReport(samples=tuple(samples), regimes=tuple(regimes))

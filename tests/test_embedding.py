@@ -312,6 +312,45 @@ def test_dual_alignment_maps_creases_exactly():
     assert abs(np.linalg.det(R) - 1.0) < 1e-12
 
 
+def test_synchronize_theta_bound_is_1e_9(monkeypatch):
+    # every measured crease-pair angle is moved by delta: the request is
+    # missed by |delta|, which passes within 1e-9 and raises beyond
+    from rigidori import embedding
+
+    lo, hi = theta_interval()
+    theta = 0.5 * (lo + hi)
+    exact = embedding._frames_pair_angle
+
+    def moved(frames, pair):
+        return exact(frames, pair) + delta
+
+    monkeypatch.setattr(embedding, "_frames_pair_angle", moved)
+    for delta in (0.99e-9, -0.99e-9):
+        assert synchronize(ELLIPTIC, "parallel", theta).theta == pytest.approx(theta + delta, abs=1e-14)
+    for delta in (1.01e-9, -1.01e-9):
+        with pytest.raises(MeshConsistencyError, match="synchronizing angle mismatch"):
+            synchronize(ELLIPTIC, "parallel", theta)
+
+
+@pytest.mark.parametrize("variant", ["parallel", "rotated"])
+def test_dual_alignment_bound_is_1e_9(variant):
+    # the dual's second merged crease turned by delta within the plane of
+    # the merged pair misses its base crease by 2 sin(delta / 2)
+    lo, hi = theta_interval()
+    for delta, fits in ((0.99e-9, True), (-0.99e-9, True), (1.01e-9, False), (-1.01e-9, False)):
+        cv = synchronize(ELLIPTIC, variant, 0.6 * lo + 0.4 * hi)
+        i, j = cv.merge_pair
+        normal = np.cross(cv.dual_frames[i - 1][:, 0], cv.dual_frames[j - 1][:, 0])
+        frames = list(cv.dual_frames)
+        frames[j - 1] = rotation_about_axis(normal / np.linalg.norm(normal), delta) @ frames[j - 1]
+        object.__setattr__(cv, "dual_frames", tuple(frames))
+        if fits:
+            dual_alignment(cv)
+        else:
+            with pytest.raises(MeshConsistencyError, match="fail to coincide within 1e-9"):
+                dual_alignment(cv)
+
+
 def test_combined_vertex_is_certified_once_and_carries_its_frames(monkeypatch):
     # synchronize builds each sheet's plate frames and certifies the dual
     # state; the mesh, alignment and dihedrals read the frames it keeps

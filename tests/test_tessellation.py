@@ -8,9 +8,10 @@ import pytest
 
 from rigidori import tessellation
 from rigidori.closure import LoopEvaluator
+from rigidori.embedding import _ray_angle
 from rigidori.errors import GluingError, InputError, MeshConsistencyError, RigidFoldabilityError
 from rigidori.flatfold import MODE_1, MODE_2, fold_mode, mode_constants
-from rigidori.numerics import rotation_about_axis, rotation_matrix_about_axis
+from rigidori.numerics import rotation_about_axis
 from rigidori.tessellation import (
     PATCH,
     PATCH_TREE,
@@ -24,7 +25,7 @@ from rigidori.tessellation import (
     fold_sheet,
     stack_complex,
 )
-from rigidori.tessellation import _crease_coefficients, _fold
+from rigidori.tessellation import _crease_coefficients, _fold, _patch_motion
 from rigidori.vertex import Vertex4, dual
 
 PI = math.pi
@@ -267,6 +268,31 @@ def test_glued_vertices_realize_combined_vertex(sheet22):
     )
 
 
+def _pair_sectors(cx) -> list:
+    """combined_vertex_multisets one glued vertex at a time: each crease's
+    far end looked up by name, each sector angle from its two rays."""
+    corner_index = {name: n for n, name in enumerate(cx.sheet.corners)}
+
+    def sectors(layer, name):
+        pts = cx.meshes[layer].vertices
+        ends = [next(n for n in key if n != name) for key in cx.sheet.vertices[name].creases]
+        d = pts[[corner_index[n] for n in ends]] - pts[corner_index[name]]
+        return tuple(sorted(_ray_angle(d[k - 1], d[k]) for k in range(4)))
+
+    return [(sectors(la, na), sectors(lb, nb)) for (la, na), (lb, nb) in cx.glue_map]
+
+
+@pytest.mark.parametrize("variant", ["parallel", "rotated"])
+def test_combined_multisets_match_the_pairwise_reference(variant):
+    sheet = build_square_twist_sheet(_twist(0.6), 3, 4, pleat_length=0.8)
+    for rho in (-2.0, 0.7):
+        cx = stack_complex(sheet, 3, rho, variant)
+        got, ref = combined_vertex_multisets(cx), _pair_sectors(cx)
+        assert len(got) == len(ref) == len(cx.glue_map)
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-15
+    assert combined_vertex_multisets(stack_complex(sheet, 1, 0.7, variant)) == []
+
+
 def test_rotated_variant_builds_and_flexes():
     # Fig-6-style construction: the elliptic vertex's rotated combination
     # splits into square-twist generators, whose sheets stack crosswise
@@ -502,16 +528,95 @@ def test_fold_plan_arrays_are_read_only(sheet22):
         assert parent in placed and child not in placed
         placed.add(child)
     assert placed == set(range(len(PATCH)))
-    # every face's shifted corners coincide with its kind's cell-(0, 0)
-    # face, and every corner's first slot lists that corner
+    # every face's corners, shifted back by its cell, coincide with its
+    # kind's cell-(0, 0) face, and every corner is the kind-corner of its
+    # first slot in that slot's cell
     patch = [np.flatnonzero((plan.face_kind == k) & (plan.face_cell == (i, j)).all(axis=1)) for k, i, j in PATCH]
     assert all(len(f) == 1 for f in patch)
-    assert np.max(np.abs(plan.local - plan.local[[patch[k][0] for k in plan.face_kind]])) < 1e-14
-    assert plan.face_corners.ravel()[plan.first_slot].tolist() == list(range(len(sheet22.corners)))
+    assert np.array_equal(plan.local, plan.flat[plan.face_corners[[f[0] for f in patch[:4]]]])
+    shifted = plan.flat[plan.face_corners] - (plan.face_cell @ plan.lattice)[:, None]
+    assert np.max(np.abs(shifted - plan.local[plan.face_kind])) < 1e-14
+    face, slot = np.divmod(_first_slots(plan), 4)
+    assert np.array_equal(plan.corner_kc, 4 * plan.face_kind[face] + slot)
+    assert np.array_equal(plan.corner_cell, plan.face_cell[face])
     names = list(sheet22.corners)
     for j in range(sheet22.rows):
         assert [names[n] for n in plan.mountain_rows[j]] == sheet22.mountain_path(j)
         assert [names[n] for n in plan.valley_rows[j]] == sheet22.valley_path(j)
+
+
+def _first_slots(plan) -> np.ndarray:
+    """Flat index into (F, 4) of the first face slot listing each corner."""
+    return np.unique(plan.face_corners.ravel(), return_index=True)[1]
+
+
+def _slot_positions(sheet: SquareTwistSheet, major_rho: float) -> tuple[np.ndarray, float]:
+    """Corner positions placed slot by slot: every face's flat corners,
+    shifted back into cell (0, 0), moved by its kind's patch motion and its
+    cell's folded lattice translation, then gathered at each corner's first
+    slot; with the largest spread of any slot from its corner's first slot."""
+    plan = sheet.fold_plan
+    R, t = _patch_motion(plan, tessellation.coupled_angle(plan.coef, major_rho))
+    lattice = np.stack([t[4] - t[2] + R[2] @ plan.lattice[0], t[5] - t[1] + R[1] @ plan.lattice[1]])
+    local = plan.flat[plan.face_corners] - (plan.face_cell @ plan.lattice)[:, None]
+    rotations = R.transpose(0, 2, 1)[plan.face_kind]
+    placed = local @ rotations + (t[plan.face_kind] + plan.face_cell @ lattice)[:, None]
+    pos = placed.reshape(-1, 3)[_first_slots(plan)]
+    return pos, float(np.max(np.abs(placed - pos[plan.face_corners])))
+
+
+@pytest.fixture(scope="module")
+def sheet48():
+    return build_square_twist_sheet(GEN, 48, 48)
+
+
+@pytest.mark.parametrize("shape", ["1x1", "1x5", "5x1", "3x4", "3x4 twist", "12x12", "48x48"])
+def test_kind_corner_placement_matches_slot_placement(shape, sheet48):
+    rows, cols = map(int, shape.split()[0].split("x"))
+    if shape == "48x48":
+        sheet = sheet48
+    elif shape.endswith("twist"):
+        sheet = build_square_twist_sheet(_twist(0.6), rows, cols, pleat_length=0.8)
+    else:
+        sheet = build_square_twist_sheet(GEN, rows, cols)
+    for rho in PLAN_DRIVERS:
+        ref, spread = _slot_positions(sheet, rho)
+        fs = _fold(sheet, rho)
+        assert np.max(np.abs(fs.mesh.vertices - ref)) < 1e-13, (shape, rho)
+        # every face cycle of the sheet closes to rounding
+        assert spread < 1e-13
+
+
+@pytest.mark.parametrize("shape", ["1x1", "1x4", "4x1", "3x4", "12x12"])
+def test_every_face_slot_is_a_lattice_identity_or_its_corners_first(shape):
+    rows, cols = map(int, shape.split("x"))
+    plan = build_square_twist_sheet(GEN, rows, cols).fold_plan
+    n = plan.face_corners
+    slot = 4 * plan.face_kind[:, None] + np.arange(4)
+    step = plan.face_cell[:, None] - plan.corner_cell[n]
+    table = np.concatenate([np.stack([slot, plan.corner_kc[n]], axis=2), step], axis=2).reshape(-1, 4)
+    listed = set(map(tuple, plan.identity.tolist()))
+    first = np.zeros(n.size, dtype=bool)
+    first[_first_slots(plan)] = True
+    used = set()
+    for r, is_first in zip(map(tuple, table.tolist()), first):
+        if is_first:
+            assert r[0] == r[1] and r[2:] == (0, 0)
+        else:
+            assert r in listed
+            used.add(r)
+    # no identity is listed that no slot needs, there are 20 of them, and
+    # each steps at most one cell each way (the carried planarity bound)
+    assert used == listed and len(listed) == 20
+    assert np.abs(plan.identity[:, 2:]).max() <= 1
+
+
+def test_fold_plan_copies_the_arrays_it_is_given(sheet22):
+    c = sheet22.fold_plan.coef.copy()
+    plan = dataclasses.replace(sheet22.fold_plan, coef=c)
+    assert c.flags.writeable and not plan.coef.flags.writeable
+    c[0] += 1.0
+    assert plan.coef[0] == sheet22.fold_plan.coef[0]
 
 
 def _with_coefficient(sheet: SquareTwistSheet, c: int, factor: float) -> SquareTwistSheet:
@@ -600,10 +705,15 @@ def test_stack_measures_no_face(sheet22, monkeypatch):
         assert not calls and all(m.planarity < 1e-12 for m in cx.meshes)
 
 
-@pytest.mark.parametrize("rho", [-3.0, -1.0, 0.3, 1.3, 3.0])
-def test_carried_planarity_bounds_every_face(rho, monkeypatch):
+@pytest.mark.parametrize(
+    "size, variant, rho",
+    [pytest.param(12, "rotated", rho, id=str(rho)) for rho in (-3.0, -1.0, 0.3, 1.3, 3.0)]
+    + [pytest.param(48, "parallel", -2.5, id="48x48-parallel")],
+)
+def test_carried_planarity_bounds_every_face(size, variant, rho, monkeypatch, sheet48):
     calls = _counting_planarity(monkeypatch)
-    cx = stack_complex(build_square_twist_sheet(GEN, 12, 12), 3, rho, "rotated")
+    sheet = sheet48 if size == 48 else build_square_twist_sheet(GEN, size, size)
+    cx = stack_complex(sheet, 3, rho, variant)
     assert not calls
     for mesh in cx.meshes:
         assert _face_sigma_min(mesh) <= mesh.planarity <= 1e-9
@@ -617,19 +727,16 @@ def _with_plan(sheet: SquareTwistSheet, **changes) -> SquareTwistSheet:
 def _corner_plates_moved(sheet: SquareTwistSheet, dx: float) -> SquareTwistSheet:
     """A copy of the sheet whose corner plates sit dx further along x; the
     other plates place their shared corners, so each spreads by dx."""
-    plan = sheet.fold_plan
-    local = plan.local.copy()
-    local[plan.face_kind == tessellation.KINDS.index("corner"), :, 0] += dx
+    local = sheet.fold_plan.local.copy()
+    local[tessellation.KINDS.index("corner"), :, 0] += dx
     return _with_plan(sheet, local=local)
 
 
 def test_fold_plan_corners_lie_flat(sheet22):
     # a corner lifted off z = 0, even one that no other face shares and no
     # spread would reveal, is rejected before any fold could carry it
-    plan = sheet22.fold_plan
-    local = plan.local.copy()
-    first_corner_plate = plan.face_kind.tolist().index(tessellation.KINDS.index("corner"))
-    local[first_corner_plate, 2, 2] = 1e-15  # P3(-1, -1)
+    local = sheet22.fold_plan.local.copy()
+    local[tessellation.KINDS.index("corner"), 2, 2] = 1e-15  # P3(-1, -1)
     with pytest.raises(MeshConsistencyError, match="z = 0"):
         _with_plan(sheet22, local=local)
 
@@ -681,15 +788,15 @@ def test_glue_map_is_built_once_per_variant_and_layers(sheet22):
 
 def _turn_pleat_v_1_0(monkeypatch, angle: float) -> None:
     """Give pleat_v(1, 0) an extra rotation by angle about the sheet normal."""
-    e = [child for child, _ in PATCH_TREE].index(4)
     turn = rotation_about_axis([0.0, 0.0, 1.0], angle)
 
-    def injected(axis, angle):
-        out = rotation_matrix_about_axis(axis, angle)
-        out[e] = out[e] @ turn
-        return out
+    def injected(plan, rho):
+        R, t = _patch_motion(plan, rho)
+        k = PATCH.index((2, 1, 0))
+        R[k] = R[k] @ turn
+        return R, t
 
-    monkeypatch.setattr(tessellation, "rotation_matrix_about_axis", injected)
+    monkeypatch.setattr(tessellation, "_patch_motion", injected)
 
 
 def test_rotated_lattice_step_does_not_tile(sheet22, monkeypatch):
