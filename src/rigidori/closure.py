@@ -26,9 +26,6 @@ from .vertex import FoldState, Vertex4
 
 _MAX_ITER = 50
 _FD_STEP = 1e-7
-# Levenberg-Marquardt damping: the first value, and a floor that keeps J^T J + lam I invertible
-_LM_DAMPING_START = 1e-3
-_LM_DAMPING_MIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,16 +70,12 @@ def closure_residual(v: Vertex4, s: FoldState) -> float:
 
 
 def oracle_solve(v: Vertex4, driver_index: int, driver: float, initial_guess: FoldState) -> ClosureReport:
-    """Levenberg-Marquardt on the three free fold angles with the driver fixed.
+    """Damped Newton on the three free fold angles with the driver fixed.
 
     The residual vector is the axis-angle vector of the loop product (3
-    components against 3 unknowns). The damping grows tenfold until the
-    residual decreases and shrinks tenfold after each accepted step; at
-    most 50 iterations. Near a branch crossing the Jacobian is nearly
-    singular, and a plain Newton step would jump to the other branch's
-    closing state; the damping keeps the step short, so the solve ends at
-    the closing state nearest the guess. Non-convergence is reported,
-    never raised.
+    components against 3 unknowns). Steps are halved until the residual
+    decreases; at most 50 iterations. Non-convergence is reported, never
+    raised.
     """
     d = (driver_index - 1) % 4
     ev = LoopEvaluator(v)
@@ -97,7 +90,6 @@ def oracle_solve(v: Vertex4, driver_index: int, driver: float, initial_guess: Fo
 
     x = np.array([initial_guess.rhos[i] for i in free], dtype=float)
     f = ev.residual_vector(assemble(x))
-    lam = _LM_DAMPING_START
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
         norm_f = np.linalg.norm(f)
@@ -108,17 +100,21 @@ def oracle_solve(v: Vertex4, driver_index: int, driver: float, initial_guess: Fo
             xp = x.copy()
             xp[j] += _FD_STEP
             J[:, j] = (ev.residual_vector(assemble(xp)) - f) / _FD_STEP
-        A, g = J.T @ J, J.T @ f
+        try:
+            step = np.linalg.solve(J, -f)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(J, -f, rcond=None)[0]
+        # damping: halve until the residual norm decreases
+        scale = 1.0
         improved = False
         for _ in range(30):
-            x_new = x + np.linalg.solve(A + lam * np.eye(3), -g)
+            x_new = x + scale * step
             f_new = ev.residual_vector(assemble(x_new))
             if np.linalg.norm(f_new) < norm_f:
                 x, f = x_new, f_new
-                lam = max(0.1 * lam, _LM_DAMPING_MIN)
                 improved = True
                 break
-            lam *= 10.0
+            scale *= 0.5
         if not improved:
             break
 

@@ -68,7 +68,13 @@ import numpy as np
 
 from .closure import LoopEvaluator
 from .embedding import PARALLEL, ROTATED, FoldedMesh, _rounding
-from .errors import GluingError, InfeasibleDriverError, InputError, MeshConsistencyError, RigidFoldabilityError
+from .errors import (
+    GluingError,
+    InfeasibleDriverError,
+    InputError,
+    MeshConsistencyError,
+    RigidFoldabilityError,
+)
 from .flatfold import coupled_angle, mode_constants
 from .numerics import RESIDUAL_TOL, cross
 from .vertex import Curvature, Vertex4, classify
@@ -406,7 +412,7 @@ def _fold(sheet: SquareTwistSheet, major_rho: float) -> FoldedSheet:
 
     # pleat_v(1, 0) and pleat_h(0, 1) are their cell-(0, 0) kinds moved one
     # lattice step, which must be a pure translation
-    drift = float(np.max(np.abs(R[4:] - R[2:0:-1])))
+    drift = max(float(np.max(np.abs(R[4] - R[2]))), float(np.max(np.abs(R[5] - R[1]))))
     if not drift <= PLACEMENT_TOL:
         raise MeshConsistencyError(f"cell-to-cell motion has a rotational part {drift:.3e}")
     lattice = np.stack([t[4] - t[2] + R[2] @ plan.lattice[0], t[5] - t[1] + R[1] @ plan.lattice[1]])
@@ -417,7 +423,9 @@ def _fold(sheet: SquareTwistSheet, major_rho: float) -> FoldedSheet:
     a, b, step = plan.identity[:, 0], plan.identity[:, 1], plan.identity[:, 2:]
     worst_spread = float(np.max(np.abs(base.take(a, axis=0) - base.take(b, axis=0) + step @ lattice)))
     if not worst_spread <= PLACEMENT_TOL:
-        raise MeshConsistencyError(f"internal face-cycle inconsistency: corner spread {worst_spread:.3e}")
+        raise MeshConsistencyError(
+            f"internal face-cycle inconsistency: corner spread {worst_spread:.3e}"
+        )
     pos = base.take(plan.corner_kc, axis=0) + plan.corner_cell @ lattice  # take: faster than [] here
 
     # per-vertex loop closure certificates, one per distinct loop
@@ -434,10 +442,16 @@ def _fold(sheet: SquareTwistSheet, major_rho: float) -> FoldedSheet:
     span = math.sqrt(3) * np.abs(plan.local).max() + np.abs(t[:4]).max()
     size = 3 * span + (sheet.rows + sheet.cols + 2) * np.abs(lattice).max()
     bound = _rounding(m, size) + math.sqrt(3 * m) * worst_spread
-    for arr in (rho, res, lattice):
-        arr.flags.writeable = False
-    mesh = FoldedMesh._placed(pos, sheet._mesh_faces, {m: plan.face_corners}, bound)
-    return FoldedSheet(sheet=sheet, major_rho=major_rho, mesh=mesh, rho=rho, residuals=res, lattice=lattice)
+    for a in (rho, res, lattice):
+        a.flags.writeable = False
+    return FoldedSheet(
+        sheet=sheet,
+        major_rho=major_rho,
+        mesh=FoldedMesh._placed(pos, sheet._mesh_faces, {m: plan.face_corners}, bound),
+        rho=rho,
+        residuals=res,
+        lattice=lattice,
+    )
 
 
 def fold_sheet(sheet: SquareTwistSheet, major_rho: float):
@@ -485,7 +499,10 @@ def _lattice_axes(fs: FoldedSheet) -> np.ndarray:
     e_row = fs.lattice[0]
     e1 = e_row - np.dot(e_row, n3) * n3
     n1 = np.linalg.norm(e1)
-    e1 = np.array([1.0, 0.0, 0.0]) if n1 < 1e-12 else e1 / n1
+    if n1 < 1e-12:
+        e1 = np.array([1.0, 0.0, 0.0])
+    else:
+        e1 = e1 / n1
     return np.column_stack([e1, cross(n3, e1), n3])
 
 
@@ -632,6 +649,12 @@ def auxetic_sweep(
     regimes = []
     for (r0, x0, y0, z0), (r1, x1, y1, z1) in zip(samples, samples[1:]):
         deltas = (x1 - x0, y1 - y0, z1 - z0)
-        dec, inc = sum(d < 0 for d in deltas), sum(d > 0 for d in deltas)
-        regimes.append(REGIME_3C if dec == 3 else REGIME_2C1E if (dec, inc) == (2, 1) else REGIME_OTHER)
+        dec = sum(1 for d in deltas if d < 0)
+        inc = sum(1 for d in deltas if d > 0)
+        if dec == 3:
+            regimes.append(REGIME_3C)
+        elif dec == 2 and inc == 1:
+            regimes.append(REGIME_2C1E)
+        else:
+            regimes.append(REGIME_OTHER)
     return AuxeticReport(samples=tuple(samples), regimes=tuple(regimes))
