@@ -299,11 +299,12 @@ def _numbers(text: str) -> str:
     return text
 
 
-def _at_least(low: int):
+def _count(low: int, high: float = math.inf):
     def value(text: str) -> int:
         n = int(text)
-        if n < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        if not low <= n <= high:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {n}" if n < low else f"must be at most {high}, got {n}")
         return n
 
     value.__name__ = "int"  # argparse names it in "invalid int value"
@@ -317,7 +318,12 @@ def _positive(text: str) -> float:
     return x
 
 
-_positive.__name__ = "float"  # as in _at_least
+_positive.__name__ = "float"  # as in _count
+
+# size ceilings from one memory budget: sheet, stack and auxetic peak at about 4.5 KiB per cell and
+# layer, so 16 layers of 120 x 120 cells fit; frames are written one at a time, and stop at 3 digits
+_MEMORY_BUDGET, _MAX_LAYERS, _MAX_FRAMES = 2**30, 16, 1000
+_MAX_SIDE = math.isqrt(_MEMORY_BUDGET // (4608 * _MAX_LAYERS))  # 120
 
 
 # options shared by subcommands, as (flag, add_argument keywords)
@@ -328,13 +334,13 @@ _STEP = (("--step-max", dict(type=float, default=DEFAULT_TOL.trace_step_max,
 _THETA = (("--theta", dict(type=float, required=True)),
           ("--merge-pair", dict(choices=tuple(_MERGE_PAIRS), default="24")))
 _VARIANT = (("--variant", dict(choices=("parallel", "rotated"), default="parallel")),)
-_SHEET = (("--rows", dict(type=_at_least(1), default=2)),
-          ("--cols", dict(type=_at_least(1), default=2)),
+_SHEET = (("--rows", dict(type=_count(1, _MAX_SIDE), default=2)),
+          ("--cols", dict(type=_count(1, _MAX_SIDE), default=2)),
           ("--pleat-length", dict(type=_positive, default=1.0)),
           ("--rho-min", dict(type=float, help="sweep start (default 0.05*pi rad)")),
           ("--rho-max", dict(type=float, help="sweep end (default 0.95*pi rad)")))
 _FRAMES = (("--rho", dict(type=float, help="driver angle (default pi/3 rad)")),
-           ("--frames", dict(type=_at_least(1), help="emit a numbered OBJ sweep")))
+           ("--frames", dict(type=_count(1, _MAX_FRAMES), help="emit a numbered OBJ sweep")))
 
 
 @functools.cache
@@ -363,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     new("dual", _cmd_dual, "the dual vertex (pi - alpha_i)")
 
     p = new("modes", _cmd_modes, "mode constants k1/k2 and closed-form mode curves")
-    p.add_argument("--samples", type=_at_least(2), default=41)
+    p.add_argument("--samples", type=_count(2), default=41)
 
     p = new("solve", _cmd_solve, "single fold state on a branch", _DRIVER_INDEX, _BRANCH)
     p.add_argument("--driver", type=float, required=True)
@@ -375,27 +381,27 @@ def build_parser() -> argparse.ArgumentParser:
     new("range", _cmd_range, "feasible driver interval(s) of a branch", _DRIVER_INDEX, _BRANCH)
 
     p = new("trace", _cmd_trace, "configuration-curve CSV", _DRIVER_INDEX, _BRANCH, _STEP)
-    p.add_argument("--samples", type=_at_least(2), default=101)
+    p.add_argument("--samples", type=_count(2), default=101)
 
     p = new("verify-duality", _cmd_verify_duality, "trace branches of C and match C*",
             _DRIVER_INDEX, _STEP)
-    p.add_argument("--samples", type=_at_least(2), default=25)
+    p.add_argument("--samples", type=_count(2), default=25)
 
     p = new("combine", _cmd_combine, "combined non-manifold vertex OBJ", _VARIANT, _THETA,
             writes_obj=True)
     p.add_argument("--radius", type=_positive, default=1.0)
-    p.add_argument("--arc-segments", type=_at_least(1), default=8)
+    p.add_argument("--arc-segments", type=_count(1), default=8)
 
     new("split", _cmd_split, "flat-foldable split of the rotated combination", _THETA)
 
     new("sheet", _cmd_sheet, "folded square-twist sheet OBJ", _SHEET, _FRAMES, writes_obj=True)
     p = new("stack", _cmd_stack, "folded square-twist stack OBJ", _SHEET, _FRAMES, _VARIANT,
             writes_obj=True)
-    p.add_argument("--layers", type=_at_least(1), default=2)
+    p.add_argument("--layers", type=_count(1, _MAX_LAYERS), default=2)
 
     p = new("auxetic", _cmd_auxetic, "bounding-box sweep CSV", _SHEET, _VARIANT)
-    p.add_argument("--layers", type=_at_least(1), default=3)
-    p.add_argument("--samples", type=_at_least(3), default=21)
+    p.add_argument("--layers", type=_count(1, _MAX_LAYERS), default=3)
+    p.add_argument("--samples", type=_count(3), default=21)
 
     return parser
 

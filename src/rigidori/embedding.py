@@ -73,24 +73,22 @@ class FoldedMesh:
     points (an array or a sequence of triples). ``face_index`` holds the
     faces as read-only index arrays, one per corner count, built from
     ``faces`` unless a caller that holds it for the same faces passes it.
-    Construction validates face indices, finite coordinates and the
-    planarity of every face of four or more corners within 1e-9, kept as
-    ``planarity``: measured (see _max_planarity), or for flat faces placed
-    rigidly (a folded sheet, a combined vertex, a ``transformed`` copy) a
-    bound on their sigma_min from that construction (see ``_placed``).
-    Meshes are equal when vertex values and faces are.
+    Construction validates face indices (a ``transformed`` copy shares its
+    source's), finite coordinates and the planarity of every face of four or
+    more corners within 1e-9, kept as ``planarity``: measured (see
+    _max_planarity), or for flat faces placed rigidly (a folded sheet, a
+    combined vertex, a ``transformed`` copy) a sigma_min bound from that
+    construction (see ``_placed``). Meshes are equal when points and faces are.
     """
 
     vertices: np.ndarray
     faces: tuple[tuple[int, ...], ...]
     face_index: dict[int, np.ndarray] | None = field(default=None, repr=False)
     planarity: float | None = field(default=None, init=False, repr=False)
+    _extent: float | None = field(default=None, init=False, repr=False)  # bounds |x|_inf, if known
 
     def __post_init__(self):
         pts = np.array(self.vertices, dtype=float) if len(self.vertices) else np.empty((0, 3))
-        if pts.shape[1:] != (3,):
-            raise InputError("vertices must be an (N, 3) array of points")
-        pts.flags.writeable = False
         object.__setattr__(self, "vertices", pts)
         if self.face_index is None:
             by_len: dict[int, list[tuple[int, ...]]] = {}
@@ -99,17 +97,23 @@ class FoldedMesh:
             object.__setattr__(self, "face_index", {m: np.asarray(fs) for m, fs in by_len.items()})
             for idx in self.face_index.values():
                 idx.flags.writeable = False
-        faces = self.face_index
-        n = len(pts)
         if any(
-            m < 3 or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n
-            for m, idx in faces.items()
+            m < 3 or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= len(pts)
+            for m, idx in self.face_index.items()
         ):
             raise InputError("face indices out of range")
+        self._check_points()
+
+    def _check_points(self):
+        """(N, 3) finite points; faces planar within 1e-9, carried or measured."""
+        pts = self.vertices
+        if pts.shape[1:] != (3,):
+            raise InputError("vertices must be an (N, 3) array of points")
+        pts.flags.writeable = False
         if not np.isfinite(pts).all():
             raise MeshConsistencyError("vertex coordinates are not finite")
         if self.planarity is None:
-            measures = [_max_planarity(pts[idx]) for m, idx in faces.items() if m > 3]
+            measures = [_max_planarity(pts[idx]) for m, idx in self.face_index.items() if m > 3]
             worst = max(measures, default=0.0, key=lambda v: math.inf if math.isnan(v) else v)
             object.__setattr__(self, "planarity", worst)
         if not self.planarity <= 1e-9:
@@ -121,31 +125,44 @@ class FoldedMesh:
         return self.faces == other.faces and np.array_equal(self.vertices, other.vertices)
 
     @classmethod
-    def _placed(cls, vertices, faces, face_index, bound: float) -> "FoldedMesh":
+    def _placed(cls, vertices, faces, face_index, bound: float, extent: float | None = None) -> "FoldedMesh":
         """A mesh whose faces' sigma_min is at most ``bound`` by construction,
         kept as ``planarity`` if within 1e-9, else measured; checked as any."""
         mesh = object.__new__(cls)  # no __init__ argument can skip a check
         vars(mesh).update(vertices=vertices, faces=faces, face_index=face_index,
-                          planarity=bound if bound <= 1e-9 else None)
+                          planarity=bound if bound <= 1e-9 else None, _extent=extent)
         mesh.__post_init__()
         return mesh
 
-    def transformed(self, rotation: np.ndarray, translation=np.zeros(3)) -> "FoldedMesh":
-        """This mesh moved by x -> R x + t, checked like any mesh. A rotation R
-        (|R^T R - I|_F <= 1e-12) with one shift t carries (1 + 1e-12) planarity
-        plus its _rounding over; other maps are measured afresh."""
-        R = np.asarray(rotation, dtype=float)
-        size = math.sqrt(3) * np.abs(self.vertices).max(initial=0.0) + np.abs(translation).max()
-        carry = np.ndim(translation) < 2 and np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-12
-        bound = (1 + 1e-12) * self.planarity + _rounding(max(self.face_index, default=0), size)
-        return FoldedMesh._placed(self.vertices @ R.T + translation, self.faces,
-                                  self.face_index, bound if carry else math.inf)
+    def transformed(self, rotation: np.ndarray | None, translation=np.zeros(3)) -> "FoldedMesh":
+        """This mesh moved by x -> R x + t, sharing its checked face indices and
+        vertex count; the copy's points are checked like any mesh's. None states
+        R = I: x + t with one shift carries planarity plus the _rounding of one
+        addition, sized by |x|_inf as placed, if known. A rotation (|R^T R - I|_F
+        <= 1e-12) with one shift carries (1 + 1e-12) planarity plus its _rounding.
+        Other maps are measured afresh."""
+        m, rigid = max(self.face_index, default=0), np.ndim(translation) < 2
+        if rotation is None:
+            pts = self.vertices + translation
+            size = self._extent if self._extent is not None else np.abs(self.vertices).max(initial=0.0)
+            bound = self.planarity + _rounding(m, size + np.abs(translation).max(), 1)
+        else:
+            R = np.asarray(rotation, dtype=float)
+            pts = self.vertices @ R.T + translation
+            size = math.sqrt(3) * np.abs(self.vertices).max(initial=0.0) + np.abs(translation).max()
+            rigid = rigid and np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-12
+            bound = (1 + 1e-12) * self.planarity + _rounding(m, size)
+        copy = object.__new__(FoldedMesh)
+        vars(copy).update(vars(self), vertices=pts, _extent=None,
+                          planarity=bound if rigid and bound <= 1e-9 else None)
+        copy._check_points()
+        return copy
 
 
-def _rounding(m: int, size: float) -> float:
-    """Most that rounding moves the sigma_min of a face of m corners placed by x -> R x + t,
-    R a rotation, size >= |x|_2 + |t|_inf (gamma_4, Higham 2002, sec. 3.1; Weyl)."""
-    return 2.01 * np.finfo(float).eps * math.sqrt(3 * m) * size
+def _rounding(m: int, size: float, k: int = 4) -> float:
+    """Most that k roundings per coordinate move a face's sigma_min (gamma_k, Higham 2002, sec. 3.1;
+    Weyl): k = 4 for x -> R x + t, R a rotation, size >= |x|_2 + |t|_inf; k = 1 for x + t, size >= |x + t|_inf."""
+    return 0.5025 * k * np.finfo(float).eps * math.sqrt(3 * m) * size
 
 
 def _max_planarity(pts: np.ndarray) -> float:

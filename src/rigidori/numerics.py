@@ -58,33 +58,6 @@ def half_tangent(rho) -> np.ndarray:
     return np.where(flat, np.copysign(np.inf, rho), np.tan(0.5 * rho))
 
 
-def rotation_matrix_about_axis(axis, angle) -> np.ndarray:
-    """Raw Rodrigues rotation matrix; axis must already be unit length.
-
-    Batched: axes of shape (..., 3) and angles of shape (...) give
-    matrices of shape (..., 3, 3).
-    """
-    ax = np.asarray(axis, dtype=float)
-    ang = np.asarray(angle, dtype=float)[..., None, None]
-    kx, ky, kz = np.moveaxis(ax, -1, 0)
-    zero = np.zeros_like(kx)
-    K = np.stack([zero, -kz, ky, kz, zero, -kx, -ky, kx, zero], axis=-1)
-    K = K.reshape(*ax.shape[:-1], 3, 3)
-    return np.eye(3) + np.sin(ang) * K + (1.0 - np.cos(ang)) * (K @ K)
-
-
-def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Right-handed rotation by `angle` about the unit vector `axis`."""
-    ax = np.asarray(axis, dtype=float)
-    if ax.shape != (3,):
-        raise InputError("axis must be a 3-vector")
-    if not math.isfinite(angle):
-        raise InputError("angle must be finite")
-    if abs(np.linalg.norm(ax) - 1.0) > 1e-12:
-        raise InputError("axis must be unit length within 1e-12")
-    return rotation_matrix_about_axis(ax, angle)
-
-
 def axis_angle_vector(m: np.ndarray) -> np.ndarray:
     """Rotation vector (axis times angle) of a rotation matrix.
 

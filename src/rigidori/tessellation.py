@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -126,6 +127,7 @@ PATCH = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (2, 1, 0), (1, 0, 1))
 # square carries the identity
 PATCH_TREE = ((1, 0), (2, 0), (4, 0), (5, 0), (3, 2))
 HINGE_SLOT = (0, 3, 1, 2, 0)  # each hinge is its parent's edge from corner slot s to s + 1
+CORNER_PLATE = (0, 8, 14, 4)  # corner plate (0, 0)'s corners by their first slots, all in cell (0, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,7 +384,7 @@ def _crease_coefficients(gen: Vertex4, vertex_creases: np.ndarray, n_creases: in
 class FoldedSheet:
     """A folded sheet as arrays: the mesh (corners in ``sheet.corners``
     order), the fold angle of every crease, the closure residual of every
-    interior vertex and the two folded lattice translations."""
+    interior vertex, the two folded lattice translations and corner plate (0, 0)."""
 
     sheet: SquareTwistSheet
     major_rho: float
@@ -390,6 +392,7 @@ class FoldedSheet:
     rho: np.ndarray  # (C,) in sheet.creases order
     residuals: np.ndarray  # (V,) in sheet.vertices order
     lattice: np.ndarray  # (2, 3) folded cell-to-cell translations R and U
+    corner_plate: np.ndarray  # (4, 3) corners of corner plate (0, 0), P1 to P4
 
 
 def _patch_motion(plan: FoldPlan, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -437,20 +440,22 @@ def _fold(sheet: SquareTwistSheet, major_rho: float) -> FoldedSheet:
 
     # a face's corners are its flat image x -> R x + t + cell @ lattice within
     # worst_spread and rounding: 9u span (>= 9u |base|), 3u (rows + cols + 2)
-    # |lattice|, as cells lie in [0, cols] x [0, rows], identity steps in [-1, 1]^2
+    # |lattice|, as cells lie in [0, cols] x [0, rows], identity steps in [-1, 1]^2; size >= |pos|_inf
     m = plan.face_corners.shape[1]
     span = math.sqrt(3) * np.abs(plan.local).max() + np.abs(t[:4]).max()
     size = 3 * span + (sheet.rows + sheet.cols + 2) * np.abs(lattice).max()
     bound = _rounding(m, size) + math.sqrt(3 * m) * worst_spread
-    for a in (rho, res, lattice):
+    plate = base.take(CORNER_PLATE, axis=0)  # pos of those corners: cell (0, 0) adds zeros
+    for a in (rho, res, lattice, plate):
         a.flags.writeable = False
     return FoldedSheet(
         sheet=sheet,
         major_rho=major_rho,
-        mesh=FoldedMesh._placed(pos, sheet._mesh_faces, {m: plan.face_corners}, bound),
+        mesh=FoldedMesh._placed(pos, sheet._mesh_faces, {m: plan.face_corners}, bound, size),
         rho=rho,
         residuals=res,
         lattice=lattice,
+        corner_plate=plate,
     )
 
 
@@ -492,13 +497,11 @@ def _lattice_axes(fs: FoldedSheet) -> np.ndarray:
     folded row translation, which every sheet has, one column or more. At
     zero fold this is the flat frame.
     """
-    plan = fs.sheet.fold_plan  # faces run kind by kind, so the first corner plate is found by bisection
-    pts = fs.mesh.vertices[plan.face_corners[np.searchsorted(plan.face_kind, KINDS.index("corner"))]]
-    n3 = cross(pts[1] - pts[0], pts[3] - pts[0])
-    n3 = n3 / np.linalg.norm(n3)
+    n3 = cross(fs.corner_plate[1] - fs.corner_plate[0], fs.corner_plate[3] - fs.corner_plate[0])
+    n3 = n3 / math.sqrt(n3.dot(n3))  # np.linalg.norm's arithmetic, as below
     e_row = fs.lattice[0]
     e1 = e_row - np.dot(e_row, n3) * n3
-    n1 = np.linalg.norm(e1)
+    n1 = math.sqrt(e1.dot(e1))
     if n1 < 1e-12:
         e1 = np.array([1.0, 0.0, 0.0])
     else:
@@ -533,8 +536,8 @@ def stack_complex(sheet: SquareTwistSheet, layers: int, major_rho: float, varian
         if variant == PARALLEL:
             # every cell is a translate and its central square is rigid, so
             # each mountain row is its valley row moved by the rise
-            a_rows, b_rows = plan.mountain_rows, plan.valley_rows
-            R, t = np.eye(3), rise
+            a_rows, moved = plan.mountain_rows, pos.take(plan.valley_rows, axis=0) + rise
+            motions = [(None, tk) for tk in itertools.accumulate([rise] * (layers - 1))]
         else:
             # the crease pattern's half-turn about a square centre (P1 <-> P3,
             # P2 <-> P4) negates every fold angle, so it maps the folded sheet
@@ -546,14 +549,14 @@ def stack_complex(sheet: SquareTwistSheet, layers: int, major_rho: float, varian
             n = cross(fs.lattice[0], pos[a_rows[0, 1]] - pos[a_rows[0, 0]])
             R = 2.0 * np.outer(n, n) / np.dot(n, n) - np.eye(3)
             t = pos[a_rows[0, 0]] - R @ pos[b_rows[0, 0]]
-        dev = np.max(np.linalg.norm(pos[b_rows] @ R.T + t - pos[a_rows], axis=2), axis=1)
+            moved = pos.take(b_rows, axis=0) @ R.T + t
+            motions = itertools.accumulate([(R, t)] * (layers - 1), lambda m, _: (R @ m[0], R @ m[1] + t))
+        d2 = np.square(moved - pos.take(a_rows, axis=0))
+        dev = np.sqrt((d2[..., 0] + d2[..., 1] + d2[..., 2]).max(axis=1))  # np.linalg.norm's arithmetic
         row = int(np.argmax(dev))  # a NaN is the maximum
         if not dev[row] <= PLACEMENT_TOL:
             raise GluingError(f"crease row {row} misses its partner by {dev[row]:.3e} (limit {PLACEMENT_TOL})")
-        Rk, tk = np.eye(3), np.zeros(3)
-        for _ in range(1, layers):
-            Rk, tk = R @ Rk, R @ tk + t
-            meshes.append(fs.mesh.transformed(Rk, tk))
+        meshes += [fs.mesh.transformed(Rk, tk) for Rk, tk in motions]
         glue_residual = float(dev[row])
     key = (variant, layers)
     if key not in sheet._glue_maps:  # every row, or row 0 with the valley reversed

@@ -453,6 +453,32 @@ def test_bad_counts_are_usage_errors_before_the_vertex_file_is_read(tmp_path, mo
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sheet", "--rows", "30000", "--cols", "30000", "--rho", "1.0"], "--rows: must be at most 120, got 30000"),
+    (["stack", "--cols", "121"], "--cols: must be at most 120, got 121"),
+    (["stack", "--layers", "17"], "--layers: must be at most 16, got 17"),
+    (["auxetic", "--layers", "17"], "--layers: must be at most 16, got 17"),
+    (["sheet", "--frames", "1001"], "--frames: must be at most 1000, got 1001"),
+])
+def test_sizes_over_their_ceiling_are_usage_errors_before_any_build(tmp_path, monkeypatch, capsys, argv, message):
+    from rigidori import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "build_square_twist_sheet", lambda *a: pytest.fail("a sheet was built"))
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--alphas", "45,90,135,90", "--degrees", "--output", "x.obj"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"error: argument {message}") and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_size_ceilings_are_accepted():
+    args = build_parser().parse_args(["stack", "--alphas", "45,90,135,90", "--output", "x.obj", "--rows", "120",
+                                      "--cols", "120", "--layers", "16", "--frames", "1000"])
+    assert (args.rows, args.cols, args.layers, args.frames) == (120, 120, 16, 1000)
+
+
 def test_json_output_file_holds_the_stdout_payload(capsys, tmp_path):
     argv = ["modes", "--alphas", "45,90,135,90", "--degrees", "--samples", "3"]
     code, printed = run_json(capsys, argv)

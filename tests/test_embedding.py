@@ -31,8 +31,9 @@ from rigidori.errors import (
 )
 from rigidori.flatfold import MODE_1, fold_mode
 from rigidori.kinematics import ALL_BRANCHES, BRANCH_PP, VertexKinematics
-from rigidori.numerics import Tolerances, rotation_about_axis
+from rigidori.numerics import Tolerances
 from rigidori.vertex import Curvature, FoldState, Vertex4, ZERO_STATE, classify, dual
+from rodrigues import rotation_about_axis
 
 PI = math.pi
 SQ_TWIST = Vertex4((PI / 4, PI / 2, 3 * PI / 4, PI / 2))
@@ -615,6 +616,45 @@ def test_transformed_layers_are_validated(monkeypatch):
     with pytest.raises(MeshConsistencyError):
         saddle.transformed(np.eye(3), [[0.0, 0.0, 0.0]] * 3 + [[0.0, 0.0, 1e-6]])
     assert len(calls) == 2
+
+
+SQUARE = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("deviation, carried", [(0.99e-12, True), (1.01e-12, False)])
+def test_orthogonality_gate_is_1e_12(deviation, carried, monkeypatch):
+    # R = diag(s, 1, 1) has |R^T R - I|_F = s^2 - 1: within 1e-12 it counts as
+    # a rotation and carries the bound, beyond it the copy is measured
+    mesh = FoldedMesh(SQUARE, ((0, 1, 2, 3),))
+    R = np.diag([math.sqrt(1.0 + deviation), 1.0, 1.0])
+    assert np.linalg.norm(R.T @ R - np.eye(3)) == pytest.approx(deviation, rel=1e-3)
+    calls = _counting_planarity(monkeypatch)
+    copy = mesh.transformed(R, [1.0, 2.0, 3.0])
+    assert len(calls) == (0 if carried else 1)
+    assert copy.planarity > 0.0 if carried else copy.planarity == 0.0
+
+
+def test_translation_copy_carries_the_rounding_of_one_addition(monkeypatch):
+    # a flat square placed with a stated bound p, shifted by t: the copy
+    # carries p + 1.005 u sqrt(3 m) (|x|_inf + |t|_inf) while within 1e-9,
+    # and beyond it is measured (the shifted square is exactly flat)
+    t = [2.0**20, 0.0, 0.0]
+    rounding = 1.005 * 2.0**-53 * math.sqrt(12) * (1.0 + 2.0**20)
+    calls = _counting_planarity(monkeypatch)
+    inside = FoldedMesh._placed(np.array(SQUARE), ((0, 1, 2, 3),), None, 1e-9 - 1.001 * rounding)
+    copy = inside.transformed(None, t)
+    assert not calls and copy.planarity == pytest.approx(inside.planarity + rounding, rel=1e-12)
+    assert 1e-9 - rounding < copy.planarity <= 1e-9
+    assert copy.face_index is inside.face_index and copy.vertices.tolist()[2] == [1.0 + 2.0**20, 1.0, 0.0]
+    outside = FoldedMesh._placed(np.array(SQUARE), ((0, 1, 2, 3),), None, 1e-9 - 0.999 * rounding)
+    assert outside.transformed(None, t).planarity == 0.0 and len(calls) == 1
+    # every copy still checks its points: a shift per point is measured,
+    # and a non-finite shift raises
+    with pytest.raises(MeshConsistencyError, match="planarity"):
+        inside.transformed(None, [[0.0, 0.0, 0.0]] * 3 + [[0.0, 0.0, 1e-6]])
+    assert len(calls) == 2
+    with pytest.raises(MeshConsistencyError, match="not finite"):
+        inside.transformed(None, [0.0, np.inf, 0.0])
 
 
 def _counting_planarity(monkeypatch) -> list:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import types
 from collections import Counter
@@ -11,7 +12,6 @@ from rigidori.closure import LoopEvaluator
 from rigidori.embedding import _ray_angle
 from rigidori.errors import GluingError, InputError, MeshConsistencyError, RigidFoldabilityError
 from rigidori.flatfold import MODE_1, MODE_2, fold_mode, mode_constants
-from rigidori.numerics import rotation_about_axis
 from rigidori.tessellation import (
     PATCH,
     PATCH_TREE,
@@ -27,6 +27,7 @@ from rigidori.tessellation import (
 )
 from rigidori.tessellation import _crease_coefficients, _fold, _patch_motion
 from rigidori.vertex import Vertex4, dual
+from rodrigues import rotation_about_axis
 
 PI = math.pi
 GEN = Vertex4((PI / 4, PI / 2, 3 * PI / 4, PI / 2))
@@ -717,6 +718,94 @@ def test_carried_planarity_bounds_every_face(size, variant, rho, monkeypatch, sh
     assert not calls
     for mesh in cx.meshes:
         assert _face_sigma_min(mesh) <= mesh.planarity <= 1e-9
+
+
+# digests of every stack output (layer positions, glue residual, bbox,
+# lattice axes, glue map), keyed size-variant-layers-driver and pinned from
+# layers copied as x @ R.T + t; zeros are unsigned first, so equal digests
+# mean np.array_equal
+STACK_DIGESTS = {
+    "1-parallel-1--3.0": "b337c45590dbba47",
+    "1-parallel-1-0.3": "4a0f9acd11a62647",
+    "1-parallel-1-1.3": "7abc753e69e5b398",
+    "1-parallel-3--3.0": "0f643f056d47f722",
+    "1-parallel-3-0.3": "686e55531e49b2e8",
+    "1-parallel-3-1.3": "df6d9193265b1bab",
+    "1-rotated-1--3.0": "b337c45590dbba47",
+    "1-rotated-1-0.3": "4a0f9acd11a62647",
+    "1-rotated-1-1.3": "7abc753e69e5b398",
+    "1-rotated-3--3.0": "bd7f5c5936f07844",
+    "1-rotated-3-0.3": "acd2712f7d908237",
+    "1-rotated-3-1.3": "03fe47227c70e5f3",
+    "4-parallel-1--3.0": "f1915b3dc23e78ec",
+    "4-parallel-1-0.3": "0cca200064e24943",
+    "4-parallel-1-1.3": "b30a7dc8ca27289b",
+    "4-parallel-3--3.0": "e82bc1a6ac048505",
+    "4-parallel-3-0.3": "884b93cedb6f8c5a",
+    "4-parallel-3-1.3": "c05937ea469f96ea",
+    "4-rotated-1--3.0": "f1915b3dc23e78ec",
+    "4-rotated-1-0.3": "0cca200064e24943",
+    "4-rotated-1-1.3": "b30a7dc8ca27289b",
+    "4-rotated-3--3.0": "81d9ad424f6fe822",
+    "4-rotated-3-0.3": "f710354627d30c8a",
+    "4-rotated-3-1.3": "a2494a0ffe0d45e0",
+    "12-parallel-1--3.0": "8142b77b7206fc08",
+    "12-parallel-1-0.3": "aab80bb68d514b7e",
+    "12-parallel-1-1.3": "918521de19638d48",
+    "12-parallel-3--3.0": "fc4f276b576a4b6d",
+    "12-parallel-3-0.3": "3b2da39a9016d01f",
+    "12-parallel-3-1.3": "d2be3775a0055ae0",
+    "12-rotated-1--3.0": "8142b77b7206fc08",
+    "12-rotated-1-0.3": "aab80bb68d514b7e",
+    "12-rotated-1-1.3": "918521de19638d48",
+    "12-rotated-3--3.0": "29efab03268abee6",
+    "12-rotated-3-0.3": "aff6c2867b75b099",
+    "12-rotated-3-1.3": "fa9442d12667b5ec",
+    "24-parallel-1--3.0": "c49195fbfe102709",
+    "24-parallel-1-0.3": "65e71e42b01edd92",
+    "24-parallel-1-1.3": "f560db0b27162ec5",
+    "24-parallel-3--3.0": "db20765dbabb90fe",
+    "24-parallel-3-0.3": "0efe8f76fa162459",
+    "24-parallel-3-1.3": "2deb71fdf647727b",
+    "24-rotated-1--3.0": "c49195fbfe102709",
+    "24-rotated-1-0.3": "65e71e42b01edd92",
+    "24-rotated-1-1.3": "f560db0b27162ec5",
+    "24-rotated-3--3.0": "7ea7c100a9607f9c",
+    "24-rotated-3-0.3": "6027a359ca952e41",
+    "24-rotated-3-1.3": "b8ab8dd8b3736665",
+}
+
+
+def _stack_digest(cx) -> str:
+    h = hashlib.sha256()
+    for a in (*(m.vertices for m in cx.meshes), [cx.glue_residual], cx.bbox, cx.lattice_axes):
+        h.update(np.ascontiguousarray(np.asarray(a, dtype=float) + 0.0).tobytes())
+    h.update(repr(cx.glue_map).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("size", (1, 4, 12, 24))
+def test_stack_outputs_are_pinned(size):
+    sheet = build_square_twist_sheet(GEN, size, size)
+    got = {
+        f"{size}-{variant}-{layers}-{rho}": _stack_digest(stack_complex(sheet, layers, rho, variant))
+        for variant in ("parallel", "rotated") for layers in (1, 3) for rho in (-3.0, 0.3, 1.3)
+    }
+    assert got == {key: d for key, d in STACK_DIGESTS.items() if key.startswith(f"{size}-")}
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (12, 12)])
+def test_fold_reads_corner_plate_0_0_from_its_kind_corners(shape):
+    # the first slots of the plate's corners are kind-corners CORNER_PLATE in
+    # cell (0, 0), so the fold's points are the mesh's, bit for bit
+    sheet = build_square_twist_sheet(GEN, *shape)
+    plan = sheet.fold_plan
+    corners = plan.face_corners[np.searchsorted(plan.face_kind, tessellation.KINDS.index("corner"))]
+    assert plan.corner_kc[corners].tolist() == list(tessellation.CORNER_PLATE)
+    assert not plan.corner_cell[corners].any()
+    for rho in (-3.0, 0.3, 1.3):
+        fs = _fold(sheet, rho)
+        assert np.array_equal(fs.corner_plate, fs.mesh.vertices[corners])
 
 
 def _with_plan(sheet: SquareTwistSheet, **changes) -> SquareTwistSheet:
